@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import ltl
 from .engine import OrchestrationScheme
-from .muller import LassoTrace, MullerAutomaton, guard_mask, product, reduct, cofree_expansion
+from .muller import MullerAutomaton, product, reduct, cofree_expansion
 from .sigcat import (
     ActionSignature,
     Cocone,
@@ -832,11 +832,8 @@ class ArnScheme(OrchestrationScheme):
     def is_ground(self, orc):
         return is_ground(orc)
 
-    def is_property(self, orc, spec):
+    def check_property(self, orc, spec):
         return is_property(orc, spec)
-
-    def is_property_refuted(self, orc, spec):
-        return not is_property(orc, spec)
 
     def spec_entails(self, orc, provided, required):
         if provided.point != required.point:
@@ -885,28 +882,3 @@ class ArnScheme(OrchestrationScheme):
                 moved_msgs.append(f"{x}[" + " ".join(changed) + "]")
         inside = "; ".join(filter(None, [" ".join(moved_points), " ".join(moved_msgs)]))
         return "{" + (inside if inside else "id") + "}"
-
-
-# Convenience used by tests and examples: amalgamation-style cross-check of an
-# observed automaton on sampled lassos.
-
-
-def observed_accepts_via_components(n: Arn, x: str, trace: LassoTrace) -> bool:
-    """Acceptance of a lasso at a point, decided through joint component traces.
-
-    Searches for a joint lasso over the network apex that projects to the
-    given one and is accepted by the product of expansions; used to
-    cross-check `observed_automaton` on small networks.
-    """
-    from .muller import accepts as muller_accepts
-
-    sub = subnet_at(n, x)
-    cocone = signature_of(sub)
-    parts = []
-    for e in sorted(set(sub.process_of) | set(sub.connection_of)):
-        aut = sub.process_of[e].automaton if e in sub.process_of else sub.connection_of[e].automaton
-        parts.append(cofree_expansion(aut, cocone.leg(_EDGE + e)))
-    joint = product(parts, signature=cocone.apex)
-    leg = cocone.leg(_PT + x)
-    projected = reduct(joint, leg)
-    return muller_accepts(projected, trace)

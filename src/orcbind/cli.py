@@ -183,10 +183,6 @@ def spec_from_json(data) -> arn.ArnSpec:
         raise InputError(f"bad spec: {e}") from e
 
 
-def spec_to_json(s: arn.ArnSpec):
-    return {"point": s.point, "formula": ltl.render_formula(s.formula)}
-
-
 # ---------------------------------------------------------------------------
 # Repository / query / script files
 
@@ -375,14 +371,12 @@ def cmd_arn(args) -> int:
     if args.point not in net.points:
         raise InputError(f"no such point: {args.point}")
     spec = arn.ArnSpec(args.point, formula)
-    observed = arn.observed_automaton(net, args.point)
-    if ltl.holds(observed, formula):
+    witness = ltl.counterexample(arn.observed_automaton(net, args.point), formula)
+    if witness is None:
         print(f"holds: {spec.render()}")
         return 0
-    witness = ltl.counterexample(observed, formula)
     print(f"fails: {spec.render()}")
-    if witness is not None:
-        print(f"counterexample trace: {ltl.render_lasso(witness)}")
+    print(f"counterexample trace: {ltl.render_lasso(witness)}")
     return 1
 
 
@@ -400,13 +394,12 @@ def cmd_ltl(args) -> int:
         print(f"satisfiable: {ltl.render_lasso(witness)}")
         return 0
     sig = ActionSignature(ltl.atoms_of(f1) | ltl.atoms_of(f2))
-    if ltl.entails(f1, f2, sig):
+    witness = ltl.satisfiable(ltl.land(f1, ltl.lnot(f2)), sig)
+    if witness is None:
         print("yes")
         return 0
-    witness = ltl.satisfiable(ltl.land(f1, ltl.lnot(f2)), sig)
     print("no")
-    if witness is not None:
-        print(f"counterexample trace: {ltl.render_lasso(witness)}")
+    print(f"counterexample trace: {ltl.render_lasso(witness)}")
     return 1
 
 

@@ -1,10 +1,11 @@
 """Scheme-generic logic programming: clauses, queries, unification, resolution.
 
 A scheme supplies orchestrations, morphisms between them, spec translation
-along morphisms, a groundness test, a property check on ground
-orchestrations, an entailment check between translated specs, and a binder
-that proposes candidate unifier cospans.  Everything here is parametric in
-the scheme; the two concrete schemes live with their domain modules.
+along morphisms, a groundness test, one three-valued property check on
+ground orchestrations (holds, refuted, or undecided by a bounded check), an
+entailment check between translated specs, and a binder that proposes
+candidate unifier cospans.  Everything here is parametric in the scheme; the
+two concrete schemes live with their domain modules.
 
 Morphism objects are scheme-specific but must expose ``source`` and
 ``target`` orchestrations.
@@ -13,7 +14,7 @@ Morphism objects are scheme-specific but must expose ``source`` and
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class OrchestrationScheme(ABC):
@@ -36,13 +37,12 @@ class OrchestrationScheme(ABC):
         ...
 
     @abstractmethod
-    def is_property(self, orc, spec) -> bool:
-        """Does the spec hold of the ground orchestration?"""
+    def check_property(self, orc, spec) -> bool | None:
+        """Does the spec hold of the ground orchestration?
 
-    @abstractmethod
-    def is_property_refuted(self, orc, spec) -> bool:
-        """Definite violation witness exists (distinct from `not is_property`
-        for schemes with bounded three-valued checks)."""
+        True if it holds, False if it is refuted, None if a bounded check
+        could decide neither.
+        """
 
     @abstractmethod
     def spec_entails(self, orc, provided, required) -> bool:
@@ -289,16 +289,17 @@ def check_solution(scheme: OrchestrationScheme, query: Query, psi, model_pool=No
     property.  Otherwise the check is bounded to the supplied pool of models
     (morphisms from the target into ground orchestrations); an empty pool
     cannot demonstrate that the target has models, so the verdict is False.
+    A property check that cannot decide counts against the solution.
     """
     translated = [scheme.translate_spec(psi, s) for s in query.requires]
     target = psi.target
     if scheme.is_ground(target):
-        return all(scheme.is_property(target, s) for s in translated)
+        return all(scheme.check_property(target, s) is True for s in translated)
     if not model_pool:
         return False
     for delta in model_pool:
         for s in translated:
-            if not scheme.is_property(delta.target, scheme.translate_spec(delta, s)):
+            if scheme.check_property(delta.target, scheme.translate_spec(delta, s)) is not True:
                 return False
     return True
 
@@ -311,11 +312,12 @@ def check_clause_correctness(scheme: OrchestrationScheme, clause: Clause, ground
         checked += 1
         grc = delta.target
         requires_ok = all(
-            scheme.is_property(grc, scheme.translate_spec(delta, r)) for r in clause.requires
+            scheme.check_property(grc, scheme.translate_spec(delta, r)) is True
+            for r in clause.requires
         )
         if not requires_ok:
             continue
         provided = scheme.translate_spec(delta, clause.provides)
-        if scheme.is_property_refuted(grc, provided):
+        if scheme.check_property(grc, provided) is False:
             return Counterexample(delta)
     return NoCounterexample(checked)

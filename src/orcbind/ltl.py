@@ -21,24 +21,18 @@ from dataclasses import dataclass
 
 from .sigcat import ActionSignature, SignatureMorphism
 from .muller import (
-    AllNonempty,
     GAtom,
     GenBuchi,
     Guard,
-    G_TRUE,
-    G_FALSE,
     GAnd,
     GNot,
     GOr,
     LassoTrace,
     MullerAutomaton,
-    ProductFamily,
-    accepts,
     find_accepted_lasso,
     g_and,
     g_atom,
     g_not,
-    is_empty,
     product,
 )
 
@@ -307,33 +301,23 @@ def to_automaton(f: LtlFormula, sig: ActionSignature | None = None) -> MullerAut
     )
 
 
-def intersect(a: MullerAutomaton, b: MullerAutomaton) -> MullerAutomaton:
-    """Pair automaton whose acceptance combines both final families."""
-    if a.signature != b.signature:
-        raise ValueError("intersection requires a common signature")
-    return product([a, b])
+def counterexample(a: MullerAutomaton, f: LtlFormula) -> LassoTrace | None:
+    """An accepted trace violating the formula, or None when every accepted
+    trace satisfies it.
 
-
-def holds(a: MullerAutomaton, f: LtlFormula) -> bool:
-    """Does every trace accepted by the automaton satisfy the formula?
-
-    Checked as emptiness of the intersection with the automaton of the negated
-    formula; Muller complementation is never needed.
+    One emptiness search of the product with the automaton of the negated
+    formula decides the verdict and yields the witness; Muller
+    complementation is never needed.
     """
     stray = atoms_of(f) - a.signature.actions
     if stray:
         raise ValueError(f"formula atoms outside automaton signature: {sorted(stray)}")
-    neg = to_automaton(lnot(f), a.signature)
-    return is_empty(intersect(a, neg))
+    return find_accepted_lasso(product([a, to_automaton(lnot(f), a.signature)]))
 
 
-def counterexample(a: MullerAutomaton, f: LtlFormula) -> LassoTrace | None:
-    """An accepted trace violating the formula, or None when `holds`."""
-    neg = to_automaton(lnot(f), a.signature)
-    witness = find_accepted_lasso(intersect(a, neg))
-    if witness is None:
-        return None
-    return witness
+def holds(a: MullerAutomaton, f: LtlFormula) -> bool:
+    """Does every trace accepted by the automaton satisfy the formula?"""
+    return counterexample(a, f) is None
 
 
 def satisfiable(f: LtlFormula, sig: ActionSignature | None = None) -> LassoTrace | None:

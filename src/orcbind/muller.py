@@ -132,11 +132,9 @@ def rename_guard(g: Guard, mapping: dict[str, str]) -> Guard:
 @lru_cache(maxsize=None)
 def _atom_column(n_actions: int, i: int) -> int:
     """Bitmask over 2^n letter indices whose i-th action bit is set."""
-    block = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i zeros then 2^i ones
-    width = 1 << (i + 1)
-    mask = 0
-    for start in range(0, 1 << n_actions, width):
-        mask |= block << start
+    mask = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i zeros then 2^i ones
+    for k in range(i + 1, n_actions):
+        mask |= mask << (1 << k)  # repeat the first 2^k letters once more
     return mask
 
 
@@ -707,7 +705,7 @@ def reduct(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAutomaton:
                 letter |= src_bit
         pre.append(letter)
     transitions = []
-    for (src, dst), m in sorted(a.edge_masks().items(), key=_key):
+    for (src, dst), m in sorted(a.edge_masks().items(), key=lambda e: _key(e[0])):
         proj = 0
         mm = m
         while mm:

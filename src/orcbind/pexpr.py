@@ -347,14 +347,6 @@ def apply_subst(t: PTerm, subst: dict[str, PTerm]) -> PTerm:
     return t
 
 
-def compose_substs(s1: dict[str, PTerm], s2: dict[str, PTerm]) -> dict[str, PTerm]:
-    out = {v: apply_subst(t, s2) for v, t in s1.items()}
-    for v, t in s2.items():
-        if v not in out:
-            out[v] = t
-    return out
-
-
 @dataclass(frozen=True)
 class PMorphism:
     """A substitution plus a position: the instantiated source term sits at
@@ -641,11 +633,11 @@ class PexprScheme(OrchestrationScheme):
     def is_ground(self, orc):
         return is_ground_term(orc)
 
-    def is_property(self, orc, spec):
-        return isinstance(check_ground_property(orc, spec, self.bounds, self.fuel), Holds)
-
-    def is_property_refuted(self, orc, spec):
-        return isinstance(check_ground_property(orc, spec, self.bounds, self.fuel), Fails)
+    def check_property(self, orc, spec):
+        verdict = check_ground_property(orc, spec, self.bounds, self.fuel)
+        if isinstance(verdict, Inconclusive):
+            return None
+        return isinstance(verdict, Holds)
 
     def spec_entails(self, orc, provided, required):
         if provided.position != required.position:

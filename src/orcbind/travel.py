@@ -15,7 +15,6 @@ from .muller import (
     AllNonempty,
     ImpliesFamily,
     MullerAutomaton,
-    ProductFamily,
     g_and,
     g_atom,
     g_not,

@@ -148,6 +148,23 @@ def test_ltl_commands(capsys):
     assert run(["ltl", "sat", "F (a & X b)"]) == 0
 
 
+def test_negative_verdicts_search_once(monkeypatch, capsys):
+    searches = []
+    original = ltl.find_accepted_lasso
+
+    def counted(a):
+        searches.append(a)
+        return original(a)
+
+    monkeypatch.setattr(ltl, "find_accepted_lasso", counted)
+    assert run(["arn", "check", str(DATA / "mapservices.net.json"), "MS1", "G !getRoutes?"]) == 1
+    assert len(searches) == 1
+    searches.clear()
+    assert run(["ltl", "entails", "F a", "G a"]) == 1
+    assert len(searches) == 1
+    assert capsys.readouterr().out.count("counterexample trace:") == 2
+
+
 def test_solve_command_and_trace_determinism(tmp_path, capsys):
     out1 = tmp_path / "trace1.json"
     code = run(

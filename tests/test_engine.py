@@ -281,6 +281,18 @@ def test_broken_while_module_is_caught():
     assert isinstance(check_clause_correctness(scheme, broken, pool), Counterexample)
 
 
+def test_bounded_property_check_is_three_valued():
+    # every y = 0 pre-state of division loops until the fuel runs out
+    scheme = PexprScheme(bounds={"x": (0, 2), "y": (0, 2)}, fuel=50)
+    division = parse_program("q := 0 ; r := x ; while y <= r do q := q + 1 ; r := r - y done")
+    spec = PSpec((), C_TRUE, parse_condition("[x = q * y + r] & [r < y]"))
+    assert scheme.check_property(division, spec) is None
+    identity = PMorphism.make(division, division, {}, ())
+    assert check_solution(scheme, Query(division, (spec,)), identity) is False
+    clause = Clause("division", division, spec, ())
+    assert check_clause_correctness(scheme, clause, [identity]) == NoCounterexample(1)
+
+
 def _pvars(t):
     from orcbind.pexpr import pvars
 

@@ -67,7 +67,6 @@ def lasso(sig, prefix, cycle):
 
 
 def test_guard_mask_matches_naive_evaluation():
-    sig = signature("a", "b", "c")
     guards = [
         G_TRUE,
         g_atom("a"),
@@ -75,11 +74,12 @@ def test_guard_mask_matches_naive_evaluation():
         g_and(g_atom("a"), g_or(g_atom("b"), g_not(g_atom("c")))),
         g_or(),
     ]
-    for g in guards:
-        mask = guard_mask(g, sig)
-        for letter in all_letters(sig):
-            idx = sum(1 << i for i, a in enumerate(sorted(sig.actions)) if a in letter)
-            assert bool(mask & (1 << idx)) == eval_guard(g, letter)
+    for sig in [signature("a", "b", "c"), signature("a", "b", "c", "d", "e", "f")]:
+        for g in guards:
+            mask = guard_mask(g, sig)
+            for letter in all_letters(sig):
+                idx = sum(1 << i for i, a in enumerate(sorted(sig.actions)) if a in letter)
+                assert bool(mask & (1 << idx)) == eval_guard(g, letter)
 
 
 def test_mask_to_guard_round_trips_semantics():
@@ -307,6 +307,16 @@ def test_reduct_along_empty_signature_keeps_satisfiable_transitions():
     # one letter; an edge exists iff the original guard was satisfiable
     assert set(r.edge_masks()) == set(a.edge_masks())
     assert all(m == 1 for m in r.edge_masks().values())
+
+
+def test_reduct_from_a_large_signature():
+    # a true guard over 14 actions has a mask of 2^14 bits, whose decimal
+    # form is longer than Python's default int-to-str limit
+    big = signature(*(f"a{i:02}" for i in range(14)))
+    a = MullerAutomaton(big, frozenset({"q"}), (("q", G_TRUE, "q"),), frozenset({"q"}), AllNonempty())
+    small = signature("a00", "a13")
+    r = reduct(a, SignatureMorphism.make(small, big, {"a00": "a00", "a13": "a13"}))
+    assert r.edge_masks() == {("q", "q"): guard_mask(G_TRUE, small)}
 
 
 def test_expansion_then_reduct_keeps_language_for_injective_morphisms():
