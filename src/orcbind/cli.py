@@ -370,6 +370,9 @@ def cmd_arn(args) -> int:
         raise InputError("network is not well-formed: " + "; ".join(issues))
     if args.point not in net.points:
         raise InputError(f"no such point: {args.point}")
+    stray = ltl.atoms_of(formula) - net.port_of[args.point].actions().actions
+    if stray:
+        raise InputError(f"formula uses actions outside the port at {args.point}: {sorted(stray)}")
     spec = arn.ArnSpec(args.point, formula)
     witness = ltl.counterexample(arn.observed_automaton(net, args.point), formula)
     if witness is None:

@@ -33,7 +33,6 @@ from .muller import (
     g_and,
     g_atom,
     g_not,
-    product,
 )
 
 
@@ -306,13 +305,13 @@ def counterexample(a: MullerAutomaton, f: LtlFormula) -> LassoTrace | None:
     trace satisfies it.
 
     One emptiness search of the product with the automaton of the negated
-    formula decides the verdict and yields the witness; Muller
-    complementation is never needed.
+    formula, explored on the fly, decides the verdict and yields the witness;
+    Muller complementation is never needed.
     """
     stray = atoms_of(f) - a.signature.actions
     if stray:
         raise ValueError(f"formula atoms outside automaton signature: {sorted(stray)}")
-    return find_accepted_lasso(product([a, to_automaton(lnot(f), a.signature)]))
+    return find_accepted_lasso(a, to_automaton(lnot(f), a.signature))
 
 
 def holds(a: MullerAutomaton, f: LtlFormula) -> bool:

@@ -6,6 +6,11 @@ for every letter satisfying the guard.  All semantic work (products, reducts,
 homomorphism checks, acceptance, emptiness) happens on the guard semantics --
 bitmasks indexed by letters -- never on guard syntax.
 
+``product`` builds the full categorical product over every state tuple.
+Emptiness of an intersection never needs it: ``find_accepted_lasso`` takes
+the factors themselves and explores their product on the fly, from the
+initial state tuples only.
+
 Final-state families come in several closed forms; each can test membership
 of a candidate infinity set and can unfold itself into a disjunction of
 "hit these state sets / stay within this state set" constraints, which is
@@ -521,11 +526,8 @@ def _reachable(roots, succ):
     return seen
 
 
-def _find_live_set(roots, succ, disjuncts, project):
-    """A reachable live node set whose projection meets some disjunct, or None."""
-    reach = _reachable(roots, succ)
-    if not reach:
-        return None
+def _find_live_set(reach, succ, disjuncts, project):
+    """A live set of the reachable nodes whose projection meets some disjunct, or None."""
 
     def succ_in(region):
         def f(n):
@@ -634,9 +636,9 @@ def accepts(a: MullerAutomaton, t: LassoTrace) -> bool:
         nxt = t.next_pos(pos)
         return [(dst, nxt) for dst, m in out_edges.get(state, ()) if m & bit]
 
-    roots = [(q, 0) for q in sorted(a.initial, key=_key)]
+    reach = _reachable([(q, 0) for q in a.initial], succ)
     disjuncts = a.final.dnf(a.states)
-    return _find_live_set(roots, succ, disjuncts, lambda n: n[0]) is not None
+    return _find_live_set(reach, succ, disjuncts, lambda n: n[0]) is not None
 
 
 def is_empty(a: MullerAutomaton) -> bool:
@@ -644,32 +646,62 @@ def is_empty(a: MullerAutomaton) -> bool:
     return find_accepted_lasso(a) is None
 
 
-def find_accepted_lasso(a: MullerAutomaton) -> LassoTrace | None:
-    """Some accepted lasso, or None if the language is empty.
+def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
+    """Some lasso that every given automaton accepts, or None if there is none.
 
-    Looks for a reachable live state set (over satisfiable-guard edges) whose
-    membership in the final family is witnessed through the hit/within
-    unfolding, then reads letters off a covering closed walk.
+    The automata share one signature; a single automaton is the one-factor
+    case.  The search runs on their synchronous product without building it:
+    nodes are the state tuples reached from the initial tuples, and a node's
+    edges are computed once, by ANDing the masks of the factors'
+    transitions, in the order of ``product`` (lexicographic over each
+    factor's transitions from its state).  The ``ProductFamily`` is unfolded
+    over the reachable tuples only.  A reachable live node set meeting one of
+    its hit/within disjuncts yields the witness, read off a covering closed
+    walk; it is the witness the search returns on ``product(automata)``.
     """
-    masks = a.edge_masks()
-    out_edges: dict[object, list[object]] = {}
-    for src, dst in masks:
-        out_edges.setdefault(src, []).append(dst)
+    sig = automata[0].signature
+    if any(a.signature != sig for a in automata):
+        raise ValueError("product factors must share a signature")
+    moves = []  # per factor: state -> [(dst, mask)] in transition order
+    for a in automata:
+        out: dict[object, list[tuple[object, int]]] = {}
+        for src, g, dst in a.transitions:
+            m = guard_mask(g, sig)
+            if m:
+                out.setdefault(src, []).append((dst, m))
+        moves.append(out)
+    full = full_mask(sig)
+    edges: dict[tuple, dict[tuple, int]] = {}
 
-    def succ(state):
-        return out_edges.get(state, ())
+    def succ(node):
+        e = edges.get(node)
+        if e is None:
+            # extend partial destination tuples one factor at a time; a
+            # prefix whose mask is already empty is dropped
+            partial = [((), full)]
+            for out, q in zip(moves, node):
+                partial = [
+                    (dst + (d,), m & em)
+                    for dst, m in partial
+                    for d, em in out.get(q, ())
+                    if m & em
+                ]
+            e = edges[node] = {}
+            for dst, m in partial:
+                e[dst] = e.get(dst, 0) | m
+        return e
 
-    roots = sorted(a.initial, key=_key)
-    if not roots:
-        return None
-    live = _find_live_set(roots, succ, a.final.dnf(a.states), lambda n: n)
+    roots = sorted(itertools.product(*(a.initial for a in automata)), key=_key)
+    reach = _reachable(roots, succ)
+    family = ProductFamily(tuple(enumerate(a.final for a in automata)))
+    live = _find_live_set(reach, succ, family.dnf(frozenset(reach)), lambda n: n)
     if live is None:
         return None
 
     def pick_letter(src, dst):
-        m = masks[(src, dst)]
+        m = edges[src][dst]
         low = (m & -m).bit_length() - 1
-        return letter_at(low, a.signature)
+        return letter_at(low, sig)
 
     path = _path_to(roots, succ, live)
     walk = _closed_walk(live, lambda n: [m for m in succ(n) if m in live])
@@ -681,7 +713,7 @@ def find_accepted_lasso(a: MullerAutomaton) -> LassoTrace | None:
     cycle = tuple(
         pick_letter(cycle_nodes[i], cycle_nodes[i + 1]) for i in range(len(cycle_nodes) - 1)
     )
-    return LassoTrace(a.signature, prefix, cycle)
+    return LassoTrace(sig, prefix, cycle)
 
 
 def reduct(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAutomaton:

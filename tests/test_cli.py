@@ -140,6 +140,14 @@ def test_arn_check_trivial_formula(capsys):
     assert run(["arn", "check", str(DATA / "mapservices.net.json"), "MS1", "true"]) == 0
 
 
+def test_arn_check_rejects_actions_outside_the_port(capsys):
+    code = run(["arn", "check", str(DATA / "mapservices.net.json"), "MS1", "G nosuch!"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: formula uses actions outside the port at MS1: ['nosuch!']\n"
+
+
 def test_ltl_commands(capsys):
     assert run(["ltl", "entails", "G a", "F a"]) == 0
     assert run(["ltl", "entails", "p", "p"]) == 0
@@ -152,9 +160,9 @@ def test_negative_verdicts_search_once(monkeypatch, capsys):
     searches = []
     original = ltl.find_accepted_lasso
 
-    def counted(a):
-        searches.append(a)
-        return original(a)
+    def counted(*factors):
+        searches.append(factors)
+        return original(*factors)
 
     monkeypatch.setattr(ltl, "find_accepted_lasso", counted)
     assert run(["arn", "check", str(DATA / "mapservices.net.json"), "MS1", "G !getRoutes?"]) == 1
