@@ -24,6 +24,7 @@ from .muller import (
     ProductFamily,
 )
 from .sigcat import ActionSignature
+from .travel import channel_automaton
 
 
 class InputError(ValueError):
@@ -160,8 +161,6 @@ def network_from_json(data) -> arn.Arn:
         for name, cd in data.get("connections", {}).items():
             messages = frozenset(cd["messages"])
             if cd.get("automaton") == "immediate-delivery":
-                from .travel import channel_automaton
-
                 automaton = channel_automaton(messages)
             else:
                 automaton = automaton_from_json(cd["automaton"])

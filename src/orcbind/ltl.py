@@ -15,7 +15,6 @@ The surface grammar used throughout files and the command line:
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -29,10 +28,12 @@ from .muller import (
     GOr,
     LassoTrace,
     MullerAutomaton,
+    _atom_column,
     find_accepted_lasso,
     g_and,
     g_atom,
     g_not,
+    g_or,
 )
 
 
@@ -211,12 +212,24 @@ def sat_lasso(t: LassoTrace, f: LtlFormula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Formula -> automaton (declarative tableau)
+# Formula -> automaton (reachable tableau)
 #
 # States are truth assignments to the "elementary" subformulas (atoms, Next,
-# Until); the truth of composite subformulas is derived.  Transitions enforce
-# the Next step and the one-step unrolling of Until; a generalized-Buchi
-# family per Until subformula rules out postponing eventualities forever.
+# Until); the truth of composite subformulas is derived.  With k elementary
+# subformulas, assignment i makes elementary[j] true iff bit k-1-j of i is
+# set, so counting i up lists the assignments in itertools.product order.
+# Each subformula's truth over all 2^k assignments is one bitmask column
+# (laid out like a guard's letter mask), computed once.
+#
+# The Next step and the one-step unrolling of Until constrain the successor
+# only through the truth of the Next arguments and of the Untils there, so
+# each state turns them into one requirement: a (mask, value) over those
+# bits.  Its successors are the assignments that meet it, in index order,
+# which fixes the order of the emptiness search and so its witnesses; a
+# state whose Until contradicts its own unrolling has none.  Only
+# the states reachable from the initial assignments are built, each with its
+# transitions, and a generalized-Buchi family per Until subformula, over
+# those states, rules out postponing eventualities forever.
 
 
 def _subformulas(f: LtlFormula):
@@ -239,6 +252,16 @@ def _subformulas(f: LtlFormula):
     return seen
 
 
+def _indices(mask: int) -> list[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def to_automaton(f: LtlFormula, sig: ActionSignature | None = None) -> MullerAutomaton:
     """An automaton accepting exactly the traces that satisfy the formula."""
     if sig is None:
@@ -247,56 +270,100 @@ def to_automaton(f: LtlFormula, sig: ActionSignature | None = None) -> MullerAut
     if stray:
         raise ValueError(f"formula atoms outside signature: {sorted(stray)}")
 
-    subs = _subformulas(f)
-    elementary = [h for h in subs if isinstance(h, (Atom, Next, Until))]
-    untils = [h for h in subs if isinstance(h, Until)]
+    elementary = [h for h in _subformulas(f) if isinstance(h, (Atom, Next, Until))]
+    nexts = [h for h in elementary if isinstance(h, Next)]
+    untils = [h for h in elementary if isinstance(h, Until)]
+    k = len(elementary)
+    full = (1 << (1 << k)) - 1
+    columns = {h: _atom_column(k, k - 1 - j) for j, h in enumerate(elementary)}
 
-    assignments = []
-    for bits in itertools.product((False, True), repeat=len(elementary)):
-        assignments.append(frozenset(h for h, b in zip(elementary, bits) if b))
+    def column(h: LtlFormula) -> int:
+        c = columns.get(h)
+        if c is None:
+            if isinstance(h, Not):
+                c = full ^ column(h.sub)
+            elif isinstance(h, And):
+                c = full
+                for s in h.subs:
+                    c &= column(s)
+            elif isinstance(h, Or):
+                c = 0
+                for s in h.subs:
+                    c |= column(s)
+            else:
+                raise TypeError(h)
+            columns[h] = c
+        return c
 
-    def truth(h: LtlFormula, state: frozenset) -> bool:
-        if isinstance(h, (Atom, Next, Until)):
-            return h in state
-        if isinstance(h, Not):
-            return not truth(h.sub, state)
-        if isinstance(h, And):
-            return all(truth(s, state) for s in h.subs)
-        if isinstance(h, Or):
-            return any(truth(s, state) for s in h.subs)
-        raise TypeError(h)
+    # the successor's truths a step constrains: one requirement bit each
+    ahead = [column(h.sub) for h in nexts] + [columns[u] for u in untils]
+    steps = [(columns[h], None, None) for h in nexts] + [
+        (columns[u], column(u.lhs), column(u.rhs)) for u in untils
+    ]
 
-    def guard_of(state: frozenset) -> Guard:
-        lits = []
-        for h in elementary:
-            if isinstance(h, Atom):
-                lits.append(g_atom(h.action) if h in state else g_not(g_atom(h.action)))
-        return g_and(*lits)
+    def requirement(i: int):
+        """The (mask, value) successors of assignment i must meet, or None."""
+        mask = value = 0
+        for b, (c, lhs, rhs) in enumerate(steps):
+            now = c >> i & 1
+            if lhs is None:  # X g holds now iff g holds next
+                mask |= 1 << b
+                value |= now << b
+            elif rhs >> i & 1:  # the Until is fulfilled now
+                if not now:
+                    return None
+            elif lhs >> i & 1:  # the Until holds now iff it holds next
+                mask |= 1 << b
+                value |= now << b
+            elif now:
+                return None
+        return mask, value
 
+    successors: dict[tuple[int, int], list[int]] = {}
+
+    def successors_of(req) -> list[int]:
+        out = successors.get(req)
+        if out is None:
+            mask, value = req
+            meet = full
+            for b, c in enumerate(ahead):
+                if mask >> b & 1:
+                    meet &= c if value >> b & 1 else full ^ c
+            out = successors[req] = _indices(meet)
+        return out
+
+    initial = _indices(column(f))
+    succ: dict[int, list[int]] = {}
+    frontier = list(initial)
+    reached = set(initial)
+    while frontier:
+        i = frontier.pop()
+        req = requirement(i)
+        succ[i] = [] if req is None else successors_of(req)
+        for j in succ[i]:
+            if j not in reached:
+                reached.add(j)
+                frontier.append(j)
+
+    order = sorted(succ)
+    states = {
+        i: frozenset(h for j, h in enumerate(elementary) if i >> (k - 1 - j) & 1) for i in order
+    }
+    atoms = [(k - 1 - j, h.action) for j, h in enumerate(elementary) if isinstance(h, Atom)]
     transitions = []
-    for s in assignments:
-        g = guard_of(s)
-        for s2 in assignments:
-            ok = True
-            for h in elementary:
-                if isinstance(h, Next) and truth(h, s) != truth(h.sub, s2):
-                    ok = False
-                    break
-                if isinstance(h, Until):
-                    unrolled = truth(h.rhs, s) or (truth(h.lhs, s) and truth(h, s2))
-                    if truth(h, s) != unrolled:
-                        ok = False
-                        break
-            if ok:
-                transitions.append((s, g, s2))
-
-    initial = frozenset(s for s in assignments if truth(f, s))
-    fairness = tuple(
-        frozenset(s for s in assignments if not truth(u, s) or truth(u.rhs, s))
-        for u in untils
-    )
+    for i in order:
+        g = g_and(*(g_atom(a) if i >> b & 1 else g_not(g_atom(a)) for b, a in atoms))
+        transitions.extend((states[i], g, states[j]) for j in succ[i])
+    fairness = []
+    for u in untils:
+        fair = (full ^ columns[u]) | column(u.rhs)
+        fairness.append(frozenset(states[i] for i in order if fair >> i & 1))
     return MullerAutomaton(
-        sig, frozenset(assignments), tuple(transitions), initial, GenBuchi(fairness)
+        sig,
+        frozenset(states.values()),
+        tuple(transitions),
+        frozenset(states[i] for i in initial),
+        GenBuchi(tuple(fairness)),
     )
 
 
@@ -491,8 +558,6 @@ def formula_to_guard(f: LtlFormula) -> Guard:
     if isinstance(f, And):
         return g_and(*(formula_to_guard(s) for s in f.subs))
     if isinstance(f, Or):
-        from .muller import g_or
-
         return g_or(*(formula_to_guard(s) for s in f.subs))
     raise ValueError("temporal operators are not allowed in guards")
 

@@ -20,6 +20,7 @@ what acceptance and emptiness search on.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -565,13 +566,13 @@ def _closed_walk(region, succ):
         # shortest path of at least one edge from src to any target node;
         # prev value None marks direct successors of src
         prev = {}
-        queue = []
+        queue = deque()
         for nxt in succ(src):
             if nxt in region and nxt not in prev:
                 prev[nxt] = None
                 queue.append(nxt)
         while queue:
-            node = queue.pop(0)
+            node = queue.popleft()
             if node in targets:
                 path = [node]
                 while prev[path[-1]] is not None:
@@ -597,12 +598,11 @@ def _closed_walk(region, succ):
 
 def _path_to(roots, succ, targets):
     prev = {}
-    queue = []
+    queue = deque(roots)
     for r in roots:
         prev[r] = None
-        queue.append(r)
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         if node in targets:
             path = []
             while node is not None:
@@ -665,10 +665,12 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
     moves = []  # per factor: state -> [(dst, mask)] in transition order
     for a in automata:
         out: dict[object, list[tuple[object, int]]] = {}
+        guard = mask = None
         for src, g, dst in a.transitions:
-            m = guard_mask(g, sig)
-            if m:
-                out.setdefault(src, []).append((dst, m))
+            if g is not guard:  # a run of transitions often shares one guard object
+                guard, mask = g, guard_mask(g, sig)
+            if mask:
+                out.setdefault(src, []).append((dst, mask))
         moves.append(out)
     full = full_mask(sig)
     edges: dict[tuple, dict[tuple, int]] = {}

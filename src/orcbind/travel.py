@@ -12,15 +12,18 @@ from . import ltl
 from .arn import Arn, ArnSpec, Connection, Port, Process, qualified_signature
 from .engine import Clause, Query, Repository
 from .muller import (
+    G_TRUE,
     AllNonempty,
     ImpliesFamily,
     MullerAutomaton,
+    cofree_expansion,
     g_and,
     g_atom,
     g_not,
+    g_or,
     product,
 )
-from .sigcat import ActionSignature
+from .sigcat import ActionSignature, SignatureMorphism
 
 
 def _a(name):
@@ -50,9 +53,6 @@ def channel_message_automaton(m: str) -> MullerAutomaton:
 
 def channel_automaton(messages) -> MullerAutomaton:
     """Product of the per-message automata, expanded to the channel's signature."""
-    from .muller import cofree_expansion
-    from .sigcat import SignatureMorphism
-
     full = ActionSignature(
         frozenset(f"{m}!" for m in messages) | frozenset(f"{m}?" for m in messages)
     )
@@ -135,8 +135,6 @@ def responder_automaton(point: str, request: str, response: str, ports) -> Mulle
 
 def g_or_not(req, rsp):
     # requests answered on the spot keep the responder idle
-    from .muller import g_or
-
     return g_or(g_not(req), rsp)
 
 
@@ -158,8 +156,6 @@ def traveller_process() -> Process:
     """Fixture: fully permissive client behaviour."""
     ports = {"T1": PORT_T1}
     sig = qualified_signature(ports)
-    from .muller import G_TRUE
-
     aut = MullerAutomaton(
         sig, frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )

@@ -4,7 +4,8 @@ Everything here deliberately avoids the production algorithms: guards are
 evaluated by naive recursion on letters (no bitmasks), acceptance is decided
 by explicit run search over the unrolled product graph (no SCC refinement),
 emptiness by bounded witness-lasso search per final set, and one more
-emptiness route goes through a textbook Muller-to-Buchi conversion.
+emptiness route goes through a textbook Muller-to-Buchi conversion.  The
+LTL tableau is built densely, by testing every pair of truth assignments.
 """
 
 from __future__ import annotations
@@ -18,10 +19,15 @@ from orcbind.muller import (
     GAtom,
     GNot,
     GOr,
+    GenBuchi,
     LassoTrace,
     MullerAutomaton,
     explicit_members,
+    g_and,
+    g_atom,
+    g_not,
 )
+from orcbind.ltl import And, Atom, Next, Not, Or, Until, _subformulas
 from orcbind.sigcat import ordered_actions
 
 
@@ -277,6 +283,65 @@ def is_empty_by_buchi(a: MullerAutomaton) -> bool:
 
 # ---------------------------------------------------------------------------
 # Colimit by naive equivalence closure
+
+
+def dense_tableau(f, sig) -> MullerAutomaton:
+    """The tableau of a formula over every truth assignment to its elementary
+    subformulas, with a transition for every pair that passes the Next step
+    and the one-step unrolling of each Until, tested by recursive truth
+    evaluation.  Assignments are listed in itertools.product order over the
+    elementary subformulas in ``_subformulas`` order."""
+    subs = _subformulas(f)
+    elementary = [h for h in subs if isinstance(h, (Atom, Next, Until))]
+    untils = [h for h in subs if isinstance(h, Until)]
+
+    assignments = []
+    for bits in itertools.product((False, True), repeat=len(elementary)):
+        assignments.append(frozenset(h for h, b in zip(elementary, bits) if b))
+
+    def truth(h, state: frozenset) -> bool:
+        if isinstance(h, (Atom, Next, Until)):
+            return h in state
+        if isinstance(h, Not):
+            return not truth(h.sub, state)
+        if isinstance(h, And):
+            return all(truth(s, state) for s in h.subs)
+        if isinstance(h, Or):
+            return any(truth(s, state) for s in h.subs)
+        raise TypeError(h)
+
+    def guard_of(state: frozenset):
+        lits = []
+        for h in elementary:
+            if isinstance(h, Atom):
+                lits.append(g_atom(h.action) if h in state else g_not(g_atom(h.action)))
+        return g_and(*lits)
+
+    transitions = []
+    for s in assignments:
+        g = guard_of(s)
+        for s2 in assignments:
+            ok = True
+            for h in elementary:
+                if isinstance(h, Next) and truth(h, s) != truth(h.sub, s2):
+                    ok = False
+                    break
+                if isinstance(h, Until):
+                    unrolled = truth(h.rhs, s) or (truth(h.lhs, s) and truth(h, s2))
+                    if truth(h, s) != unrolled:
+                        ok = False
+                        break
+            if ok:
+                transitions.append((s, g, s2))
+
+    initial = frozenset(s for s in assignments if truth(f, s))
+    fairness = tuple(
+        frozenset(s for s in assignments if not truth(u, s) or truth(u.rhs, s))
+        for u in untils
+    )
+    return MullerAutomaton(
+        sig, frozenset(assignments), tuple(transitions), initial, GenBuchi(fairness)
+    )
 
 
 def colimit_classes_by_closure(diagram):

@@ -156,6 +156,13 @@ def test_ltl_commands(capsys):
     assert run(["ltl", "sat", "F (a & X b)"]) == 0
 
 
+def test_ltl_entails_of_a_conjunct(capsys):
+    # the tableau of f1 & !f2 has no states at all here
+    code = run(["ltl", "entails", "G(a? -> F b!) & G c!", "G(a? -> F b!)"])
+    assert code == 0
+    assert capsys.readouterr().out == "yes\n"
+
+
 def test_negative_verdicts_search_once(monkeypatch, capsys):
     searches = []
     original = ltl.find_accepted_lasso

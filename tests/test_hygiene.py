@@ -27,3 +27,23 @@ def test_library_modules_have_no_unused_imports():
         if (names := unused_imports(module.read_text()))
     }
     assert found == {}
+
+
+def function_imports(source: str) -> list[str]:
+    """Imports inside function bodies, as "function:line"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.Import, ast.ImportFrom)):
+                    found.append(f"{node.name}:{inner.lineno}")
+    return found
+
+
+def test_library_modules_import_only_at_top_level():
+    found = {
+        module.name: places
+        for module in sorted(SRC.glob("*.py"))
+        if (places := function_imports(module.read_text()))
+    }
+    assert found == {}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orcbind.ltl import (
     FALSE,
@@ -27,10 +28,19 @@ from orcbind.ltl import (
     translate,
     valid,
 )
-from orcbind.muller import Explicit, LassoTrace, accepts, check_homomorphism, mask_to_guard, MullerAutomaton, AllNonempty
+from orcbind.muller import (
+    Explicit,
+    LassoTrace,
+    accepts,
+    check_homomorphism,
+    find_accepted_lasso,
+    mask_to_guard,
+    MullerAutomaton,
+    AllNonempty,
+)
 from orcbind.sigcat import SignatureMorphism, signature
 
-from oracles import all_letters
+from oracles import all_letters, dense_tableau
 
 
 def lasso(sig, prefix, cycle):
@@ -220,6 +230,50 @@ def test_satisfiable_returns_genuine_witnesses():
             found += 1
             assert sat_lasso(w, f)
     assert found > 20
+
+
+def formulas(depth):
+    """Formulas over {a, b} of at most the given depth."""
+    leaves = st.sampled_from([Atom("a"), Atom("b"), TRUE, FALSE])
+    if depth == 0:
+        return leaves
+    sub = formulas(depth - 1)
+    return st.one_of(
+        leaves,
+        sub.map(lnot),
+        st.builds(land, sub, sub),
+        st.builds(lor, sub, sub),
+        sub.map(Next),
+        st.builds(Until, sub, sub),
+    )
+
+
+@given(formulas(4))
+def test_tableau_is_the_reachable_part_of_the_dense_one(f):
+    sig = signature("a", "b")
+    a = to_automaton(f, sig)
+    dense = dense_tableau(f, sig)
+    assert a.initial == dense.initial
+    # the states reached from the initial ones, with their transitions in
+    # the dense order
+    reached, frontier = set(dense.initial), list(dense.initial)
+    while frontier:
+        q = frontier.pop()
+        for src, _, dst in dense.transitions:
+            if src == q and dst not in reached:
+                reached.add(dst)
+                frontier.append(dst)
+    assert a.states == reached
+    assert a.transitions == tuple(t for t in dense.transitions if t[0] in reached)
+    assert a.final.sets == tuple(s & reached for s in dense.final.sets)
+    assert satisfiable(f, sig) == find_accepted_lasso(dense)
+
+
+def test_unsatisfiable_root_gives_an_empty_tableau():
+    p = parse_formula("G(a? -> F b!)")
+    a = to_automaton(land(p, lnot(p)))
+    assert a.states == frozenset() and a.initial == frozenset()
+    assert entails(land(p, parse_formula("G c!")), p)
 
 
 # ---------------------------------------------------------------------------
