@@ -24,9 +24,11 @@ from .sigcat import (
     ActionSignature,
     Cocone,
     FiniteDiagram,
+    Formula,
     PartialSignatureMorphism,
     SignatureMorphism,
     colimit,
+    translate,
 )
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,7 @@ class ArnSpec:
     """A temporal sentence placed at a point, over that point's port actions."""
 
     point: str
-    formula: ltl.LtlFormula
+    formula: Formula
 
     def render(self) -> str:
         return f"<{self.point} : {ltl.render_formula(self.formula)}>"
@@ -655,7 +657,7 @@ def translate_spec(theta: ArnMorphism, spec: ArnSpec) -> ArnSpec:
         raise KeyError(spec.point)
     return ArnSpec(
         theta.point_map[spec.point],
-        ltl.translate(spec.formula, theta.action_morphism(spec.point)),
+        translate(spec.formula, theta.action_morphism(spec.point)),
     )
 
 
@@ -866,9 +868,6 @@ class ArnScheme(OrchestrationScheme):
                 glued, theta1, theta2 = result
                 out.append((theta1, theta2))
         return out
-
-    def render_spec(self, spec):
-        return spec.render()
 
     def render_orc(self, orc):
         return "net{" + ",".join(sorted(orc.points)) + "}"

@@ -3,6 +3,9 @@
 Exit codes are a stable contract: 0 for success or a positive verdict, 1 for
 a negative verdict or no answer, 2 for unparsable input.  Verdicts produced
 by bounded oracles are printed with an explicit ``bounded`` qualifier.
+
+Transition guards in automaton JSON are written in the formula syntax of
+``ltl`` and must not use ``X`` or ``U``.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ def automaton_to_json(a: MullerAutomaton):
         "states": sorted(map(_state_to_json, a.states), key=repr),
         "initial": sorted(map(_state_to_json, a.initial), key=repr),
         "transitions": [
-            [_state_to_json(src), ltl.render_guard(g), _state_to_json(dst)]
+            [_state_to_json(src), ltl.render_formula(g), _state_to_json(dst)]
             for src, g, dst in a.transitions
         ],
         "final": family_to_json(a.final),
@@ -104,7 +107,7 @@ def automaton_from_json(data, signature: ActionSignature | None = None) -> Mulle
         states = frozenset(map(_state_from_json, data["states"]))
         initial = frozenset(map(_state_from_json, data["initial"]))
         transitions = tuple(
-            (_state_from_json(src), ltl.parse_guard(g), _state_from_json(dst))
+            (_state_from_json(src), ltl.parse_formula(g), _state_from_json(dst))
             for src, g, dst in data["transitions"]
         )
         final = family_from_json(data["final"])
@@ -305,12 +308,12 @@ def pexpr_clause_for_step(step, variables):
 
 def render_step(scheme, index: int, step) -> str:
     clause_line = f"{step.clause_name}"
-    left = f"<{scheme.render_orc(step.unifier.theta1.source)} | {scheme.render_spec(step.selected)}>"
+    left = f"<{scheme.render_orc(step.unifier.theta1.source)} | {step.selected.render()}>"
     right = f"[{clause_line}]"
     top = f"{left}   x   {right}"
     morphism = f"theta1 = {scheme.render_morphism(step.unifier.theta1)}"
     bar = "-" * max(len(top), 24)
-    derived = ", ".join(scheme.render_spec(s) for s in step.derived.requires) or "(empty)"
+    derived = ", ".join(s.render() for s in step.derived.requires) or "(empty)"
     bottom = f"<{scheme.render_orc(step.derived.orc)} | {derived}>"
     return f"step {index}:\n  {top}\n  {bar} {morphism}\n  {bottom}"
 
@@ -330,9 +333,9 @@ def trace_to_json(scheme, answers, partial=None):
                 "steps": [
                     {
                         "clause": s.clause_name,
-                        "selected": scheme.render_spec(s.selected),
+                        "selected": s.selected.render(),
                         "morphism": scheme.render_morphism(s.unifier.theta1),
-                        "derived_requires": [scheme.render_spec(r) for r in s.derived.requires],
+                        "derived_requires": [r.render() for r in s.derived.requires],
                     }
                     for s in a.steps
                 ],
@@ -341,7 +344,7 @@ def trace_to_json(scheme, answers, partial=None):
             }
         )
     if partial is not None:
-        out["unresolved"] = [scheme.render_spec(s) for s in partial]
+        out["unresolved"] = [s.render() for s in partial]
     return out
 
 
@@ -369,6 +372,9 @@ def cmd_arn(args) -> int:
         raise InputError("network is not well-formed: " + "; ".join(issues))
     if args.point not in net.points:
         raise InputError(f"no such point: {args.point}")
+    requires, _, _ = arn.classify_points(net)
+    if requires:
+        raise InputError(f"network is not ground, it has requires-points: {sorted(requires)}")
     stray = ltl.atoms_of(formula) - net.port_of[args.point].actions().actions
     if stray:
         raise InputError(f"formula uses actions outside the port at {args.point}: {sorted(stray)}")
@@ -454,7 +460,7 @@ def cmd_solve(args) -> int:
             print(render_step(scheme, i, s))
         unresolved = [s for s in stuck.requires if not scheme.is_trivial(stuck.orc, s)]
         for s in unresolved:
-            print(f"unresolved: {scheme.render_spec(s)}")
+            print(f"unresolved: {s.render()}")
     if args.output:
         Path(args.output).write_text(
             json.dumps(trace_to_json(scheme, answers, partial=unresolved), indent=2) + "\n"

@@ -60,10 +60,6 @@ class OrchestrationScheme(ABC):
         checked here; `unify` filters."""
 
     @abstractmethod
-    def render_spec(self, spec) -> str:
-        ...
-
-    @abstractmethod
     def render_morphism(self, m) -> str:
         ...
 
@@ -272,7 +268,7 @@ def solve_scripted(scheme: OrchestrationScheme, query: Query, steps, clause_for_
         unifiers = unify(scheme, q.orc, selected, clause, hint)
         if not unifiers:
             raise ValueError(
-                f"step {i}: no unifier of {scheme.render_spec(selected)} "
+                f"step {i}: no unifier of {selected.render()} "
                 f"with clause {clause.name!r} (refinement entailment failed)"
             )
         u = unifiers[0]

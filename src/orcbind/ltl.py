@@ -1,10 +1,12 @@
 """Linear temporal logic over action signatures.
 
 Formulas live over a signature of actions; a model is an infinite trace of
-action subsets, represented here by ultimately periodic lassos.  Conjunction
-and disjunction range over finite formula sets, so ``true`` is the empty
-conjunction and ``false`` the empty disjunction; ``F f`` abbreviates
-``true U f`` and ``G f`` abbreviates ``!(true U !f)``.
+action subsets, represented here by ultimately periodic lassos.  The syntax
+tree, ``lnot``/``land``/``lor``, ``atoms_of`` and ``translate`` are the
+sentences of ``sigcat``, shared with transition guards, which are the
+formulas without ``X`` and ``U``; guards are read and written with the same
+``parse_formula`` and ``render_formula``.  ``F f`` abbreviates ``true U f``
+and ``G f`` abbreviates ``!(true U !f)``.
 
 The surface grammar used throughout files and the command line:
 
@@ -16,169 +18,52 @@ The surface grammar used throughout files and the command line:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .sigcat import ActionSignature, SignatureMorphism
-from .muller import (
-    GAtom,
-    GenBuchi,
-    Guard,
-    GAnd,
-    GNot,
-    GOr,
-    LassoTrace,
-    MullerAutomaton,
-    _atom_column,
-    find_accepted_lasso,
-    g_and,
-    g_atom,
-    g_not,
-    g_or,
+from . import sigcat
+from .muller import GenBuchi, LassoTrace, MullerAutomaton, _atom_column, find_accepted_lasso
+from .sigcat import (
+    FALSE,
+    TRUE,
+    ActionSignature,
+    And,
+    Atom,
+    Formula,
+    Next,
+    Not,
+    Or,
+    Until,
+    atoms_of,
+    land,
+    lnot,
+    lor,
 )
 
-
-@dataclass(frozen=True)
-class LtlFormula:
-    pass
+# specs translate along signature morphisms as every sentence does
+translate = sigcat.translate
 
 
-@dataclass(frozen=True)
-class Atom(LtlFormula):
-    action: str
-
-
-@dataclass(frozen=True)
-class Not(LtlFormula):
-    sub: LtlFormula
-
-
-@dataclass(frozen=True)
-class And(LtlFormula):
-    subs: frozenset[LtlFormula]
-
-
-@dataclass(frozen=True)
-class Or(LtlFormula):
-    subs: frozenset[LtlFormula]
-
-
-@dataclass(frozen=True)
-class Next(LtlFormula):
-    sub: LtlFormula
-
-
-@dataclass(frozen=True)
-class Until(LtlFormula):
-    lhs: LtlFormula
-    rhs: LtlFormula
-
-
-TRUE = And(frozenset())
-FALSE = Or(frozenset())
-
-
-def lnot(f: LtlFormula) -> LtlFormula:
-    if isinstance(f, Not):
-        return f.sub
-    if f == TRUE:
-        return FALSE
-    if f == FALSE:
-        return TRUE
-    return Not(f)
-
-
-def land(*fs: LtlFormula) -> LtlFormula:
-    flat = set()
-    for f in fs:
-        if isinstance(f, And):
-            flat |= f.subs
-        else:
-            flat.add(f)
-    if FALSE in flat:
-        return FALSE
-    flat.discard(TRUE)
-    if len(flat) == 1:
-        return next(iter(flat))
-    return And(frozenset(flat))
-
-
-def lor(*fs: LtlFormula) -> LtlFormula:
-    flat = set()
-    for f in fs:
-        if isinstance(f, Or):
-            flat |= f.subs
-        else:
-            flat.add(f)
-    if TRUE in flat:
-        return TRUE
-    flat.discard(FALSE)
-    if len(flat) == 1:
-        return next(iter(flat))
-    return Or(frozenset(flat))
-
-
-def implies(f: LtlFormula, g: LtlFormula) -> LtlFormula:
+def implies(f: Formula, g: Formula) -> Formula:
     return lor(lnot(f), g)
 
 
-def eventually(f: LtlFormula) -> LtlFormula:
+def eventually(f: Formula) -> Formula:
     return Until(TRUE, f)
 
 
-def always(f: LtlFormula) -> LtlFormula:
+def always(f: Formula) -> Formula:
     return lnot(Until(TRUE, lnot(f)))
-
-
-def atoms_of(f: LtlFormula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.action})
-    if isinstance(f, (Not, Next)):
-        return atoms_of(f.sub)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for s in f.subs:
-            out |= atoms_of(s)
-        return out
-    if isinstance(f, Until):
-        return atoms_of(f.lhs) | atoms_of(f.rhs)
-    raise TypeError(f)
-
-
-def translate(f: LtlFormula, sigma: SignatureMorphism) -> LtlFormula:
-    """Rename the atoms of a formula along a signature morphism."""
-    mapping = sigma.mapping
-    missing = atoms_of(f) - set(mapping)
-    if missing:
-        raise ValueError(f"formula atoms outside the morphism source: {sorted(missing)}")
-
-    def go(h):
-        if isinstance(h, Atom):
-            return Atom(mapping[h.action])
-        if isinstance(h, Not):
-            return Not(go(h.sub))
-        if isinstance(h, Next):
-            return Next(go(h.sub))
-        if isinstance(h, And):
-            return And(frozenset(go(s) for s in h.subs))
-        if isinstance(h, Or):
-            return Or(frozenset(go(s) for s in h.subs))
-        if isinstance(h, Until):
-            return Until(go(h.lhs), go(h.rhs))
-        raise TypeError(h)
-
-    return go(f)
 
 
 # ---------------------------------------------------------------------------
 # Lasso semantics
 
 
-def sat_lasso(t: LassoTrace, f: LtlFormula) -> bool:
+def sat_lasso(t: LassoTrace, f: Formula) -> bool:
     """Structural satisfaction of a formula on an ultimately periodic trace."""
-    memo: dict[tuple[LtlFormula, int], bool] = {}
+    memo: dict[tuple[Formula, int], bool] = {}
     size = len(t)
 
-    def sat(h: LtlFormula, pos: int) -> bool:
+    def sat(h: Formula, pos: int) -> bool:
         key = (h, pos)
         if key in memo:
             return memo[key]
@@ -218,6 +103,7 @@ def sat_lasso(t: LassoTrace, f: LtlFormula) -> bool:
 # Until); the truth of composite subformulas is derived.  With k elementary
 # subformulas, assignment i makes elementary[j] true iff bit k-1-j of i is
 # set, so counting i up lists the assignments in itertools.product order.
+# A state is named by its assignment index i.
 # Each subformula's truth over all 2^k assignments is one bitmask column
 # (laid out like a guard's letter mask), computed once.
 #
@@ -232,7 +118,7 @@ def sat_lasso(t: LassoTrace, f: LtlFormula) -> bool:
 # those states, rules out postponing eventualities forever.
 
 
-def _subformulas(f: LtlFormula):
+def _subformulas(f: Formula):
     seen = []
 
     def walk(h):
@@ -242,7 +128,7 @@ def _subformulas(f: LtlFormula):
         if isinstance(h, (Not, Next)):
             walk(h.sub)
         elif isinstance(h, (And, Or)):
-            for s in sorted(h.subs, key=repr):
+            for s in h.subs:
                 walk(s)
         elif isinstance(h, Until):
             walk(h.lhs)
@@ -262,7 +148,7 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
-def to_automaton(f: LtlFormula, sig: ActionSignature | None = None) -> MullerAutomaton:
+def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutomaton:
     """An automaton accepting exactly the traces that satisfy the formula."""
     if sig is None:
         sig = ActionSignature(atoms_of(f))
@@ -277,7 +163,7 @@ def to_automaton(f: LtlFormula, sig: ActionSignature | None = None) -> MullerAut
     full = (1 << (1 << k)) - 1
     columns = {h: _atom_column(k, k - 1 - j) for j, h in enumerate(elementary)}
 
-    def column(h: LtlFormula) -> int:
+    def column(h: Formula) -> int:
         c = columns.get(h)
         if c is None:
             if isinstance(h, Not):
@@ -346,28 +232,21 @@ def to_automaton(f: LtlFormula, sig: ActionSignature | None = None) -> MullerAut
                 frontier.append(j)
 
     order = sorted(succ)
-    states = {
-        i: frozenset(h for j, h in enumerate(elementary) if i >> (k - 1 - j) & 1) for i in order
-    }
-    atoms = [(k - 1 - j, h.action) for j, h in enumerate(elementary) if isinstance(h, Atom)]
+    atoms = [(k - 1 - j, Atom(h.action)) for j, h in enumerate(elementary) if isinstance(h, Atom)]
     transitions = []
     for i in order:
-        g = g_and(*(g_atom(a) if i >> b & 1 else g_not(g_atom(a)) for b, a in atoms))
-        transitions.extend((states[i], g, states[j]) for j in succ[i])
+        g = land(*(a if i >> b & 1 else Not(a) for b, a in atoms))
+        transitions.extend((i, g, j) for j in succ[i])
     fairness = []
     for u in untils:
         fair = (full ^ columns[u]) | column(u.rhs)
-        fairness.append(frozenset(states[i] for i in order if fair >> i & 1))
+        fairness.append(frozenset(i for i in order if fair >> i & 1))
     return MullerAutomaton(
-        sig,
-        frozenset(states.values()),
-        tuple(transitions),
-        frozenset(states[i] for i in initial),
-        GenBuchi(tuple(fairness)),
+        sig, frozenset(order), tuple(transitions), frozenset(initial), GenBuchi(tuple(fairness))
     )
 
 
-def counterexample(a: MullerAutomaton, f: LtlFormula) -> LassoTrace | None:
+def counterexample(a: MullerAutomaton, f: Formula) -> LassoTrace | None:
     """An accepted trace violating the formula, or None when every accepted
     trace satisfies it.
 
@@ -381,23 +260,23 @@ def counterexample(a: MullerAutomaton, f: LtlFormula) -> LassoTrace | None:
     return find_accepted_lasso(a, to_automaton(lnot(f), a.signature))
 
 
-def holds(a: MullerAutomaton, f: LtlFormula) -> bool:
+def holds(a: MullerAutomaton, f: Formula) -> bool:
     """Does every trace accepted by the automaton satisfy the formula?"""
     return counterexample(a, f) is None
 
 
-def satisfiable(f: LtlFormula, sig: ActionSignature | None = None) -> LassoTrace | None:
+def satisfiable(f: Formula, sig: ActionSignature | None = None) -> LassoTrace | None:
     """A lasso satisfying the formula, or None."""
     return find_accepted_lasso(to_automaton(f, sig))
 
 
-def valid(f: LtlFormula, sig: ActionSignature | None = None) -> bool:
+def valid(f: Formula, sig: ActionSignature | None = None) -> bool:
     if sig is None:
         sig = ActionSignature(atoms_of(f))
     return satisfiable(lnot(f), sig) is None
 
 
-def entails(f1: LtlFormula, f2: LtlFormula, sig: ActionSignature | None = None) -> bool:
+def entails(f1: Formula, f2: Formula, sig: ActionSignature | None = None) -> bool:
     """Semantic consequence: every trace satisfying f1 satisfies f2."""
     if sig is None:
         sig = ActionSignature(atoms_of(f1) | atoms_of(f2))
@@ -436,7 +315,7 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_formula(text: str) -> LtlFormula:
+def parse_formula(text: str) -> Formula:
     tokens = _tokenize(text)
     idx = 0
 
@@ -516,7 +395,7 @@ def parse_formula(text: str) -> LtlFormula:
 _PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = 1, 2, 3, 4
 
 
-def render_formula(f: LtlFormula) -> str:
+def render_formula(f: Formula) -> str:
     def render(h, prec):
         if isinstance(h, Atom):
             return h.action
@@ -547,39 +426,6 @@ def render_formula(f: LtlFormula) -> str:
         raise TypeError(h)
 
     return render(f, 0)
-
-
-def formula_to_guard(f: LtlFormula) -> Guard:
-    """Propositional formulas double as transition guards; temporal operators are rejected."""
-    if isinstance(f, Atom):
-        return GAtom(f.action)
-    if isinstance(f, Not):
-        return g_not(formula_to_guard(f.sub))
-    if isinstance(f, And):
-        return g_and(*(formula_to_guard(s) for s in f.subs))
-    if isinstance(f, Or):
-        return g_or(*(formula_to_guard(s) for s in f.subs))
-    raise ValueError("temporal operators are not allowed in guards")
-
-
-def guard_to_formula(g: Guard) -> LtlFormula:
-    if isinstance(g, GAtom):
-        return Atom(g.action)
-    if isinstance(g, GNot):
-        return lnot(guard_to_formula(g.sub))
-    if isinstance(g, GAnd):
-        return land(*(guard_to_formula(s) for s in g.subs))
-    if isinstance(g, GOr):
-        return lor(*(guard_to_formula(s) for s in g.subs))
-    raise TypeError(g)
-
-
-def parse_guard(text: str) -> Guard:
-    return formula_to_guard(parse_formula(text))
-
-
-def render_guard(g: Guard) -> str:
-    return render_formula(guard_to_formula(g))
 
 
 def render_lasso(t: LassoTrace) -> str:

@@ -1,10 +1,11 @@
 """Muller automata over powerset alphabets with symbolic propositional guards.
 
 A letter of the alphabet is a subset of the automaton's action signature.
-Transitions carry propositional guards over the actions; a transition exists
-for every letter satisfying the guard.  All semantic work (products, reducts,
-homomorphism checks, acceptance, emptiness) happens on the guard semantics --
-bitmasks indexed by letters -- never on guard syntax.
+Transitions carry guards, which are the ``sigcat`` formulas without ``X`` and
+``U`` (an automaton rejects any other); a transition exists for every letter
+satisfying the guard.  All semantic work (products, reducts, homomorphism
+checks, acceptance, emptiness) happens on the guard semantics -- bitmasks
+indexed by letters -- never on guard syntax.
 
 ``product`` builds the full categorical product over every state tuple.
 Emptiness of an intersection never needs it: ``find_accepted_lasso`` takes
@@ -24,109 +25,43 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .sigcat import ActionSignature, SignatureMorphism, ordered_actions
+from .sigcat import (
+    FALSE,
+    TRUE,
+    ActionSignature,
+    And,
+    Atom,
+    Formula,
+    Next,
+    Not,
+    Or,
+    SignatureMorphism,
+    Until,
+    land,
+    lnot,
+    lor,
+    ordered_actions,
+    translate,
+)
 
 # ---------------------------------------------------------------------------
 # Guards
 
-
-@dataclass(frozen=True)
-class Guard:
-    pass
-
-
-@dataclass(frozen=True)
-class GAtom(Guard):
-    action: str
+# a guard is a formula, so the guard constructors are the formula constructors
+g_atom, g_not, g_and, g_or = Atom, lnot, land, lor
+G_TRUE, G_FALSE = TRUE, FALSE
 
 
-@dataclass(frozen=True)
-class GNot(Guard):
-    sub: Guard
-
-
-@dataclass(frozen=True)
-class GAnd(Guard):
-    subs: tuple[Guard, ...]
-
-
-@dataclass(frozen=True)
-class GOr(Guard):
-    subs: tuple[Guard, ...]
-
-
-G_TRUE = GAnd(())
-G_FALSE = GOr(())
-
-
-def g_atom(action: str) -> Guard:
-    return GAtom(action)
-
-
-def g_not(g: Guard) -> Guard:
-    if isinstance(g, GNot):
-        return g.sub
-    if g == G_TRUE:
-        return G_FALSE
-    if g == G_FALSE:
-        return G_TRUE
-    return GNot(g)
-
-
-def _flatten(cls, parts):
-    out = []
-    for p in parts:
-        if isinstance(p, cls):
-            out.extend(p.subs)
-        else:
-            out.append(p)
-    # canonical operand order makes structurally equal guards out of
-    # semantically identical constructions
-    return tuple(sorted(set(out), key=repr))
-
-
-def g_and(*parts: Guard) -> Guard:
-    subs = _flatten(GAnd, parts)
-    if G_FALSE in subs:
-        return G_FALSE
-    subs = tuple(p for p in subs if p != G_TRUE)
-    if len(subs) == 1:
-        return subs[0]
-    return GAnd(subs)
-
-
-def g_or(*parts: Guard) -> Guard:
-    subs = _flatten(GOr, parts)
-    if G_TRUE in subs:
-        return G_TRUE
-    subs = tuple(p for p in subs if p != G_FALSE)
-    if len(subs) == 1:
-        return subs[0]
-    return GOr(subs)
-
-
-def guard_atoms(g: Guard) -> frozenset[str]:
-    if isinstance(g, GAtom):
+def guard_atoms(g: Formula) -> frozenset[str]:
+    """The actions a guard mentions; temporal operators raise ValueError."""
+    if isinstance(g, (Next, Until)):
+        raise ValueError("temporal operators are not allowed in guards")
+    if isinstance(g, Atom):
         return frozenset({g.action})
-    if isinstance(g, GNot):
+    if isinstance(g, Not):
         return guard_atoms(g.sub)
-    if isinstance(g, (GAnd, GOr)):
-        out = frozenset()
-        for s in g.subs:
-            out |= guard_atoms(s)
-        return out
-    raise TypeError(g)
-
-
-def rename_guard(g: Guard, mapping: dict[str, str]) -> Guard:
-    if isinstance(g, GAtom):
-        return GAtom(mapping.get(g.action, g.action))
-    if isinstance(g, GNot):
-        return GNot(rename_guard(g.sub, mapping))
-    if isinstance(g, GAnd):
-        return GAnd(tuple(rename_guard(s, mapping) for s in g.subs))
-    if isinstance(g, GOr):
-        return GOr(tuple(rename_guard(s, mapping) for s in g.subs))
+    if isinstance(g, (And, Or)):
+        return frozenset().union(*map(guard_atoms, g.subs))
     raise TypeError(g)
 
 
@@ -148,25 +83,25 @@ def full_mask(sig: ActionSignature) -> int:
     return (1 << (1 << len(sig.actions))) - 1
 
 
-def guard_mask(g: Guard, sig: ActionSignature) -> int:
+def guard_mask(g: Formula, sig: ActionSignature) -> int:
     """Semantics of a guard: one bit per letter of the signature."""
     actions = ordered_actions(sig)
     index = {a: i for i, a in enumerate(actions)}
     full = full_mask(sig)
 
-    def go(h: Guard) -> int:
-        if isinstance(h, GAtom):
+    def go(h: Formula) -> int:
+        if isinstance(h, Atom):
             if h.action not in index:
                 raise ValueError(f"guard atom {h.action!r} outside signature")
             return _atom_column(len(actions), index[h.action])
-        if isinstance(h, GNot):
+        if isinstance(h, Not):
             return full ^ go(h.sub)
-        if isinstance(h, GAnd):
+        if isinstance(h, And):
             m = full
             for s in h.subs:
                 m &= go(s)
             return m
-        if isinstance(h, GOr):
+        if isinstance(h, Or):
             m = 0
             for s in h.subs:
                 m |= go(s)
@@ -193,17 +128,17 @@ def letter_at(index: int, sig: ActionSignature) -> frozenset[str]:
     return frozenset(a for i, a in enumerate(actions) if index & (1 << i))
 
 
-def guards_equivalent(g1: Guard, g2: Guard, sig: ActionSignature) -> bool:
+def guards_equivalent(g1: Formula, g2: Formula, sig: ActionSignature) -> bool:
     return guard_mask(g1, sig) == guard_mask(g2, sig)
 
 
-def mask_to_guard(mask: int, sig: ActionSignature) -> Guard:
+def mask_to_guard(mask: int, sig: ActionSignature) -> Formula:
     """Synthesize a guard with the given semantics (cube-merged DNF)."""
     full = full_mask(sig)
     if mask == 0:
-        return G_FALSE
+        return FALSE
     if mask == full:
-        return G_TRUE
+        return TRUE
     n = len(sig.actions)
     actions = ordered_actions(sig)
     # cubes as (care_bits, value_bits); start from minterms and merge
@@ -229,10 +164,10 @@ def mask_to_guard(mask: int, sig: ActionSignature) -> Guard:
         lits = []
         for i in range(n):
             if care & (1 << i):
-                atom = GAtom(actions[i])
-                lits.append(atom if value & (1 << i) else GNot(atom))
-        terms.append(g_and(*lits))
-    return g_or(*terms)
+                atom = Atom(actions[i])
+                lits.append(atom if value & (1 << i) else Not(atom))
+        terms.append(land(*lits))
+    return lor(*terms)
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +314,7 @@ def explicit_members(family: FinalFamily, states: frozenset) -> frozenset[frozen
 class MullerAutomaton:
     signature: ActionSignature
     states: frozenset
-    transitions: tuple[tuple[object, Guard, object], ...]
+    transitions: tuple[tuple[object, Formula, object], ...]
     initial: frozenset
     final: FinalFamily
 
@@ -754,14 +689,11 @@ def cofree_expansion(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAuto
     """Right adjoint to the reduct: re-express an automaton over the larger signature.
 
     A letter over A' enables an expanded transition iff its sigma-preimage
-    enables the original one; syntactically this is atom substitution.
+    enables the original one; syntactically this is the guard's translation.
     """
     if a.signature != sigma.source:
         raise ValueError("automaton signature must be the morphism source")
-    mapping = sigma.mapping
-    transitions = tuple(
-        (src, rename_guard(g, mapping), dst) for src, g, dst in a.transitions
-    )
+    transitions = tuple((src, translate(g, sigma), dst) for src, g, dst in a.transitions)
     return MullerAutomaton(sigma.target, a.states, transitions, a.initial, a.final)
 
 
@@ -775,7 +707,7 @@ def product(automata, signature: ActionSignature | None = None) -> MullerAutomat
     if not automata:
         sig = signature if signature is not None else ActionSignature(frozenset())
         q = "*"
-        return MullerAutomaton(sig, frozenset({q}), ((q, G_TRUE, q),), frozenset({q}), AllNonempty())
+        return MullerAutomaton(sig, frozenset({q}), ((q, TRUE, q),), frozenset({q}), AllNonempty())
     sig = automata[0].signature
     for a in automata[1:]:
         if a.signature != sig:
@@ -797,7 +729,7 @@ def product(automata, signature: ActionSignature | None = None) -> MullerAutomat
             continue
         src = tuple(e[0] for e in combo)
         dst = tuple(e[2] for e in combo)
-        transitions.append((src, g_and(*(e[1] for e in combo)), dst))
+        transitions.append((src, land(*(e[1] for e in combo)), dst))
     final = ProductFamily(tuple((i, a.final) for i, a in enumerate(automata)))
     return MullerAutomaton(sig, states, tuple(transitions), initial, final)
 

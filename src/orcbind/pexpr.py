@@ -557,16 +557,16 @@ def refines(s1: PSpec, s2: PSpec, m1: PMorphism, m2: PMorphism, bounds: Bounds |
 # ---------------------------------------------------------------------------
 # Hoare module schemas
 
-_MODULE_COUNTER = itertools.count()
-
-
-def _fresh_pvar(base: str) -> PVar:
-    return PVar(f"{base}{next(_MODULE_COUNTER)}")
+P0, P1 = PVar("p0"), PVar("p1")
 
 
 def hoare_module(kind: str, params: dict) -> Clause:
     """The clause schema of one Hoare rule, instantiated with the caller's
-    conditions and (for assignments) the hole-shaped predicate."""
+    conditions and (for assignments) the hole-shaped predicate.
+
+    Program variables are always ``p0`` and ``p1``, so equal calls give equal
+    clauses; binding renames them apart from the query's variables.
+    """
     if kind == "skip":
         rho = params["pre"]
         return Clause("skip", SKIP, PSpec(ROOT, rho, rho), ())
@@ -578,7 +578,7 @@ def hoare_module(kind: str, params: dict) -> Clause:
         return Clause("assign", Assign(target, expr), PSpec(ROOT, pre, post), ())
     if kind == "seq":
         rho, mid, rho2 = params["pre"], params["mid"], params["post"]
-        orc = Seq(_fresh_pvar("p"), _fresh_pvar("p"))
+        orc = Seq(P0, P1)
         return Clause(
             "seq",
             orc,
@@ -587,7 +587,7 @@ def hoare_module(kind: str, params: dict) -> Clause:
         )
     if kind == "if":
         cond, rho, rho2 = params["cond"], params["pre"], params["post"]
-        orc = If(cond, _fresh_pvar("p"), _fresh_pvar("p"))
+        orc = If(cond, P0, P1)
         return Clause(
             "if",
             orc,
@@ -596,7 +596,7 @@ def hoare_module(kind: str, params: dict) -> Clause:
         )
     if kind == "while":
         cond, rho = params["cond"], params["invariant"]
-        orc = While(cond, _fresh_pvar("p"))
+        orc = While(cond, P0)
         return Clause(
             "while",
             orc,
@@ -681,9 +681,6 @@ class PexprScheme(OrchestrationScheme):
         theta1 = PMorphism.make(q_orc, glued, {sub.name: variant}, ROOT)
         theta2 = PMorphism.make(c_orc, glued, rename, q_spec.position)
         return [(theta1, theta2)]
-
-    def render_spec(self, spec):
-        return spec.render()
 
     def render_orc(self, orc):
         return render_program(orc)
@@ -901,40 +898,25 @@ def render_aexp(e: AExp, prec: int = 0) -> str:
     raise TypeError(e)
 
 
-def render_condition(c: Condition, prec: int = 0) -> str:
-    if c == C_TRUE:
-        return "true"
-    if c == C_FALSE:
-        return "false"
-    if isinstance(c, Compare):
-        return f"[{render_aexp(c.lhs)} {c.op} {render_aexp(c.rhs)}]"
-    if isinstance(c, CNot):
-        return "!" + render_condition(c.sub, 3)
-    if isinstance(c, CAnd):
-        body = " & ".join(render_condition(s, 2) for s in c.subs)
-        return "(" + body + ")" if prec >= 2 else body
-    if isinstance(c, COr):
-        body = " | ".join(render_condition(s, 1) for s in c.subs)
-        return "(" + body + ")" if prec >= 1 else body
-    raise TypeError(c)
-
-
-def render_condition_plain(c: Condition, prec: int = 0) -> str:
-    """Condition rendering for program contexts: comparisons without brackets."""
+def render_condition(c: Condition, prec: int = 0, plain: bool = False) -> str:
+    """Comparisons in brackets; ``plain`` (program contexts) drops the
+    brackets and parenthesizes a negated comparison instead."""
     if c == C_TRUE:
         return "true"
     if c == C_FALSE:
         return "false"
     if isinstance(c, Compare):
         body = f"{render_aexp(c.lhs)} {c.op} {render_aexp(c.rhs)}"
+        if not plain:
+            return f"[{body}]"
         return "(" + body + ")" if prec >= 3 else body
     if isinstance(c, CNot):
-        return "!" + render_condition_plain(c.sub, 3)
+        return "!" + render_condition(c.sub, 3, plain)
     if isinstance(c, CAnd):
-        body = " & ".join(render_condition_plain(s, 2) for s in c.subs)
+        body = " & ".join(render_condition(s, 2, plain) for s in c.subs)
         return "(" + body + ")" if prec >= 2 else body
     if isinstance(c, COr):
-        body = " | ".join(render_condition_plain(s, 1) for s in c.subs)
+        body = " | ".join(render_condition(s, 1, plain) for s in c.subs)
         return "(" + body + ")" if prec >= 1 else body
     raise TypeError(c)
 
@@ -948,11 +930,11 @@ def render_program(t: PTerm) -> str:
         return render_program(t.first) + " ; " + render_program(t.second)
     if isinstance(t, If):
         return (
-            f"if {render_condition_plain(t.cond)} then {render_program(t.then)} "
+            f"if {render_condition(t.cond, plain=True)} then {render_program(t.then)} "
             f"else {render_program(t.orelse)} endif"
         )
     if isinstance(t, While):
-        return f"while {render_condition_plain(t.cond)} do {render_program(t.body)} done"
+        return f"while {render_condition(t.cond, plain=True)} do {render_program(t.body)} done"
     if isinstance(t, PVar):
         return t.name
     raise TypeError(t)

@@ -1,9 +1,19 @@
-"""Finite action signatures, signature morphisms, and colimits of finite diagrams.
+"""Finite action signatures, signature morphisms, colimits of finite diagrams,
+and the sentences over a signature.
 
 An action signature is a finite set of action symbols.  Symbols may be opaque,
 or carry the structure ``[qualifier.]message{!|?}`` where ``!`` marks a
 publication and ``?`` a delivery.  Colimits are computed by union-find
 quotienting of the disjoint union of node actions.
+
+Sentences are formulas over a signature's actions, built from atoms, ``!``,
+``&``, ``|``, ``X`` and ``U``, and translated along signature morphisms by
+renaming their atoms.  One syntax tree serves both uses: LTL specs (``ltl``)
+and transition guards (``muller``), which are the formulas without ``X`` and
+``U``.  Conjunction and disjunction hold their operands flattened,
+deduplicated and sorted by ``repr``, so equal formulas are equal objects, and
+neither their ``repr`` nor anything ordered by it depends on string hashing.
+``true`` is the empty conjunction and ``false`` the empty disjunction.
 """
 
 from __future__ import annotations
@@ -302,3 +312,117 @@ def mediating_morphisms(diagram: FiniteDiagram, colim: Cocone, other: Cocone):
         if all(compose(colim.leg(i), cand) == other.leg(i) for i, _ in diagram.nodes):
             found.append(cand)
     return found
+
+
+# ---------------------------------------------------------------------------
+# Sentences
+
+
+@dataclass(frozen=True)
+class Formula:
+    pass
+
+
+@dataclass(frozen=True)
+class Atom(Formula):
+    action: str
+
+
+@dataclass(frozen=True)
+class Not(Formula):
+    sub: Formula
+
+
+@dataclass(frozen=True)
+class And(Formula):
+    subs: tuple[Formula, ...]
+
+
+@dataclass(frozen=True)
+class Or(Formula):
+    subs: tuple[Formula, ...]
+
+
+@dataclass(frozen=True)
+class Next(Formula):
+    sub: Formula
+
+
+@dataclass(frozen=True)
+class Until(Formula):
+    lhs: Formula
+    rhs: Formula
+
+
+TRUE = And(())
+FALSE = Or(())
+
+
+def lnot(f: Formula) -> Formula:
+    if isinstance(f, Not):
+        return f.sub
+    if f == TRUE:
+        return FALSE
+    if f == FALSE:
+        return TRUE
+    return Not(f)
+
+
+def _connective(cls, unit: Formula, zero: Formula, fs) -> Formula:
+    flat = set()
+    for f in fs:
+        if isinstance(f, cls):
+            flat.update(f.subs)
+        else:
+            flat.add(f)
+    if zero in flat:
+        return zero
+    flat.discard(unit)
+    if len(flat) == 1:
+        return flat.pop()
+    return cls(tuple(sorted(flat, key=repr)))
+
+
+def land(*fs: Formula) -> Formula:
+    return _connective(And, TRUE, FALSE, fs)
+
+
+def lor(*fs: Formula) -> Formula:
+    return _connective(Or, FALSE, TRUE, fs)
+
+
+def atoms_of(f: Formula) -> frozenset[str]:
+    if isinstance(f, Atom):
+        return frozenset({f.action})
+    if isinstance(f, (Not, Next)):
+        return atoms_of(f.sub)
+    if isinstance(f, (And, Or)):
+        return frozenset().union(*map(atoms_of, f.subs))
+    if isinstance(f, Until):
+        return atoms_of(f.lhs) | atoms_of(f.rhs)
+    raise TypeError(f)
+
+
+def translate(f: Formula, sigma: SignatureMorphism) -> Formula:
+    """Rename the atoms of a formula along a signature morphism."""
+    mapping = sigma.mapping
+    missing = atoms_of(f) - set(mapping)
+    if missing:
+        raise ValueError(f"formula atoms outside the morphism source: {sorted(missing)}")
+
+    def go(h):
+        if isinstance(h, Atom):
+            return Atom(mapping[h.action])
+        if isinstance(h, Not):
+            return lnot(go(h.sub))
+        if isinstance(h, Next):
+            return Next(go(h.sub))
+        if isinstance(h, And):
+            return land(*map(go, h.subs))
+        if isinstance(h, Or):
+            return lor(*map(go, h.subs))
+        if isinstance(h, Until):
+            return Until(go(h.lhs), go(h.rhs))
+        raise TypeError(h)
+
+    return go(f)

@@ -11,23 +11,8 @@ from __future__ import annotations
 from . import ltl
 from .arn import Arn, ArnSpec, Connection, Port, Process, qualified_signature
 from .engine import Clause, Query, Repository
-from .muller import (
-    G_TRUE,
-    AllNonempty,
-    ImpliesFamily,
-    MullerAutomaton,
-    cofree_expansion,
-    g_and,
-    g_atom,
-    g_not,
-    g_or,
-    product,
-)
-from .sigcat import ActionSignature, SignatureMorphism
-
-
-def _a(name):
-    return g_atom(name)
+from .muller import AllNonempty, ImpliesFamily, MullerAutomaton, cofree_expansion, product
+from .sigcat import TRUE, ActionSignature, Atom, SignatureMorphism, land, lnot, lor
 
 
 def channel_message_automaton(m: str) -> MullerAutomaton:
@@ -36,15 +21,15 @@ def channel_message_automaton(m: str) -> MullerAutomaton:
     All non-empty state sets are final.
     """
     sig = ActionSignature(frozenset({f"{m}!", f"{m}?"}))
-    pub, dlv = _a(f"{m}!"), _a(f"{m}?")
+    pub, dlv = Atom(f"{m}!"), Atom(f"{m}?")
     return MullerAutomaton(
         sig,
         frozenset({"q0", "q1"}),
         (
-            ("q0", g_not(pub), "q0"),
+            ("q0", lnot(pub), "q0"),
             ("q0", pub, "q1"),
-            ("q1", g_and(pub, dlv), "q1"),
-            ("q1", g_and(g_not(pub), dlv), "q0"),
+            ("q1", land(pub, dlv), "q1"),
+            ("q1", land(lnot(pub), dlv), "q0"),
         ),
         frozenset({"q0"}),
         AllNonempty(),
@@ -92,24 +77,24 @@ def jp_automaton() -> MullerAutomaton:
     """
     ports = {"JP1": PORT_JP1, "JP2": PORT_JP2}
     sig = qualified_signature(ports)
-    pj = _a("JP1.planJourney?")
-    dr = _a("JP1.directions!")
-    gr = _a("JP2.getRoutes!")
-    rt = _a("JP2.routes?")
-    tt = _a("JP2.timetables?")
+    pj = Atom("JP1.planJourney?")
+    dr = Atom("JP1.directions!")
+    gr = Atom("JP2.getRoutes!")
+    rt = Atom("JP2.routes?")
+    tt = Atom("JP2.timetables?")
     trans = (
-        ("q0", g_not(pj), "q0"),
+        ("q0", lnot(pj), "q0"),
         ("q0", pj, "q1"),
         ("q1", gr, "q2"),
-        ("q2", g_and(g_not(rt), g_not(tt)), "q2"),
-        ("q2", g_and(rt, tt), "q5"),
-        ("q2", g_and(rt, g_not(tt)), "q3"),
-        ("q2", g_and(g_not(rt), tt), "q4"),
+        ("q2", land(lnot(rt), lnot(tt)), "q2"),
+        ("q2", land(rt, tt), "q5"),
+        ("q2", land(rt, lnot(tt)), "q3"),
+        ("q2", land(lnot(rt), tt), "q4"),
         ("q3", tt, "q5"),
-        ("q3", g_not(tt), "q3"),
+        ("q3", lnot(tt), "q3"),
         ("q4", rt, "q5"),
-        ("q4", g_not(rt), "q4"),
-        ("q5", g_not(dr), "q5"),
+        ("q4", lnot(rt), "q4"),
+        ("q5", lnot(dr), "q5"),
         ("q5", dr, "q0"),
     )
     states = frozenset({"q0", "q1", "q2", "q3", "q4", "q5"})
@@ -120,13 +105,13 @@ def responder_automaton(point: str, request: str, response: str, ports) -> Mulle
     """Fixture: owes a response after every request; final sets never let the
     owing state persist alone."""
     sig = qualified_signature(ports)
-    req = _a(f"{point}.{request}?")
-    rsp = _a(f"{point}.{response}!")
+    req = Atom(f"{point}.{request}?")
+    rsp = Atom(f"{point}.{response}!")
     trans = (
         ("idle", g_or_not(req, rsp), "idle"),
-        ("idle", g_and(req, g_not(rsp)), "owing"),
+        ("idle", land(req, lnot(rsp)), "owing"),
         ("owing", rsp, "idle"),
-        ("owing", g_not(rsp), "owing"),
+        ("owing", lnot(rsp), "owing"),
     )
     return MullerAutomaton(
         sig, frozenset({"idle", "owing"}), trans, frozenset({"idle"}), ImpliesFamily("owing", "idle")
@@ -135,7 +120,7 @@ def responder_automaton(point: str, request: str, response: str, ports) -> Mulle
 
 def g_or_not(req, rsp):
     # requests answered on the spot keep the responder idle
-    return g_or(g_not(req), rsp)
+    return lor(lnot(req), rsp)
 
 
 def ms_process() -> Process:
@@ -157,7 +142,7 @@ def traveller_process() -> Process:
     ports = {"T1": PORT_T1}
     sig = qualified_signature(ports)
     aut = MullerAutomaton(
-        sig, frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
+        sig, frozenset({"s"}), (("s", TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
     return Process.make(ports, aut)
 

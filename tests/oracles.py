@@ -13,32 +13,19 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from orcbind.muller import (
-    Explicit,
-    GAnd,
-    GAtom,
-    GNot,
-    GOr,
-    GenBuchi,
-    LassoTrace,
-    MullerAutomaton,
-    explicit_members,
-    g_and,
-    g_atom,
-    g_not,
-)
-from orcbind.ltl import And, Atom, Next, Not, Or, Until, _subformulas
-from orcbind.sigcat import ordered_actions
+from orcbind.muller import Explicit, GenBuchi, LassoTrace, MullerAutomaton, explicit_members
+from orcbind.ltl import _subformulas
+from orcbind.sigcat import And, Atom, Next, Not, Or, Until, land, ordered_actions
 
 
 def eval_guard(g, letter: frozenset) -> bool:
-    if isinstance(g, GAtom):
+    if isinstance(g, Atom):
         return g.action in letter
-    if isinstance(g, GNot):
+    if isinstance(g, Not):
         return not eval_guard(g.sub, letter)
-    if isinstance(g, GAnd):
+    if isinstance(g, And):
         return all(eval_guard(s, letter) for s in g.subs)
-    if isinstance(g, GOr):
+    if isinstance(g, Or):
         return any(eval_guard(s, letter) for s in g.subs)
     raise TypeError(g)
 
@@ -290,7 +277,8 @@ def dense_tableau(f, sig) -> MullerAutomaton:
     subformulas, with a transition for every pair that passes the Next step
     and the one-step unrolling of each Until, tested by recursive truth
     evaluation.  Assignments are listed in itertools.product order over the
-    elementary subformulas in ``_subformulas`` order."""
+    elementary subformulas in ``_subformulas`` order, and each state is named
+    by its position in that list."""
     subs = _subformulas(f)
     elementary = [h for h in subs if isinstance(h, (Atom, Next, Until))]
     untils = [h for h in subs if isinstance(h, Until)]
@@ -314,9 +302,10 @@ def dense_tableau(f, sig) -> MullerAutomaton:
         lits = []
         for h in elementary:
             if isinstance(h, Atom):
-                lits.append(g_atom(h.action) if h in state else g_not(g_atom(h.action)))
-        return g_and(*lits)
+                lits.append(h if h in state else Not(h))
+        return land(*lits)
 
+    index = {s: i for i, s in enumerate(assignments)}
     transitions = []
     for s in assignments:
         g = guard_of(s)
@@ -332,15 +321,15 @@ def dense_tableau(f, sig) -> MullerAutomaton:
                         ok = False
                         break
             if ok:
-                transitions.append((s, g, s2))
+                transitions.append((index[s], g, index[s2]))
 
-    initial = frozenset(s for s in assignments if truth(f, s))
+    initial = frozenset(index[s] for s in assignments if truth(f, s))
     fairness = tuple(
-        frozenset(s for s in assignments if not truth(u, s) or truth(u.rhs, s))
+        frozenset(index[s] for s in assignments if not truth(u, s) or truth(u.rhs, s))
         for u in untils
     )
     return MullerAutomaton(
-        sig, frozenset(assignments), tuple(transitions), initial, GenBuchi(fairness)
+        sig, frozenset(index.values()), tuple(transitions), initial, GenBuchi(fairness)
     )
 
 

@@ -148,6 +148,18 @@ def test_arn_check_rejects_actions_outside_the_port(capsys):
     assert captured.err == "error: formula uses actions outside the port at MS1: ['nosuch!']\n"
 
 
+@pytest.mark.parametrize(
+    "name, point, requires",
+    [("journeyplanner.net.json", "JP1", "['R1', 'R2']"), ("traveller.net.json", "T1", "['R1']")],
+)
+def test_arn_check_rejects_a_network_that_is_not_ground(name, point, requires, capsys):
+    code = run(["arn", "check", str(DATA / name), point, "G true"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: network is not ground, it has requires-points: {requires}\n"
+
+
 def test_ltl_commands(capsys):
     assert run(["ltl", "entails", "G a", "F a"]) == 0
     assert run(["ltl", "entails", "p", "p"]) == 0

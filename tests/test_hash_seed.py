@@ -1,0 +1,58 @@
+"""Output does not depend on the interpreter's string-hash seed, and guards
+with temporal operators are rejected at load time."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "examples" / "data"
+
+COMMANDS = [
+    ["ltl", "sat", "F(a & X b) & G(c -> X !a)"],
+    ["ltl", "entails", "G(a? -> F b!) & G(c? -> F d!) & F(a? & X c?)", "G(a? -> F d!)"],
+    [
+        "arn",
+        "check",
+        str(DATA / "journeyplannernet.net.json"),
+        "JP1",
+        "G(planJourney? -> X X !directions!)",
+    ],
+]
+
+
+def cli(argv, seed="0"):
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "orcbind.cli", *argv],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=["ltl-sat", "ltl-entails", "arn-check"])
+def test_stdout_is_the_same_under_every_hash_seed(argv):
+    runs = [cli(argv, seed=str(seed)) for seed in range(4)]
+    assert [r.returncode for r in runs] == [runs[0].returncode] * 4
+    assert runs[0].stdout
+    assert [r.stdout for r in runs] == [runs[0].stdout] * 4
+
+
+def test_network_with_a_temporal_guard_exits_2(tmp_path):
+    data = json.loads((DATA / "mapservices.net.json").read_text())
+    transitions = data["processes"]["MS"]["automaton"]["transitions"]
+    transitions[0][1] = "X MS1.routes!"
+    bad = tmp_path / "temporal-guard.net.json"
+    bad.write_text(json.dumps(data))
+    result = cli(["arn", "check", str(bad), "MS1", "true"])
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: bad automaton: temporal operators are not allowed in guards\n"

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orcbind.engine import Query, solve_scripted
 from orcbind.pexpr import (
     C_TRUE,
     Assign,
@@ -18,6 +19,7 @@ from orcbind.pexpr import (
     PMorphism,
     PSpec,
     PVar,
+    PexprScheme,
     ProgramSyntaxError,
     SKIP,
     Seq,
@@ -352,7 +354,16 @@ def test_seq_module_uses_fresh_variables():
     assert isinstance(c1.orc, Seq)
     from orcbind.pexpr import pvars
 
-    assert pvars(c1.orc).isdisjoint(pvars(c2.orc))
+    # equal calls give equal clauses; binding renames clashing variables apart
+    assert c1 == c2
+    answer, _ = solve_scripted(
+        PexprScheme(bounds={"x": (0, 1)}),
+        Query(PVar("w"), (PSpec((), C_TRUE, C_TRUE),)),
+        [0, 0],
+        lambda step, q: (hoare_module("seq", {"pre": C_TRUE, "mid": C_TRUE, "post": C_TRUE}), step, None),
+    )
+    assert answer.final == Seq(Seq(PVar("p0_1"), PVar("p1_1")), PVar("p1"))
+    assert len(pvars(answer.final)) == 3
 
 
 # ---------------------------------------------------------------------------
