@@ -5,7 +5,11 @@ computation hyperedges labelled with processes, communication hyperedges
 labelled with connections.  The behaviour a ground network exhibits at a
 point is the reduct, to that point's actions, of the product of the cofree
 expansions of every hyperedge automaton in the point's dependency
-subnetwork.
+subnetwork (``observed_automaton``, the semantics and the tests' oracle).
+A spec at a point is checked without building that automaton: its negated
+formula is lifted along the point's leg to the apex instead, and one
+on-the-fly search of the product with the hyperedges' expansions decides
+it (``counterexample``).
 
 Constructors only normalize shapes; all well-formedness conditions are
 reported by :func:`validate` so that hand-written network files can be
@@ -19,7 +23,14 @@ from dataclasses import dataclass
 
 from . import ltl
 from .engine import OrchestrationScheme
-from .muller import MullerAutomaton, product, reduct, cofree_expansion
+from .muller import (
+    LassoTrace,
+    MullerAutomaton,
+    cofree_expansion,
+    find_accepted_lasso,
+    product,
+    reduct,
+)
 from .sigcat import (
     ActionSignature,
     Cocone,
@@ -437,15 +448,9 @@ def signature_of(n: Arn) -> Cocone:
     return colimit(diagram_of(n))
 
 
-def observed_automaton(n: Arn, x: str) -> MullerAutomaton:
-    """Behaviour of a ground network at one of its points.
-
-    Product of the cofree expansions of every hyperedge automaton of the
-    dependency subnetwork, reducted to the point's own actions.  Hyperedges
-    enter the product in name order, so reconstruction is deterministic; the
-    result is canonical only up to isomorphism, so callers compare
-    semantically.
-    """
+def _apex_parts(n: Arn, x: str):
+    """The cofree expansions to the apex of every hyperedge automaton of the
+    dependency subnetwork of x, in hyperedge name order, and x's leg."""
     require_valid(n)
     if not is_ground(n):
         raise ValueError("observed behaviour is defined only for ground networks")
@@ -455,19 +460,49 @@ def observed_automaton(n: Arn, x: str) -> MullerAutomaton:
     for e in sorted(set(sub.process_of) | set(sub.connection_of)):
         aut = sub.process_of[e].automaton if e in sub.process_of else sub.connection_of[e].automaton
         parts.append(cofree_expansion(aut, cocone.leg(_EDGE + e)))
-    joint = product(parts, signature=cocone.apex)
-    return reduct(joint, cocone.leg(_PT + x))
+    return parts, cocone.leg(_PT + x)
 
 
-def is_property(n: Arn, spec: ArnSpec) -> bool:
-    """Does the observed automaton at the spec's point satisfy its formula?"""
+def observed_automaton(n: Arn, x: str) -> MullerAutomaton:
+    """Behaviour of a ground network at one of its points.
+
+    Product of the cofree expansions of every hyperedge automaton of the
+    dependency subnetwork, reducted to the point's own actions.  Hyperedges
+    enter the product in name order, so reconstruction is deterministic; the
+    result is canonical only up to isomorphism, so callers compare
+    semantically.  This is the semantics; checking a spec never builds it
+    (see :func:`counterexample`), and tests use it as the oracle.
+    """
+    parts, leg = _apex_parts(n, x)
+    return reduct(product(parts, signature=leg.target), leg)
+
+
+def counterexample(n: Arn, spec: ArnSpec) -> LassoTrace | None:
+    """A trace observed at the spec's point that violates its formula, or
+    None when the spec is a property of the network.
+
+    The formula is lifted to the apex instead of reducting the network's
+    product to the point: reduct and cofree expansion are adjoint, so the
+    observed automaton meets the negated formula's automaton exactly when
+    the hyperedges' expansions meet its cofree expansion along the point's
+    leg.  One on-the-fly search of that product decides, and the witness
+    over the apex maps back along the leg.
+    """
     port = n.port_of.get(spec.point)
     if port is None:
         raise KeyError(spec.point)
     stray = ltl.atoms_of(spec.formula) - port.actions().actions
     if stray:
         raise ValueError(f"spec formula uses actions outside the port at {spec.point}: {sorted(stray)}")
-    return ltl.holds(observed_automaton(n, spec.point), spec.formula)
+    parts, leg = _apex_parts(n, spec.point)
+    negated = cofree_expansion(ltl.to_automaton(ltl.lnot(spec.formula), leg.source), leg)
+    witness = find_accepted_lasso(*parts, negated)
+    return None if witness is None else witness.reduct(leg)
+
+
+def is_property(n: Arn, spec: ArnSpec) -> bool:
+    """Does every trace observed at the spec's point satisfy its formula?"""
+    return counterexample(n, spec) is None
 
 
 # ---------------------------------------------------------------------------

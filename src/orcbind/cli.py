@@ -379,7 +379,7 @@ def cmd_arn(args) -> int:
     if stray:
         raise InputError(f"formula uses actions outside the port at {args.point}: {sorted(stray)}")
     spec = arn.ArnSpec(args.point, formula)
-    witness = ltl.counterexample(arn.observed_automaton(net, args.point), formula)
+    witness = arn.counterexample(net, spec)
     if witness is None:
         print(f"holds: {spec.render()}")
         return 0

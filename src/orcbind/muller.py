@@ -10,7 +10,12 @@ indexed by letters -- never on guard syntax.
 ``product`` builds the full categorical product over every state tuple.
 Emptiness of an intersection never needs it: ``find_accepted_lasso`` takes
 the factors themselves and explores their product on the fly, from the
-initial state tuples only.
+initial state tuples only.  Tarjan's algorithm tests each strongly connected
+component as it completes it and stops at the first accepting one; the
+witness prefix keeps to nodes the search has expanded (its DFS stack and
+that component), and the edge cache keeps one letter per edge (the lowest
+enabling one), not its letter mask.
+``accepts`` runs the same search on the automaton's runs over a lasso.
 
 Final-state families come in several closed forms; each can test membership
 of a candidate infinity set and can unfold itself into a disjunction of
@@ -391,28 +396,48 @@ class LassoTrace:
             tuple(frozenset(m[a] for a in l) for l in self.cycle),
         )
 
+    def reduct(self, sigma: SignatureMorphism) -> "LassoTrace":
+        """Reduct along ``sigma: A -> A'`` of a trace over A': each letter
+        mapped back to its preimage."""
+        if sigma.target != self.signature:
+            raise ValueError("signature mismatch")
+        return LassoTrace(
+            sigma.source,
+            tuple(map(sigma.inverse_image, self.prefix)),
+            tuple(map(sigma.inverse_image, self.cycle)),
+        )
+
 
 # ---------------------------------------------------------------------------
 # Shared liveness search
 #
-# Both acceptance and emptiness reduce to: does some reachable node set D,
-# strongly connected and carrying a closed walk through all its nodes, satisfy
-# the final family on its state projection?  The family is unfolded into
-# hit/within disjuncts; for each disjunct the graph is restricted to the
-# within-sets and the maximal SCCs of the restriction are tested against the
-# hit-sets.  Maximal SCCs suffice: hits are monotone under supersets and every
-# live candidate lies inside a maximal SCC of the restriction.
+# Acceptance and emptiness both ask: does some node set D reachable from the
+# roots, strongly connected with at least one edge, project onto a set of
+# states that the final family accepts?  Tarjan's algorithm runs from the
+# roots and tests each SCC as soon as it completes it (Couvreur 1999;
+# Geldenhuys and Valmari 2004), so the search stops at the first live set.
+# The family is unfolded into hit/within disjuncts over the SCC's states;
+# for each disjunct the SCC is restricted to the within-sets and the SCCs of
+# the restriction are tested against the hit-sets.  Maximal SCCs suffice:
+# hits are monotone under supersets and every live candidate lies inside a
+# maximal SCC of the restriction.  Nodes are visited in successor order from
+# the roots in the given order; nothing else is sorted.
 
 
-def _sccs(nodes, succ):
-    """Tarjan's algorithm, iterative; returns list of node lists."""
+def _sccs(roots, succ):
+    """Tarjan's algorithm, iterative, from the given roots.
+
+    Yields each SCC as soon as it is complete, as a node list ending in the
+    SCC's DFS root, together with the DFS work stack, whose nodes lead from
+    a search root to the parent of that DFS root.  The stack is valid only
+    until the generator resumes.
+    """
     index = {}
     low = {}
     on_stack = set()
     stack = []
-    sccs = []
     counter = itertools.count()
-    for root in nodes:
+    for root in roots:
         if root in index:
             continue
         work = [(root, iter(succ(root)))]
@@ -446,109 +471,78 @@ def _sccs(nodes, succ):
                     comp.append(w)
                     if w == node:
                         break
-                sccs.append(comp)
-    return sccs
+                yield comp, work
 
 
-def _reachable(roots, succ):
-    seen = set(roots)
-    frontier = list(roots)
-    while frontier:
-        node = frontier.pop()
-        for nxt in succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
+def _first_live_set(roots, succ, family, project):
+    """The first live set the search from the roots finds, or None.
 
-
-def _find_live_set(reach, succ, disjuncts, project):
-    """A live set of the reachable nodes whose projection meets some disjunct, or None."""
-
-    def succ_in(region):
-        def f(n):
-            return [m for m in succ(n) if m in region]
-        return f
-
-    for comp in _sccs(sorted(reach, key=_key), succ_in(reach)):
-        comp_set = set(comp)
-        has_edge = any(m in comp_set for n in comp for m in succ(n))
-        if not has_edge:
+    Returns ``(path, scc, live, hits)``: ``path`` leads from a root to the
+    DFS root of ``scc``, the SCC holding ``live``, and ``hits`` are the
+    hit-sets of the disjunct that ``live`` meets.
+    """
+    for scc, work in _sccs(roots, succ):
+        if len(scc) == 1 and scc[0] not in succ(scc[0]):
             continue
-        for hits, withins in disjuncts:
-            region = comp_set
-            for w in withins:
-                region = {n for n in region if project(n) in w}
-            if not region:
-                continue
-            for sub in _sccs(sorted(region, key=_key), succ_in(region)):
-                sub_set = set(sub)
-                if len(sub_set) == 1:
-                    node = next(iter(sub_set))
-                    if node not in succ_in(sub_set)(node):
-                        continue
-                if all(any(project(n) in t for n in sub_set) for t in hits):
-                    return frozenset(sub_set)
+        for hits, withins in family.dnf(frozenset(map(project, scc))):
+            region = [n for n in scc if all(project(n) in w for w in withins)]
+            if len(region) == len(scc):
+                subs = [scc]
+            else:
+                inside = set(region)
+                subs = (sub for sub, _ in _sccs(region, lambda n: [m for m in succ(n) if m in inside]))
+            for sub in subs:
+                if len(sub) == 1 and sub[0] not in succ(sub[0]):
+                    continue
+                if all(any(project(n) in t for n in sub) for t in hits):
+                    return [n for n, _ in work] + [scc[-1]], scc, sub, hits
     return None
 
 
-def _closed_walk(region, succ):
-    """A closed walk (>= 1 edge) visiting every node of a strongly connected region."""
-    region = set(region)
-    start = min(region, key=_key)
-
-    def shortest(src, targets):
-        # shortest path of at least one edge from src to any target node;
-        # prev value None marks direct successors of src
-        prev = {}
-        queue = deque()
-        for nxt in succ(src):
-            if nxt in region and nxt not in prev:
-                prev[nxt] = None
-                queue.append(nxt)
-        while queue:
-            node = queue.popleft()
-            if node in targets:
-                path = [node]
-                while prev[path[-1]] is not None:
-                    path.append(prev[path[-1]])
-                path.append(src)
-                return list(reversed(path))
-            for nxt in succ(node):
-                if nxt in region and nxt not in prev:
-                    prev[nxt] = node
-                    queue.append(nxt)
-        raise AssertionError("region not strongly connected")
-
-    walk = [start]
-    unvisited = region - {start}
-    while unvisited:
-        path = shortest(walk[-1], unvisited)
-        walk.extend(path[1:])
-        unvisited -= set(path)
-    if walk[-1] != start or len(walk) == 1:
-        walk.extend(shortest(walk[-1], {start})[1:])
-    return walk
-
-
-def _path_to(roots, succ, targets):
-    prev = {}
-    queue = deque(roots)
-    for r in roots:
-        prev[r] = None
+def _shortest_path(seeds, succ, inside, goal):
+    """A shortest path from one of the seeds to a node meeting goal, through
+    nodes of ``inside`` only (the seeds themselves need not be inside)."""
+    prev = dict.fromkeys(seeds)
+    queue = deque(prev)
     while queue:
         node = queue.popleft()
-        if node in targets:
-            path = []
-            while node is not None:
-                path.append(node)
-                node = prev[node]
-            return list(reversed(path))
+        if goal(node):
+            path = [node]
+            while prev[path[-1]] is not None:
+                path.append(prev[path[-1]])
+            return path[::-1]
         for nxt in succ(node):
-            if nxt not in prev:
+            if nxt in inside and nxt not in prev:
                 prev[nxt] = node
                 queue.append(nxt)
-    return None
+    raise AssertionError("goal unreachable")
+
+
+def _lasso_nodes(roots, path, scc, live, hits, succ, project):
+    """The node paths of a lasso's prefix and cycle through a live set found
+    by the search.
+
+    The prefix is a shortest path from a root into the live set through the
+    nodes of the DFS path and of the SCC, so it expands no node but roots.
+    The cycle is a closed walk inside the live set from there, through one
+    node of each hit-set: each leg is a shortest path of at least one edge
+    to a node meeting a hit-set not met yet, and the last leg returns.
+    """
+    live = set(live)
+    prefix = _shortest_path(roots, succ, set(path).union(scc), live.__contains__)
+    start = prefix[-1]
+
+    def leg(goal):
+        src = walk[-1]
+        walk.extend(_shortest_path([n for n in succ(src) if n in live], succ, live, goal))
+
+    walk = [start]
+    pending = [t for t in hits if project(start) not in t]
+    while pending:
+        leg(lambda n: any(project(n) in t for t in pending))
+        pending = [t for t in pending if project(walk[-1]) not in t]
+    leg(lambda n: n == start)
+    return prefix, walk
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +565,8 @@ def accepts(a: MullerAutomaton, t: LassoTrace) -> bool:
         nxt = t.next_pos(pos)
         return [(dst, nxt) for dst, m in out_edges.get(state, ()) if m & bit]
 
-    reach = _reachable([(q, 0) for q in a.initial], succ)
-    disjuncts = a.final.dnf(a.states)
-    return _find_live_set(reach, succ, disjuncts, lambda n: n[0]) is not None
+    roots = [(q, 0) for q in a.initial]
+    return _first_live_set(roots, succ, a.final, lambda n: n[0]) is not None
 
 
 def is_empty(a: MullerAutomaton) -> bool:
@@ -586,13 +579,20 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
 
     The automata share one signature; a single automaton is the one-factor
     case.  The search runs on their synchronous product without building it:
-    nodes are the state tuples reached from the initial tuples, and a node's
-    edges are computed once, by ANDing the masks of the factors'
-    transitions, in the order of ``product`` (lexicographic over each
-    factor's transitions from its state).  The ``ProductFamily`` is unfolded
-    over the reachable tuples only.  A reachable live node set meeting one of
-    its hit/within disjuncts yields the witness, read off a covering closed
-    walk; it is the witness the search returns on ``product(automata)``.
+    nodes are the state tuples reached from the initial tuples (the only
+    nodes sorted, by ``repr``), and a node's edges are computed once, by
+    ANDing the masks of the factors' transitions, in the order of ``product``
+    (lexicographic over each factor's transitions from its state).  The edge
+    cache keeps only each destination's lowest enabling letter index, the
+    letter the witness uses, not the mask.
+
+    Tarjan's algorithm tests each SCC against the ``ProductFamily``
+    unfolded over that SCC as soon as it completes it, and stops at the
+    first live set.  The witness prefix is a shortest path from a root into
+    the live set through the nodes of the DFS stack and of that SCC, which
+    are expanded already; its cycle passes through one node of each hit-set
+    of the disjunct met.  It is the witness the search returns on
+    ``product(automata)``.
     """
     sig = automata[0].signature
     if any(a.signature != sig for a in automata):
@@ -608,7 +608,7 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
                 out.setdefault(src, []).append((dst, mask))
         moves.append(out)
     full = full_mask(sig)
-    edges: dict[tuple, dict[tuple, int]] = {}
+    edges: dict[tuple, dict[tuple, int]] = {}  # node -> {dst: lowest letter index}
 
     def succ(node):
         e = edges.get(node)
@@ -625,32 +625,26 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
                 ]
             e = edges[node] = {}
             for dst, m in partial:
-                e[dst] = e.get(dst, 0) | m
+                low = (m & -m).bit_length() - 1
+                if low < e.get(dst, low + 1):
+                    e[dst] = low
         return e
 
     roots = sorted(itertools.product(*(a.initial for a in automata)), key=_key)
-    reach = _reachable(roots, succ)
     family = ProductFamily(tuple(enumerate(a.final for a in automata)))
-    live = _find_live_set(reach, succ, family.dnf(frozenset(reach)), lambda n: n)
-    if live is None:
+    found = _first_live_set(roots, succ, family, _same)
+    if found is None:
         return None
+    prefix, cycle = _lasso_nodes(roots, *found, succ, _same)
 
-    def pick_letter(src, dst):
-        m = edges[src][dst]
-        low = (m & -m).bit_length() - 1
-        return letter_at(low, sig)
+    def letters(nodes):
+        return tuple(letter_at(edges[src][dst], sig) for src, dst in zip(nodes, nodes[1:]))
 
-    path = _path_to(roots, succ, live)
-    walk = _closed_walk(live, lambda n: [m for m in succ(n) if m in live])
-    entry = path[-1]
-    # rotate walk to start at the entry node
-    k = walk.index(entry)
-    cycle_nodes = walk[k:-1] + walk[:k] + [entry]
-    prefix = tuple(pick_letter(path[i], path[i + 1]) for i in range(len(path) - 1))
-    cycle = tuple(
-        pick_letter(cycle_nodes[i], cycle_nodes[i + 1]) for i in range(len(cycle_nodes) - 1)
-    )
-    return LassoTrace(sig, prefix, cycle)
+    return LassoTrace(sig, letters(prefix), letters(cycle))
+
+
+def _same(node):
+    return node
 
 
 def reduct(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAutomaton:

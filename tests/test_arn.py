@@ -1,6 +1,8 @@
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orcbind import ltl, travel
 from orcbind.arn import (
@@ -13,6 +15,7 @@ from orcbind.arn import (
     check_morphism,
     classify_points,
     compose_morphisms,
+    counterexample,
     diagram_of,
     glue,
     identity_morphism,
@@ -505,3 +508,39 @@ def test_property_preservation_on_random_small_networks():
         preserved += 1
         assert is_property(g2, translate_spec(theta, spec))
     assert preserved >= 4
+
+
+# ---------------------------------------------------------------------------
+# The lifted check against the eager observed automaton
+
+
+def _agrees_with_the_observed_automaton(net, point, f, observed):
+    lifted = counterexample(net, ArnSpec(point, f))
+    assert (lifted is None) == (ltl.counterexample(observed, f) is None)
+    if lifted is not None:
+        assert not ltl.sat_lasso(lifted, f)
+        assert accepts(observed, lifted)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_lifted_check_matches_the_oracle_on_random_small_networks(seed):
+    rnd = random.Random(seed)
+    g1, g2, _, f = _random_ground_pair(rnd)
+    # f is the process's own formula, so it holds; the other one may fail
+    other = _random_pointed_formula(rnd, g1.port_of["X"], 2)
+    for net in (g1, g2):
+        observed = observed_automaton(net, "X")
+        for spec in (f, other):
+            _agrees_with_the_observed_automaton(net, "X", spec, observed)
+
+
+@cache
+def _journey_planner_observed(point):
+    return observed_automaton(travel.journey_planner_ground_net(), point)
+
+
+@given(st.sampled_from(("JP1", "MS1", "TS1")), st.integers(0, 2**32 - 1))
+def test_lifted_check_matches_the_oracle_on_the_journey_planner(point, seed):
+    gnet = travel.journey_planner_ground_net()
+    f = _random_pointed_formula(random.Random(seed), gnet.port_of[point], 3)
+    _agrees_with_the_observed_automaton(gnet, point, f, _journey_planner_observed(point))

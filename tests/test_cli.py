@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from orcbind import cli, ltl, travel
+from orcbind import arn, cli, ltl, travel
 from orcbind.arn import validate
 from orcbind.muller import AllNonempty, GenBuchi, ImpliesFamily, ProductFamily
 from orcbind.pexpr import parse_program, render_program
@@ -175,6 +175,17 @@ def test_ltl_entails_of_a_conjunct(capsys):
     assert capsys.readouterr().out == "yes\n"
 
 
+def test_ltl_sat_witness_has_a_short_cycle(capsys):
+    text = "F(a & X b) & G(c -> X !a)"
+    assert run(["ltl", "sat", text]) == 0
+    f = ltl.parse_formula(text)
+    witness = ltl.satisfiable(f)
+    assert capsys.readouterr().out == f"satisfiable: {ltl.render_lasso(witness)}\n"
+    assert ltl.sat_lasso(witness, f)
+    # a cycle covering the whole live set took 24 letters here
+    assert len(witness.cycle) < 24
+
+
 def test_negative_verdicts_search_once(monkeypatch, capsys):
     searches = []
     original = ltl.find_accepted_lasso
@@ -183,6 +194,7 @@ def test_negative_verdicts_search_once(monkeypatch, capsys):
         searches.append(factors)
         return original(*factors)
 
+    monkeypatch.setattr(arn, "find_accepted_lasso", counted)
     monkeypatch.setattr(ltl, "find_accepted_lasso", counted)
     assert run(["arn", "check", str(DATA / "mapservices.net.json"), "MS1", "G !getRoutes?"]) == 1
     assert len(searches) == 1

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from orcbind.cli import network_to_json
+from test_benchmark_contract import load_families
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "examples" / "data"
 
@@ -43,6 +46,19 @@ def test_stdout_is_the_same_under_every_hash_seed(argv):
     runs = [cli(argv, seed=str(seed)) for seed in range(4)]
     assert [r.returncode for r in runs] == [runs[0].returncode] * 4
     assert runs[0].stdout
+    assert [r.stdout for r in runs] == [runs[0].stdout] * 4
+
+
+@pytest.mark.parametrize("family, size, point", [("relay_chain", 2, "I1"), ("hub", 4, "H1")])
+def test_failing_generated_network_check_is_the_same_under_every_hash_seed(
+    family, size, point, tmp_path, monkeypatch
+):
+    net = getattr(load_families(monkeypatch), family)(size)
+    path = tmp_path / f"{family}{size}.net.json"
+    path.write_text(json.dumps(network_to_json(net), indent=2) + "\n")
+    runs = [cli(["arn", "check", str(path), point, "G !req?"], seed=str(seed)) for seed in range(4)]
+    assert [r.returncode for r in runs] == [1] * 4
+    assert "counterexample trace:" in runs[0].stdout
     assert [r.stdout for r in runs] == [runs[0].stdout] * 4
 
 
