@@ -13,7 +13,11 @@ it (``counterexample``).
 
 Constructors only normalize shapes; all well-formedness conditions are
 reported by :func:`validate` so that hand-written network files can be
-checked rather than rejected mid-parse.
+checked rather than rejected mid-parse.  Whether a check's input is fit is
+decided here too: ``counterexample`` and ``observed_automaton`` raise
+``orcbind.InputError`` for an ill-formed network, an unknown point, a network
+that is not ground, or a formula over actions outside the point's port; the
+CLI maps it to exit code 2.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import ltl
+from . import InputError, ltl
 from .engine import OrchestrationScheme
 from .muller import (
     LassoTrace,
@@ -66,16 +70,6 @@ class Port:
             frozenset(f"{m}!" for m in self.published)
             | frozenset(f"{m}?" for m in self.delivered)
         )
-
-    def polarity_of(self, msg: str) -> str:
-        if msg in self.published:
-            return "!"
-        if msg in self.delivered:
-            return "?"
-        raise KeyError(msg)
-
-    def action_of(self, msg: str) -> str:
-        return msg + self.polarity_of(msg)
 
 
 def qualified_signature(ports: dict[str, Port]) -> ActionSignature:
@@ -216,14 +210,11 @@ class Arn:
     def incidence_of(self) -> dict[str, frozenset[str]]:
         return dict(self.incidence)
 
-    def edges(self) -> dict[str, frozenset[str]]:
-        return self.incidence_of
-
     def edges_at(self, x: str) -> list[str]:
         return sorted(e for e, xs in self.incidence if x in xs)
 
-    def is_process_edge(self, e: str) -> bool:
-        return e in self.process_of
+    def render(self) -> str:
+        return "net{" + ",".join(sorted(self.points)) + "}"
 
 
 @dataclass(frozen=True)
@@ -342,12 +333,6 @@ def validate(n: Arn) -> tuple[str, ...]:
     return tuple(issues)
 
 
-def require_valid(n: Arn) -> None:
-    issues = validate(n)
-    if issues:
-        raise ValueError("invalid network: " + "; ".join(issues))
-
-
 def classify_points(n: Arn):
     """Partition into (requires, provides, internal) points.
 
@@ -450,10 +435,18 @@ def signature_of(n: Arn) -> Cocone:
 
 def _apex_parts(n: Arn, x: str):
     """The cofree expansions to the apex of every hyperedge automaton of the
-    dependency subnetwork of x, in hyperedge name order, and x's leg."""
-    require_valid(n)
-    if not is_ground(n):
-        raise ValueError("observed behaviour is defined only for ground networks")
+    dependency subnetwork of x, in hyperedge name order, and x's leg.
+
+    Raises InputError unless the network is well-formed, has the point x and
+    is ground, checked in that order."""
+    issues = validate(n)
+    if issues:
+        raise InputError("network is not well-formed: " + "; ".join(issues))
+    if x not in n.points:
+        raise InputError(f"no such point: {x}")
+    requires, _, _ = classify_points(n)
+    if requires:
+        raise InputError(f"network is not ground, it has requires-points: {sorted(requires)}")
     sub = subnet_at(n, x)
     cocone = signature_of(sub)
     parts = []
@@ -487,14 +480,14 @@ def counterexample(n: Arn, spec: ArnSpec) -> LassoTrace | None:
     the hyperedges' expansions meet its cofree expansion along the point's
     leg.  One on-the-fly search of that product decides, and the witness
     over the apex maps back along the leg.
+
+    Raises InputError as ``_apex_parts`` does, and then when the formula
+    uses actions outside the point's port.
     """
-    port = n.port_of.get(spec.point)
-    if port is None:
-        raise KeyError(spec.point)
-    stray = ltl.atoms_of(spec.formula) - port.actions().actions
-    if stray:
-        raise ValueError(f"spec formula uses actions outside the port at {spec.point}: {sorted(stray)}")
     parts, leg = _apex_parts(n, spec.point)
+    stray = ltl.atoms_of(spec.formula) - leg.source.actions
+    if stray:
+        raise InputError(f"formula uses actions outside the port at {spec.point}: {sorted(stray)}")
     negated = cofree_expansion(ltl.to_automaton(ltl.lnot(spec.formula), leg.source), leg)
     witness = find_accepted_lasso(*parts, negated)
     return None if witness is None else witness.reduct(leg)
@@ -541,6 +534,16 @@ class ArnMorphism:
     @property
     def msg_map(self) -> dict[str, dict[str, str]]:
         return {x: dict(m) for x, m in self.msg_pairs}
+
+    def render(self) -> str:
+        moved_points = [f"{x}->{y}" for x, y in self.point_pairs if x != y]
+        moved_msgs = []
+        for x, pairs in self.msg_pairs:
+            changed = [f"{a}->{b}" for a, b in pairs if a != b]
+            if changed:
+                moved_msgs.append(f"{x}[" + " ".join(changed) + "]")
+        inside = "; ".join(filter(None, [" ".join(moved_points), " ".join(moved_msgs)]))
+        return "{" + (inside if inside else "id") + "}"
 
     def action_morphism(self, x: str) -> SignatureMorphism:
         """Port-action morphism at a source point: ``m!`` to ``theta(m)!``."""
@@ -903,16 +906,3 @@ class ArnScheme(OrchestrationScheme):
                 glued, theta1, theta2 = result
                 out.append((theta1, theta2))
         return out
-
-    def render_orc(self, orc):
-        return "net{" + ",".join(sorted(orc.points)) + "}"
-
-    def render_morphism(self, m):
-        moved_points = [f"{x}->{y}" for x, y in m.point_pairs if x != y]
-        moved_msgs = []
-        for x, pairs in m.msg_pairs:
-            changed = [f"{a}->{b}" for a, b in pairs if a != b]
-            if changed:
-                moved_msgs.append(f"{x}[" + " ".join(changed) + "]")
-        inside = "; ".join(filter(None, [" ".join(moved_points), " ".join(moved_msgs)]))
-        return "{" + (inside if inside else "id") + "}"

@@ -1,8 +1,12 @@
 """Command-line front end and the JSON file formats.
 
 Exit codes are a stable contract: 0 for success or a positive verdict, 1 for
-a negative verdict or no answer, 2 for unparsable input.  Verdicts produced
-by bounded oracles are printed with an explicit ``bounded`` qualifier.
+a negative verdict or no answer, 2 for unusable input.  Input is unusable
+when the library raises ``orcbind.InputError``: the parsers raise it for
+unparsable text, ``arn`` for a network, point or formula unfit for a check,
+and this module for broken files; ``main`` maps it to exit code 2.
+Verdicts produced by bounded oracles are printed with an explicit
+``bounded`` qualifier.
 
 Transition guards in automaton JSON are written in the formula syntax of
 ``ltl`` and must not use ``X`` or ``U``.
@@ -15,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import arn, ltl, pexpr
+from . import InputError, arn, ltl, pexpr
 from .engine import Answer, Clause, Query, Repository, solve, solve_scripted
 from .muller import (
     AllNonempty,
@@ -27,12 +31,6 @@ from .muller import (
     ProductFamily,
 )
 from .sigcat import ActionSignature
-from .travel import channel_automaton
-
-
-class InputError(ValueError):
-    """Unparsable or structurally broken input files; mapped to exit code 2."""
-
 
 # ---------------------------------------------------------------------------
 # Automaton JSON
@@ -112,6 +110,8 @@ def automaton_from_json(data, signature: ActionSignature | None = None) -> Mulle
         )
         final = family_from_json(data["final"])
         return MullerAutomaton(sig, states, transitions, initial, final)
+    except ltl.FormulaSyntaxError as e:
+        raise InputError(f"bad automaton: {e}") from e
     except InputError:
         raise
     except (KeyError, TypeError, ValueError) as e:
@@ -162,13 +162,10 @@ def network_from_json(data) -> arn.Arn:
             incidence[name] = frozenset(points)
         connections = {}
         for name, cd in data.get("connections", {}).items():
-            messages = frozenset(cd["messages"])
-            if cd.get("automaton") == "immediate-delivery":
-                automaton = channel_automaton(messages)
-            else:
-                automaton = automaton_from_json(cd["automaton"])
             connections[name] = arn.Connection.make(
-                messages, automaton, {x: dict(mu) for x, mu in cd.get("attachments", {}).items()}
+                frozenset(cd["messages"]),
+                automaton_from_json(cd["automaton"]),
+                {x: dict(mu) for x, mu in cd.get("attachments", {}).items()},
             )
             incidence[name] = frozenset(cd["points"])
         return arn.Arn.make(ports, processes, connections, incidence)
@@ -199,11 +196,9 @@ def _load_json(path: Path):
 
 
 def _network_ref(data, base: Path) -> arn.Arn:
-    if "network" in data:
-        return network_from_json(_load_json(base / data["network"]))
-    if "network_inline" in data:
-        return network_from_json(data["network_inline"])
-    raise InputError("missing network / network_inline")
+    if "network" not in data:
+        raise InputError("missing network")
+    return network_from_json(_load_json(base / data["network"]))
 
 
 def load_network(path: Path) -> arn.Arn:
@@ -306,26 +301,26 @@ def pexpr_clause_for_step(step, variables):
 # Trace rendering
 
 
-def render_step(scheme, index: int, step) -> str:
+def render_step(index: int, step) -> str:
     clause_line = f"{step.clause_name}"
-    left = f"<{scheme.render_orc(step.unifier.theta1.source)} | {step.selected.render()}>"
+    left = f"<{step.unifier.theta1.source.render()} | {step.selected.render()}>"
     right = f"[{clause_line}]"
     top = f"{left}   x   {right}"
-    morphism = f"theta1 = {scheme.render_morphism(step.unifier.theta1)}"
+    morphism = f"theta1 = {step.unifier.theta1.render()}"
     bar = "-" * max(len(top), 24)
     derived = ", ".join(s.render() for s in step.derived.requires) or "(empty)"
-    bottom = f"<{scheme.render_orc(step.derived.orc)} | {derived}>"
+    bottom = f"<{step.derived.orc.render()} | {derived}>"
     return f"step {index}:\n  {top}\n  {bar} {morphism}\n  {bottom}"
 
 
-def render_answer(scheme, answer: Answer) -> str:
-    lines = [render_step(scheme, i, s) for i, s in enumerate(answer.steps, start=1)]
-    lines.append(f"computed answer: {scheme.render_morphism(answer.composed)}")
-    lines.append(f"final orchestration: {scheme.render_orc(answer.final)}")
+def render_answer(answer: Answer) -> str:
+    lines = [render_step(i, s) for i, s in enumerate(answer.steps, start=1)]
+    lines.append(f"computed answer: {answer.composed.render()}")
+    lines.append(f"final orchestration: {answer.final.render()}")
     return "\n".join(lines)
 
 
-def trace_to_json(scheme, answers, partial=None):
+def trace_to_json(answers, partial=None):
     out = {"answers": []}
     for a in answers:
         out["answers"].append(
@@ -334,13 +329,13 @@ def trace_to_json(scheme, answers, partial=None):
                     {
                         "clause": s.clause_name,
                         "selected": s.selected.render(),
-                        "morphism": scheme.render_morphism(s.unifier.theta1),
+                        "morphism": s.unifier.theta1.render(),
                         "derived_requires": [r.render() for r in s.derived.requires],
                     }
                     for s in a.steps
                 ],
-                "computed": scheme.render_morphism(a.composed),
-                "final": scheme.render_orc(a.final),
+                "computed": a.composed.render(),
+                "final": a.final.render(),
             }
         )
     if partial is not None:
@@ -363,22 +358,7 @@ def cmd_arn(args) -> int:
         print("OK")
         return 0
     # check NET POINT FORMULA
-    try:
-        formula = ltl.parse_formula(args.formula)
-    except ltl.FormulaSyntaxError as e:
-        raise InputError(str(e)) from e
-    issues = arn.validate(net)
-    if issues:
-        raise InputError("network is not well-formed: " + "; ".join(issues))
-    if args.point not in net.points:
-        raise InputError(f"no such point: {args.point}")
-    requires, _, _ = arn.classify_points(net)
-    if requires:
-        raise InputError(f"network is not ground, it has requires-points: {sorted(requires)}")
-    stray = ltl.atoms_of(formula) - net.port_of[args.point].actions().actions
-    if stray:
-        raise InputError(f"formula uses actions outside the port at {args.point}: {sorted(stray)}")
-    spec = arn.ArnSpec(args.point, formula)
+    spec = arn.ArnSpec(args.point, ltl.parse_formula(args.formula))
     witness = arn.counterexample(net, spec)
     if witness is None:
         print(f"holds: {spec.render()}")
@@ -389,11 +369,8 @@ def cmd_arn(args) -> int:
 
 
 def cmd_ltl(args) -> int:
-    try:
-        f1 = ltl.parse_formula(args.formula)
-        f2 = ltl.parse_formula(args.formula2) if args.subcommand == "entails" else None
-    except ltl.FormulaSyntaxError as e:
-        raise InputError(str(e)) from e
+    f1 = ltl.parse_formula(args.formula)
+    f2 = ltl.parse_formula(args.formula2) if args.subcommand == "entails" else None
     if args.subcommand == "sat":
         witness = ltl.satisfiable(f1)
         if witness is None:
@@ -451,19 +428,19 @@ def cmd_solve(args) -> int:
 
     for i, a in enumerate(answers, start=1):
         print(f"=== answer {i} ===")
-        print(render_answer(scheme, a))
+        print(render_answer(a))
     unresolved = None
     if not answers and partial is not None:
         steps, stuck = partial
         print("=== partial derivation (no answer) ===")
         for i, s in enumerate(steps, start=1):
-            print(render_step(scheme, i, s))
+            print(render_step(i, s))
         unresolved = [s for s in stuck.requires if not scheme.is_trivial(stuck.orc, s)]
         for s in unresolved:
             print(f"unresolved: {s.render()}")
     if args.output:
         Path(args.output).write_text(
-            json.dumps(trace_to_json(scheme, answers, partial=unresolved), indent=2) + "\n"
+            json.dumps(trace_to_json(answers, partial=unresolved), indent=2) + "\n"
         )
     if not answers:
         print("no answer within limits")
@@ -489,13 +466,13 @@ def cmd_pexpr(args) -> int:
         except ValueError as e:
             print(str(e))
             return 1
-        print(render_answer(scheme, answer))
+        print(render_answer(answer))
         print(f"final program: {pexpr.render_program(answer.final)}")
         lo, hi = bounds_range
         print(f"(refinements validated with the bounded oracle over {lo}..{hi})")
         if args.output:
             Path(args.output).write_text(
-                json.dumps(trace_to_json(scheme, [answer]), indent=2) + "\n"
+                json.dumps(trace_to_json([answer]), indent=2) + "\n"
             )
         return 0
 
@@ -504,14 +481,11 @@ def cmd_pexpr(args) -> int:
         program_text = Path(args.program).read_text()
     except FileNotFoundError as e:
         raise InputError(str(e)) from e
-    try:
-        term = pexpr.parse_program(program_text.strip())
-        pre_text, post_text = _split_spec_pair(args.spec)
-        spec = pexpr.PSpec(
-            (), pexpr.parse_condition(pre_text), pexpr.parse_condition(post_text)
-        )
-    except pexpr.ProgramSyntaxError as e:
-        raise InputError(str(e)) from e
+    term = pexpr.parse_program(program_text.strip())
+    pre_text, post_text = _split_spec_pair(args.spec)
+    spec = pexpr.PSpec(
+        (), pexpr.parse_condition(pre_text), pexpr.parse_condition(post_text)
+    )
     verdict = pexpr.check_ground_property(
         term, spec, _DefaultBounds(bounds_range), fuel=args.fuel
     )

@@ -1,14 +1,16 @@
 """Scheme-generic logic programming: clauses, queries, unification, resolution.
 
-A scheme supplies orchestrations, morphisms between them, spec translation
-along morphisms, a groundness test, one three-valued property check on
-ground orchestrations (holds, refuted, or undecided by a bounded check), an
-entailment check between translated specs, and a binder that proposes
+A scheme supplies the eight operations resolution needs: composition and
+identities of morphisms, spec translation along morphisms, a groundness
+test, one three-valued property check on ground orchestrations (holds,
+refuted, or undecided by a bounded check), an entailment check between
+translated specs, a triviality test for specs, and a binder that proposes
 candidate unifier cospans.  Everything here is parametric in the scheme; the
 two concrete schemes live with their domain modules.
 
 Morphism objects are scheme-specific but must expose ``source`` and
-``target`` orchestrations.
+``target`` orchestrations.  Orchestrations, morphisms and specs render
+themselves (``render()``); no scheme operation is needed for that.
 """
 
 from __future__ import annotations
@@ -58,14 +60,6 @@ class OrchestrationScheme(ABC):
         """Cospans (theta1, theta2) from query and clause orchestrations into a
         common one, aligning q_spec with c_provides.  Entailment is NOT yet
         checked here; `unify` filters."""
-
-    @abstractmethod
-    def render_morphism(self, m) -> str:
-        ...
-
-    @abstractmethod
-    def render_orc(self, orc) -> str:
-        ...
 
 
 @dataclass(frozen=True)

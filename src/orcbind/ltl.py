@@ -19,8 +19,16 @@ from __future__ import annotations
 
 import re
 
-from . import sigcat
-from .muller import GenBuchi, LassoTrace, MullerAutomaton, _atom_column, find_accepted_lasso
+from . import InputError, sigcat
+from .muller import (
+    GenBuchi,
+    LassoTrace,
+    MullerAutomaton,
+    atom_column,
+    bit_positions,
+    boolean_mask,
+    find_accepted_lasso,
+)
 from .sigcat import (
     FALSE,
     TRUE,
@@ -104,8 +112,10 @@ def sat_lasso(t: LassoTrace, f: Formula) -> bool:
 # subformulas, assignment i makes elementary[j] true iff bit k-1-j of i is
 # set, so counting i up lists the assignments in itertools.product order.
 # A state is named by its assignment index i.
-# Each subformula's truth over all 2^k assignments is one bitmask column
-# (laid out like a guard's letter mask), computed once.
+# Each subformula's truth over all 2^k assignments is one bitmask column,
+# laid out like a guard's letter mask: the elementary columns are muller's
+# atom columns, and muller's ``boolean_mask`` combines them into the column
+# of any composite subformula.
 #
 # The Next step and the one-step unrolling of Until constrain the successor
 # only through the truth of the Next arguments and of the Untils there, so
@@ -138,16 +148,6 @@ def _subformulas(f: Formula):
     return seen
 
 
-def _indices(mask: int) -> list[int]:
-    """Positions of the set bits of a mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutomaton:
     """An automaton accepting exactly the traces that satisfy the formula."""
     if sig is None:
@@ -161,25 +161,10 @@ def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutoma
     untils = [h for h in elementary if isinstance(h, Until)]
     k = len(elementary)
     full = (1 << (1 << k)) - 1
-    columns = {h: _atom_column(k, k - 1 - j) for j, h in enumerate(elementary)}
+    columns = {h: atom_column(k, k - 1 - j) for j, h in enumerate(elementary)}
 
     def column(h: Formula) -> int:
-        c = columns.get(h)
-        if c is None:
-            if isinstance(h, Not):
-                c = full ^ column(h.sub)
-            elif isinstance(h, And):
-                c = full
-                for s in h.subs:
-                    c &= column(s)
-            elif isinstance(h, Or):
-                c = 0
-                for s in h.subs:
-                    c |= column(s)
-            else:
-                raise TypeError(h)
-            columns[h] = c
-        return c
+        return boolean_mask(h, columns.__getitem__, full)
 
     # the successor's truths a step constrains: one requirement bit each
     ahead = [column(h.sub) for h in nexts] + [columns[u] for u in untils]
@@ -215,10 +200,10 @@ def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutoma
             for b, c in enumerate(ahead):
                 if mask >> b & 1:
                     meet &= c if value >> b & 1 else full ^ c
-            out = successors[req] = _indices(meet)
+            out = successors[req] = list(bit_positions(meet))
         return out
 
-    initial = _indices(column(f))
+    initial = list(bit_positions(column(f)))
     succ: dict[int, list[int]] = {}
     frontier = list(initial)
     reached = set(initial)
@@ -254,9 +239,6 @@ def counterexample(a: MullerAutomaton, f: Formula) -> LassoTrace | None:
     formula, explored on the fly, decides the verdict and yields the witness;
     Muller complementation is never needed.
     """
-    stray = atoms_of(f) - a.signature.actions
-    if stray:
-        raise ValueError(f"formula atoms outside automaton signature: {sorted(stray)}")
     return find_accepted_lasso(a, to_automaton(lnot(f), a.signature))
 
 
@@ -292,10 +274,9 @@ _TOKEN = re.compile(
 )
 
 _UNARY = {"X", "F", "G"}
-_RESERVED = {"true", "false", "U"} | _UNARY
 
 
-class FormulaSyntaxError(ValueError):
+class FormulaSyntaxError(InputError):
     pass
 
 

@@ -7,6 +7,14 @@ satisfying the guard.  All semantic work (products, reducts, homomorphism
 checks, acceptance, emptiness) happens on the guard semantics -- bitmasks
 indexed by letters -- never on guard syntax.
 
+Letter-set semantics lives here.  ``boolean_mask`` is the one evaluator of
+``!``, ``&`` and ``|`` over bitmasks: ``guard_mask`` runs it on atom columns,
+and the LTL tableau runs it on the columns of its elementary subformulas.
+``MullerAutomaton.moves`` turns an automaton's transitions into masks once
+and caches them; the searches read it and ``edge_masks`` merges it.
+``product`` masks its factors' transitions itself, because it needs their
+guards and their global order.
+
 ``product`` builds the full categorical product over every state tuple.
 Emptiness of an intersection never needs it: ``find_accepted_lasso`` takes
 the factors themselves and explores their product on the fly, from the
@@ -28,7 +36,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .sigcat import (
     FALSE,
@@ -54,7 +62,7 @@ from .sigcat import (
 
 # a guard is a formula, so the guard constructors are the formula constructors
 g_atom, g_not, g_and, g_or = Atom, lnot, land, lor
-G_TRUE, G_FALSE = TRUE, FALSE
+G_TRUE = TRUE
 
 
 def guard_atoms(g: Formula) -> frozenset[str]:
@@ -76,7 +84,7 @@ def guard_atoms(g: Formula) -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
-def _atom_column(n_actions: int, i: int) -> int:
+def atom_column(n_actions: int, i: int) -> int:
     """Bitmask over 2^n letter indices whose i-th action bit is set."""
     mask = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i zeros then 2^i ones
     for k in range(i + 1, n_actions):
@@ -88,32 +96,45 @@ def full_mask(sig: ActionSignature) -> int:
     return (1 << (1 << len(sig.actions))) - 1
 
 
+def boolean_mask(h: Formula, leaf, full: int) -> int:
+    """The bitmask of a ``Not``/``And``/``Or`` combination, given ``leaf(h)``,
+    the mask of every other subformula, and ``full``, the mask of true."""
+    if isinstance(h, Not):
+        return full ^ boolean_mask(h.sub, leaf, full)
+    if isinstance(h, And):
+        m = full
+        for s in h.subs:
+            m &= boolean_mask(s, leaf, full)
+        return m
+    if isinstance(h, Or):
+        m = 0
+        for s in h.subs:
+            m |= boolean_mask(s, leaf, full)
+        return m
+    return leaf(h)
+
+
 def guard_mask(g: Formula, sig: ActionSignature) -> int:
     """Semantics of a guard: one bit per letter of the signature."""
     actions = ordered_actions(sig)
     index = {a: i for i, a in enumerate(actions)}
-    full = full_mask(sig)
 
-    def go(h: Formula) -> int:
-        if isinstance(h, Atom):
-            if h.action not in index:
-                raise ValueError(f"guard atom {h.action!r} outside signature")
-            return _atom_column(len(actions), index[h.action])
-        if isinstance(h, Not):
-            return full ^ go(h.sub)
-        if isinstance(h, And):
-            m = full
-            for s in h.subs:
-                m &= go(s)
-            return m
-        if isinstance(h, Or):
-            m = 0
-            for s in h.subs:
-                m |= go(s)
-            return m
-        raise TypeError(h)
+    def atom(h: Formula) -> int:
+        if not isinstance(h, Atom):
+            raise TypeError(h)
+        if h.action not in index:
+            raise ValueError(f"guard atom {h.action!r} outside signature")
+        return atom_column(len(actions), index[h.action])
 
-    return go(g)
+    return boolean_mask(g, atom, full_mask(sig))
+
+
+def bit_positions(mask: int):
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def letter_index(letter: frozenset[str], sig: ActionSignature) -> int:
@@ -336,19 +357,26 @@ class MullerAutomaton:
             if stray:
                 raise ValueError(f"guard atoms outside signature: {sorted(stray)}")
 
+    @cached_property
+    def moves(self) -> dict[object, list[tuple[object, int]]]:
+        """Satisfiable transitions as letter masks: state -> [(dst, mask)], in
+        transition order; a run of transitions carrying one guard object
+        shares one mask."""
+        out: dict[object, list[tuple[object, int]]] = {}
+        guard = mask = None
+        for src, g, dst in self.transitions:
+            if g is not guard:
+                guard, mask = g, guard_mask(g, self.signature)
+            if mask:
+                out.setdefault(src, []).append((dst, mask))
+        return out
+
     def edge_masks(self) -> dict[tuple[object, object], int]:
         """Satisfiable semantic edges: (src, dst) -> letter bitmask (merged, non-zero)."""
-        try:
-            return object.__getattribute__(self, "_edge_masks")
-        except AttributeError:
-            pass
         masks: dict[tuple[object, object], int] = {}
-        for src, g, dst in self.transitions:
-            m = guard_mask(g, self.signature)
-            if m:
-                key = (src, dst)
-                masks[key] = masks.get(key, 0) | m
-        object.__setattr__(self, "_edge_masks", masks)
+        for src, out in self.moves.items():
+            for dst, m in out:
+                masks[src, dst] = masks.get((src, dst), 0) | m
         return masks
 
 
@@ -554,16 +582,13 @@ def accepts(a: MullerAutomaton, t: LassoTrace) -> bool:
     if t.signature != a.signature:
         raise ValueError("trace signature differs from automaton signature")
     letters = [letter_index(t.letter(i), a.signature) for i in range(len(t))]
-    masks = a.edge_masks()
-    out_edges: dict[object, list[tuple[object, int]]] = {}
-    for (src, dst), m in masks.items():
-        out_edges.setdefault(src, []).append((dst, m))
+    moves = a.moves
 
     def succ(node):
         state, pos = node
         bit = 1 << letters[pos]
         nxt = t.next_pos(pos)
-        return [(dst, nxt) for dst, m in out_edges.get(state, ()) if m & bit]
+        return [(dst, nxt) for dst, m in moves.get(state, ()) if m & bit]
 
     roots = [(q, 0) for q in a.initial]
     return _first_live_set(roots, succ, a.final, lambda n: n[0]) is not None
@@ -597,16 +622,7 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
     sig = automata[0].signature
     if any(a.signature != sig for a in automata):
         raise ValueError("product factors must share a signature")
-    moves = []  # per factor: state -> [(dst, mask)] in transition order
-    for a in automata:
-        out: dict[object, list[tuple[object, int]]] = {}
-        guard = mask = None
-        for src, g, dst in a.transitions:
-            if g is not guard:  # a run of transitions often shares one guard object
-                guard, mask = g, guard_mask(g, sig)
-            if mask:
-                out.setdefault(src, []).append((dst, mask))
-        moves.append(out)
+    moves = [a.moves for a in automata]
     full = full_mask(sig)
     edges: dict[tuple, dict[tuple, int]] = {}  # node -> {dst: lowest letter index}
 
@@ -625,7 +641,7 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
                 ]
             e = edges[node] = {}
             for dst, m in partial:
-                low = (m & -m).bit_length() - 1
+                low = next(bit_positions(m))
                 if low < e.get(dst, low + 1):
                     e[dst] = low
         return e
@@ -670,11 +686,8 @@ def reduct(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAutomaton:
     transitions = []
     for (src, dst), m in sorted(a.edge_masks().items(), key=lambda e: _key(e[0])):
         proj = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            proj |= 1 << pre[low.bit_length() - 1]
-            mm ^= low
+        for b in bit_positions(m):
+            proj |= 1 << pre[b]
         transitions.append((src, mask_to_guard(proj, src_sig), dst))
     return MullerAutomaton(src_sig, a.states, tuple(transitions), a.initial, a.final)
 

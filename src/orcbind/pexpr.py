@@ -25,6 +25,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
+from . import InputError
 from .engine import Clause, OrchestrationScheme
 
 # ---------------------------------------------------------------------------
@@ -215,7 +216,8 @@ def subst_condition(c: Condition, name: str, repl: AExp) -> Condition:
 
 @dataclass(frozen=True)
 class PTerm:
-    pass
+    def render(self) -> str:
+        return render_program(self)
 
 
 @dataclass(frozen=True)
@@ -372,6 +374,11 @@ class PMorphism:
     @property
     def subst(self) -> dict[str, PTerm]:
         return dict(self.subst_pairs)
+
+    def render(self) -> str:
+        parts = [f"{v} -> {render_program(t)}" for v, t in self.subst_pairs]
+        at = ".".join(map(str, self.position)) if self.position else "e"
+        return "{" + "; ".join(parts) + f" @{at}" + "}"
 
 
 def identity_pmorphism(t: PTerm) -> PMorphism:
@@ -682,14 +689,6 @@ class PexprScheme(OrchestrationScheme):
         theta2 = PMorphism.make(c_orc, glued, rename, q_spec.position)
         return [(theta1, theta2)]
 
-    def render_orc(self, orc):
-        return render_program(orc)
-
-    def render_morphism(self, m):
-        parts = [f"{v} -> {render_program(t)}" for v, t in m.subst_pairs]
-        at = ".".join(map(str, m.position)) if m.position else "e"
-        return "{" + "; ".join(parts) + f" @{at}" + "}"
-
 
 # ---------------------------------------------------------------------------
 # Surface syntax
@@ -704,7 +703,7 @@ _PGM_TOKEN = re.compile(
 _KEYWORDS = {"skip", "if", "then", "else", "endif", "while", "do", "done", "true", "false"}
 
 
-class ProgramSyntaxError(ValueError):
+class ProgramSyntaxError(InputError):
     pass
 
 
@@ -740,9 +739,6 @@ class _Parser:
             raise ProgramSyntaxError(f"expected {value!r}, found {tok[1]!r}")
         self.idx += 1
         return tok
-
-    def at_end(self):
-        return self.peek()[0] == "end"
 
     # arithmetic
 

@@ -23,29 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-def polarity(action: str) -> str | None:
-    """'!' for publications, '?' for deliveries, None for opaque symbols."""
-    if action.endswith("!"):
-        return "!"
-    if action.endswith("?"):
-        return "?"
-    return None
-
-
-def message(action: str) -> str:
-    """Message name of an action, i.e. the symbol without polarity and qualifier."""
-    body = action[:-1] if polarity(action) else action
-    _, _, name = body.rpartition(".")
-    return name
-
-
-def qualifier(action: str) -> str | None:
-    """Point qualifier of an action such as ``x.m!``, or None."""
-    body = action[:-1] if polarity(action) else action
-    head, sep, _ = body.rpartition(".")
-    return head if sep else None
-
-
 @dataclass(frozen=True)
 class ActionSignature:
     """A finite set of action symbols."""
@@ -71,9 +48,6 @@ class ActionSignature:
 
 def signature(*actions: str) -> ActionSignature:
     return ActionSignature(frozenset(actions))
-
-
-EMPTY_SIGNATURE = ActionSignature(frozenset())
 
 
 @lru_cache(maxsize=None)
@@ -112,13 +86,6 @@ class SignatureMorphism:
             if a == action:
                 return b
         raise KeyError(action)
-
-    def is_identity(self) -> bool:
-        return self.source == self.target and all(a == b for a, b in self.pairs)
-
-    def is_injective(self) -> bool:
-        images = [b for _, b in self.pairs]
-        return len(images) == len(set(images))
 
     def inverse_image(self, letter: frozenset[str]) -> frozenset[str]:
         """Preimage of a subset of target actions."""
@@ -172,10 +139,6 @@ class PartialSignatureMorphism:
     @property
     def domain(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.pairs)
-
-    def restriction(self) -> SignatureMorphism:
-        """The total morphism dom -> target carried by this partial map."""
-        return SignatureMorphism.make(ActionSignature(self.domain), self.target, self.mapping)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from functools import cache
 import pytest
 from hypothesis import given, strategies as st
 
+from orcbind import InputError
 from orcbind import ltl, travel
 from orcbind.arn import (
     Arn,
@@ -544,3 +545,40 @@ def test_lifted_check_matches_the_oracle_on_the_journey_planner(point, seed):
     gnet = travel.journey_planner_ground_net()
     f = _random_pointed_formula(random.Random(seed), gnet.port_of[point], 3)
     _agrees_with_the_observed_automaton(gnet, point, f, _journey_planner_observed(point))
+
+
+# ---------------------------------------------------------------------------
+# Inputs unfit for a check
+
+
+def _with_isolated_point(net):
+    ports = {**net.port_of, "Z": Port(frozenset({"z"}), frozenset())}
+    return Arn.make(ports, net.process_of, net.connection_of, net.incidence_of)
+
+
+@pytest.mark.parametrize(
+    "net, spec, message",
+    [
+        (
+            _with_isolated_point(travel.ms_net()),
+            ArnSpec("MS1", ltl.TRUE),
+            "network is not well-formed: point Z: incident with no hyperedge",
+        ),
+        (travel.ms_net(), ArnSpec("NOPE", ltl.TRUE), "no such point: NOPE"),
+        (
+            travel.journey_planner_net(),
+            ArnSpec("JP1", ltl.TRUE),
+            "network is not ground, it has requires-points: ['R1', 'R2']",
+        ),
+        (
+            travel.ms_net(),
+            ArnSpec("MS1", ltl.parse_formula("G nosuch!")),
+            "formula uses actions outside the port at MS1: ['nosuch!']",
+        ),
+    ],
+)
+def test_counterexample_rejects_unfit_input(net, spec, message):
+    with pytest.raises(InputError) as e:
+        counterexample(net, spec)
+    assert isinstance(e.value, ValueError)
+    assert str(e.value) == message

@@ -160,6 +160,29 @@ def test_arn_check_rejects_a_network_that_is_not_ground(name, point, requires, c
     assert captured.err == f"error: network is not ground, it has requires-points: {requires}\n"
 
 
+def test_arn_check_rejects_an_unknown_point(capsys):
+    code = run(["arn", "check", str(DATA / "mapservices.net.json"), "NOPE", "true"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no such point: NOPE\n"
+
+
+def test_arn_check_rejects_an_ill_formed_network(tmp_path, capsys):
+    data = json.loads((DATA / "journeyplannernet.net.json").read_text())
+    del data["connections"]["C"]["attachments"]["MS1"]["g"]
+    bad = tmp_path / "bad.net.json"
+    bad.write_text(json.dumps(data))
+    code = run(["arn", "check", str(bad), "MS1", "true"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: network is not well-formed: "
+        "connection C: message g at JP2 has no delivered counterpart at another point\n"
+    )
+
+
 def test_ltl_commands(capsys):
     assert run(["ltl", "entails", "G a", "F a"]) == 0
     assert run(["ltl", "entails", "p", "p"]) == 0

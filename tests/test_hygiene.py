@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orcbind"
+ROOT = SRC.parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,5 +46,52 @@ def test_library_modules_import_only_at_top_level():
         module.name: places
         for module in sorted(SRC.glob("*.py"))
         if (places := function_imports(module.read_text()))
+    }
+    assert found == {}
+
+
+def defined_names(source: str) -> list[str]:
+    """Top-level functions, classes and assigned names, and the methods of
+    top-level classes, dunder names excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.append(item.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.extend(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Loaded names, attributes, imported names and string constants that
+    are identifiers: the benchmark's tracer looks functions up by name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def test_library_modules_define_nothing_unreferenced():
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used |= referenced_names(path.read_text())
+    found = {
+        module.name: names
+        for module in sorted(SRC.glob("*.py"))
+        if (names := [n for n in defined_names(module.read_text()) if n not in used])
     }
     assert found == {}

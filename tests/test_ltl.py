@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from orcbind import InputError
 from orcbind.ltl import (
     FALSE,
     TRUE,
@@ -99,6 +100,12 @@ def test_parse_rejects_junk():
     for text in ["a &", "(a", "a ? b", "U a"]:
         with pytest.raises(FormulaSyntaxError):
             parse_formula(text)
+
+
+def test_syntax_errors_are_input_errors():
+    with pytest.raises(InputError) as e:
+        parse_formula("a &")
+    assert isinstance(e.value, ValueError)
 
 
 def test_connective_sets_flatten_and_dedupe():
