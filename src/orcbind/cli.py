@@ -1,10 +1,12 @@
 """Command-line front end and the JSON file formats.
 
 Exit codes are a stable contract: 0 for success or a positive verdict, 1 for
-a negative verdict or no answer, 2 for unusable input.  Input is unusable
-when the library raises ``orcbind.InputError``: the parsers raise it for
-unparsable text, ``arn`` for a network, point or formula unfit for a check,
-and this module for broken files; ``main`` maps it to exit code 2.
+a negative verdict or no answer, 2 for unusable input.  A scripted
+derivation step that no unifier binds is a negative answer (exit 1).  Input
+is unusable when the library raises ``orcbind.InputError``: the parsers
+raise it for unparsable text, ``arn`` for a network, point or formula unfit
+for a check, ``engine`` for a step naming a missing clause or spec, and this
+module for broken files and malformed steps; ``main`` maps it to exit code 2.
 Verdicts produced by bounded oracles are printed with an explicit
 ``bounded`` qualifier.
 
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import InputError, arn, ltl, pexpr
-from .engine import Answer, Clause, Query, Repository, solve, solve_scripted
+from .engine import Answer, Clause, DerivationFailed, Query, Repository, solve, solve_scripted
 from .muller import (
     AllNonempty,
     Explicit,
@@ -186,13 +188,16 @@ def spec_from_json(data) -> arn.ArnSpec:
 # Repository / query / script files
 
 
-def _load_json(path: Path):
+def _load_json(path: Path) -> dict:
     try:
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: {e}") from e
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object")
+    return data
 
 
 def _network_ref(data, base: Path) -> arn.Arn:
@@ -261,40 +266,46 @@ def load_pexpr_script(path: Path):
             )
             for s in data["requires"]
         )
-        steps = list(data["steps"])
+        steps = data["steps"]
     except (KeyError, pexpr.ProgramSyntaxError) as e:
         raise InputError(f"bad derivation script: {e}") from e
-    return term, requires, steps, data
+    return term, requires, decode_steps(steps, pexpr_step), data
 
 
-def pexpr_clause_for_step(step, variables):
-    try:
-        kind = step["module"]
-        spec_index = int(step.get("spec", 0))
-        params = {}
-        if kind == "skip":
-            params["pre"] = pexpr.parse_condition(step["pre"])
-        elif kind == "assign":
-            params["target"] = step["target"]
-            params["expr"] = pexpr.parse_aexp(step["expr"])
-            params["shape"] = pexpr.parse_condition(step["shape"])
-            params["hole"] = step.get("hole", "v")
-        elif kind == "seq":
-            params["pre"] = pexpr.parse_condition(step["pre"])
-            params["mid"] = pexpr.parse_condition(step["mid"])
-            params["post"] = pexpr.parse_condition(step["post"])
-        elif kind == "if":
-            params["cond"] = pexpr.parse_condition(step["cond"])
-            params["pre"] = pexpr.parse_condition(step["pre"])
-            params["post"] = pexpr.parse_condition(step["post"])
-        elif kind == "while":
-            params["cond"] = pexpr.parse_condition(step["cond"])
-            params["invariant"] = pexpr.parse_condition(step["invariant"])
-        else:
-            raise InputError(f"unknown module kind {kind!r}")
-        return pexpr.hoare_module(kind, params), spec_index
-    except (KeyError, pexpr.ProgramSyntaxError) as e:
-        raise InputError(f"bad step {step!r}: {e}") from e
+def decode_steps(steps, decode) -> list:
+    """Script steps as ``(clause, spec_index, hint)`` triples, each read by
+    the scheme's ``decode``; a step it cannot read is unusable input."""
+    if not isinstance(steps, list):
+        raise InputError(f"bad steps {steps!r}: expected a JSON list")
+    triples = []
+    for step in steps:
+        try:
+            if not isinstance(step, dict):
+                raise TypeError("expected a JSON object")
+            triples.append(decode(step))
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"bad step {step!r}: {e}") from e
+    return triples
+
+
+def pexpr_step(step: dict):
+    """A Hoare-module step: ``expr`` is an expression, the condition fields
+    are conditions, and every other field passes through as written;
+    ``pexpr.hoare_module`` decides which kinds exist and what each needs."""
+    params = {}
+    for key, value in step.items():
+        if key == "expr":
+            value = pexpr.parse_aexp(value)
+        elif key in ("pre", "mid", "post", "cond", "invariant", "shape"):
+            value = pexpr.parse_condition(value)
+        params[key] = value
+    return pexpr.hoare_module(step["module"], params), int(step.get("spec", 0)), None
+
+
+def arn_step(step: dict, repository: Repository):
+    """A repository clause by name, with an optional correspondence hint."""
+    hint = {"correspondence": dict(step["correspondence"])} if "correspondence" in step else None
+    return repository.clause(step["clause"]), int(step.get("spec", 0)), hint
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +412,14 @@ def cmd_solve(args) -> int:
             raise InputError(f"clause {clause.name!r} network is not well-formed: " + "; ".join(issues))
 
     if args.script:
-        data = _load_json(Path(args.script))
-        steps = data.get("steps", [])
-
-        def clause_for_step(step, q):
-            c = repository.clause(step["clause"])
-            hint = {"correspondence": step["correspondence"]} if "correspondence" in step else None
-            return c, int(step.get("spec", 0)), hint
-
+        steps = _load_json(Path(args.script)).get("steps", [])
+        steps = decode_steps(steps, lambda step: arn_step(step, repository))
         try:
-            answer, _ = solve_scripted(scheme, query, steps, clause_for_step)
-            answers = [answer]
-            partial = None
-        except ValueError as e:
+            answer, _ = solve_scripted(scheme, query, steps)
+        except DerivationFailed as e:
             print(str(e))
             return 1
+        answers = [answer]
     else:
         answers, partial = solve(
             scheme,
@@ -423,14 +427,13 @@ def cmd_solve(args) -> int:
             repository,
             max_depth=args.max_depth,
             max_answers=args.max_answers,
-            return_partial=True,
         )
 
     for i, a in enumerate(answers, start=1):
         print(f"=== answer {i} ===")
         print(render_answer(a))
     unresolved = None
-    if not answers and partial is not None:
+    if not answers:  # only a search can come back empty
         steps, stuck = partial
         print("=== partial derivation (no answer) ===")
         for i, s in enumerate(steps, start=1):
@@ -456,14 +459,9 @@ def cmd_pexpr(args) -> int:
             bounds_range = parse_bounds(data["bounds"])
         scheme = pexpr.PexprScheme(bounds=_DefaultBounds(bounds_range), fuel=args.fuel)
         query = Query(term, requires)
-
-        def clause_for_step(step, q):
-            clause, spec_index = pexpr_clause_for_step(step, data.get("variables", ()))
-            return clause, spec_index, None
-
         try:
-            answer, final_query = solve_scripted(scheme, query, steps, clause_for_step)
-        except ValueError as e:
+            answer, _ = solve_scripted(scheme, query, steps)
+        except DerivationFailed as e:
             print(str(e))
             return 1
         print(render_answer(answer))

@@ -18,6 +18,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
+from . import InputError
+
 
 class OrchestrationScheme(ABC):
     """The operations a scheme must supply to drive unification and resolution."""
@@ -124,7 +126,12 @@ class Repository:
         for c in self.clauses:
             if c.name == name:
                 return c
-        raise KeyError(name)
+        raise InputError(f"no such clause: {name!r}")
+
+
+class DerivationFailed(ValueError):
+    """A scripted derivation step that no unifier binds: a negative answer,
+    not unusable input."""
 
 
 @dataclass(frozen=True)
@@ -176,19 +183,12 @@ def resolve(scheme: OrchestrationScheme, query: Query, clause: Clause, selected,
     return Query(u.apex, tuple(deduped))
 
 
-def _expand_hints(clause: Clause):
-    hints = list(clause.hints)
-    hints.append(None)  # always also try the scheme's own heuristic
-    return hints
-
-
 def solve(
     scheme: OrchestrationScheme,
     query: Query,
     repository: Repository,
     max_depth: int = 8,
     max_answers: int = 10,
-    return_partial: bool = False,
 ):
     """Depth-first resolution until all requires-specs are trivial.
 
@@ -196,9 +196,9 @@ def solve(
     the scheme heuristic last; the first non-trivial spec (in requires order)
     is always the one resolved.  Deterministic for identical inputs.
 
-    With ``return_partial`` the result is ``(answers, partial)`` where
-    ``partial`` is the deepest derivation explored (its steps and the query it
-    got stuck on), for reporting failed searches.
+    Returns ``(answers, (steps, query))``: the answers found, and the deepest
+    derivation explored (its steps and the query it got stuck on), for
+    reporting failed searches.
     """
     answers: list[Answer] = []
     best_partial = {"depth": -1, "steps": (), "query": query}
@@ -222,7 +222,8 @@ def solve(
             return
         for clause in repository.clauses:
             seen = []
-            for hint in _expand_hints(clause):
+            # always also try the scheme's own heuristic, last
+            for hint in (*clause.hints, None):
                 for u in unify(scheme, q.orc, selected, clause, hint):
                     if u in seen:
                         continue
@@ -239,29 +240,28 @@ def solve(
                         return
 
     search(query, [], scheme.identity_morphism(query.orc), 0)
-    if return_partial:
-        return answers, (best_partial["steps"], best_partial["query"])
-    return answers
+    return answers, (best_partial["steps"], best_partial["query"])
 
 
-def solve_scripted(scheme: OrchestrationScheme, query: Query, steps, clause_for_step):
-    """Replay an explicit derivation: each step names a clause (resolved by
-    `clause_for_step`), the index of the spec to resolve, and a hint.
+def solve_scripted(scheme: OrchestrationScheme, query: Query, steps):
+    """Replay an explicit derivation of ``(clause, spec_index, hint)`` steps:
+    resolve the spec at that index of the current query with the clause,
+    taking the first unifier the hint yields.
 
-    Fails loudly on the first step whose unification does not validate.
-    Returns the single Answer.
+    Returns the single Answer and the final query.  A spec index the current
+    query lacks raises ``InputError``; the first step no unifier binds raises
+    ``DerivationFailed``.
     """
     q = query
     trail = []
     composed = scheme.identity_morphism(query.orc)
-    for i, step_spec in enumerate(steps, start=1):
-        clause, spec_index, hint = clause_for_step(step_spec, q)
+    for i, (clause, spec_index, hint) in enumerate(steps, start=1):
         if not 0 <= spec_index < len(q.requires):
-            raise ValueError(f"step {i}: spec index {spec_index} out of range")
+            raise InputError(f"step {i}: spec index {spec_index} out of range")
         selected = q.requires[spec_index]
         unifiers = unify(scheme, q.orc, selected, clause, hint)
         if not unifiers:
-            raise ValueError(
+            raise DerivationFailed(
                 f"step {i}: no unifier of {selected.render()} "
                 f"with clause {clause.name!r} (refinement entailment failed)"
             )

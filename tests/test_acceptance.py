@@ -78,7 +78,7 @@ def test_criterion_1_service_pipeline_replay():
     query = travel.traveller_query()
     repo = travel.repository()
 
-    answers = solve(scheme, query, repo)
+    answers, _ = solve(scheme, query, repo)
     assert len(answers) == 1, "expected exactly one answer"
     [answer] = answers
     assert len(answer.steps) == 3, "expected exactly three resolution steps"
@@ -175,11 +175,8 @@ def test_criterion_2_program_derivation_replay():
         (PSpec((), parse_condition("[1 <= y]"), parse_condition("[x = q * y + r] & [r < y]")),),
     )
 
-    def clause_for_step(step, q):
-        kind, index, params = step
-        return _parse_step(kind, params), index, None
-
-    answer, final_query = solve_scripted(scheme, query, FIG2_STEPS, clause_for_step)
+    steps = [(_parse_step(kind, params), index, None) for kind, index, params in FIG2_STEPS]
+    answer, final_query = solve_scripted(scheme, query, steps)
     assert final_query.requires == ()
     assert render_program(answer.final) == TARGET_PROGRAM, "program must match byte-for-byte"
 
@@ -292,7 +289,7 @@ def _corpus_pipeline():
     """The worked example's derivation morphisms: theta then delta."""
     scheme = ArnScheme()
     query = travel.traveller_query()
-    [answer] = solve(scheme, query, travel.repository())
+    [answer], _ = solve(scheme, query, travel.repository())
     thetas = [s.unifier.theta1 for s in answer.steps]
     return scheme, query, answer, thetas
 
@@ -678,7 +675,7 @@ def test_criterion_7_soundness_of_solve():
     answers_seen = 0
 
     # the worked-example corpus first
-    answers = solve(scheme, travel.traveller_query(), travel.repository())
+    answers, _ = solve(scheme, travel.traveller_query(), travel.repository())
     for answer in answers:
         answers_seen += 1
         if not _answer_is_solution(scheme, travel.traveller_query(), answer):
@@ -692,7 +689,8 @@ def test_criterion_7_soundness_of_solve():
         if any(validate(c.orc) for c in repo.clauses):
             continue
         repos += 1
-        for answer in solve(scheme, query, repo, max_answers=4):
+        answers, _ = solve(scheme, query, repo, max_answers=4)
+        for answer in answers:
             answers_seen += 1
             if not _answer_is_solution(scheme, query, answer):
                 violations += 1

@@ -295,6 +295,101 @@ def test_pexpr_derive_reports_failing_step(tmp_path, capsys):
     assert "step 5" in out and "no unifier" in out
 
 
+def _write(path, data):
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _division_script(tmp_path, **first_step):
+    data = json.loads((DATA / "division.script.json").read_text())
+    data["steps"][0].update(first_step)
+    return _write(tmp_path / "edited.script.json", data)
+
+
+def _traveller_script(tmp_path, steps):
+    script = _write(tmp_path / "traveller.script.json", {"steps": steps})
+    return ["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json"), "--script", script]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda empty: ["arn", "validate", empty],
+        lambda empty: ["solve", empty, str(DATA / "services.repo.json")],
+        lambda empty: ["pexpr", "derive", empty],
+    ],
+    ids=["arn-validate", "solve", "pexpr-derive"],
+)
+def test_files_that_are_not_json_objects_exit_2(command, tmp_path, capsys):
+    empty = _write(tmp_path / "empty.json", [])
+    assert run(command(empty)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {empty}: expected a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (
+            lambda tmp: ["pexpr", "derive", _division_script(tmp, module="bogus")],
+            "error: bad step {'module': 'bogus', 'spec': 0, 'pre': 'true', "
+            "'mid': '[x = q * y + r]', 'post': '[x = q * y + r] & [r < y]'}: "
+            "unknown module kind 'bogus'\n",
+        ),
+        (
+            lambda tmp: ["pexpr", "derive", _division_script(tmp, spec=7)],
+            "error: step 1: spec index 7 out of range\n",
+        ),
+        (
+            lambda tmp: _traveller_script(tmp, [{"clause": "nosuch"}]),
+            "error: bad step {'clause': 'nosuch'}: no such clause: 'nosuch'\n",
+        ),
+        (
+            lambda tmp: _traveller_script(tmp, [["journey-planner"]]),
+            "error: bad step ['journey-planner']: expected a JSON object\n",
+        ),
+        (
+            lambda tmp: _traveller_script(tmp, [{"clause": "journey-planner", "correspondence": 5}]),
+            "error: bad step {'clause': 'journey-planner', 'correspondence': 5}: "
+            "'int' object is not iterable\n",
+        ),
+        (
+            lambda tmp: _traveller_script(tmp, 5),
+            "error: bad steps 5: expected a JSON list\n",
+        ),
+    ],
+    ids=[
+        "unknown-module", "spec-out-of-range", "unknown-clause",
+        "step-not-an-object", "correspondence-not-a-mapping", "steps-not-a-list",
+    ],
+)
+def test_unusable_script_steps_exit_2(command, message, tmp_path, capsys):
+    assert run(command(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
+def test_solve_script_replays_the_search_answer(tmp_path, capsys):
+    replay = _traveller_script(
+        tmp_path,
+        [
+            {"clause": "journey-planner", "correspondence": {"getRoute": "planJourney", "route": "directions"}},
+            {"clause": "map-services"},
+            {"clause": "transport-system"},
+        ],
+    )
+    search = replay[:3]  # the same query and repository, without the script
+    searched = tmp_path / "searched.json"
+    assert run(search + ["--output", str(searched)]) == 0
+    search_out = capsys.readouterr().out
+    replayed = tmp_path / "replayed.json"
+    assert run(replay + ["--output", str(replayed)]) == 0
+    assert capsys.readouterr().out == search_out
+    assert replayed.read_text() == searched.read_text()
+
+
 def test_pexpr_check(capsys):
     assert run(["pexpr", "check", str(DATA / "skip.pgm"), "(true, true)"]) == 0
     code = run(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from orcbind import ltl, travel
+from orcbind import InputError, ltl, travel
 from orcbind.arn import (
     Arn,
     ArnScheme,
@@ -17,6 +17,7 @@ from orcbind.arn import (
 from orcbind.engine import (
     Clause,
     Counterexample,
+    DerivationFailed,
     NoCounterexample,
     Query,
     Repository,
@@ -183,7 +184,7 @@ def test_pexpr_trivial_specs_are_conservative():
 
 
 def test_solve_the_traveller_query():
-    answers = solve(ARN, travel.traveller_query(), travel.repository())
+    answers, _ = solve(ARN, travel.traveller_query(), travel.repository())
     assert len(answers) == 1
     [answer] = answers
     assert [s.clause_name for s in answer.steps] == [
@@ -200,19 +201,20 @@ def test_solve_the_traveller_query():
 
 def test_solve_empty_query_answers_immediately():
     query = Query(travel.journey_planner_ground_net(), ())
-    [answer] = solve(ARN, query, Repository(()))
+    [answer], _ = solve(ARN, query, Repository(()))
     assert answer.steps == ()
     assert answer.composed == identity_morphism(query.orc)
 
 
 def test_solve_without_transport_system_finds_nothing():
     repo = Repository((travel.journey_planner_clause(), travel.map_services_clause()))
-    assert solve(ARN, travel.traveller_query(), repo) == []
+    answers, _ = solve(ARN, travel.traveller_query(), repo)
+    assert answers == []
 
 
 def test_solve_is_deterministic():
-    a1 = solve(ARN, travel.traveller_query(), travel.repository())
-    a2 = solve(ARN, travel.traveller_query(), travel.repository())
+    a1, _ = solve(ARN, travel.traveller_query(), travel.repository())
+    a2, _ = solve(ARN, travel.traveller_query(), travel.repository())
     assert a1 == a2
 
 
@@ -220,11 +222,27 @@ def test_scripted_solve_reports_failing_step():
     scheme = PexprScheme()
     query = Query(PVar("t"), (PSpec((), C_TRUE, parse_condition("[x = 0]")),))
 
-    def clause_for_step(step, q):
-        return hoare_module("skip", {"pre": C_TRUE}), 0, None
-
     with pytest.raises(ValueError, match="no unifier"):
-        solve_scripted(scheme, query, [{}], clause_for_step)
+        solve_scripted(scheme, query, [(hoare_module("skip", {"pre": C_TRUE}), 0, None)])
+
+
+def test_scripted_solve_types_its_two_failures():
+    scheme = PexprScheme()
+    query = Query(PVar("t"), (PSpec((), C_TRUE, parse_condition("[x = 0]")),))
+    skip = hoare_module("skip", {"pre": C_TRUE})
+    # no unifier binds the step: a negative answer, still a ValueError
+    with pytest.raises(DerivationFailed, match=r"^step 1: no unifier .* \(refinement entailment failed\)$"):
+        solve_scripted(scheme, query, [(skip, 0, None)])
+    assert issubclass(DerivationFailed, ValueError)
+    # a spec the query lacks: unusable input, not a derivation that failed
+    with pytest.raises(InputError, match="^step 1: spec index 1 out of range$") as caught:
+        solve_scripted(scheme, query, [(skip, 1, None)])
+    assert not isinstance(caught.value, DerivationFailed)
+
+
+def test_repository_lookup_of_a_missing_clause_is_an_input_error():
+    with pytest.raises(InputError, match="^no such clause: 'nosuch'$"):
+        travel.repository().clause("nosuch")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +250,7 @@ def test_scripted_solve_reports_failing_step():
 
 
 def test_answer_is_a_solution():
-    [answer] = solve(ARN, travel.traveller_query(), travel.repository())
+    [answer], _ = solve(ARN, travel.traveller_query(), travel.repository())
     assert check_solution(ARN, travel.traveller_query(), answer.composed)
 
 

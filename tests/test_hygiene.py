@@ -95,3 +95,30 @@ def test_library_modules_define_nothing_unreferenced():
         if (names := [n for n in defined_names(module.read_text()) if n not in used])
     }
     assert found == {}
+
+
+def silent_handlers(source: str) -> dict[int, tuple[str, str]]:
+    """``except`` clauses with no ``raise`` in their body, by line: the
+    innermost enclosing function and the caught type as written."""
+    found = {}
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.ExceptHandler) and not any(
+                    isinstance(inner, ast.Raise) for inner in ast.walk(node)
+                ):
+                    caught = ast.unparse(node.type) if node.type else ""
+                    found[node.lineno] = (func.name, caught)
+    return found
+
+
+def test_cli_turns_no_error_into_a_verdict():
+    # only main maps InputError to exit 2, and only a failed derivation
+    # step is a negative answer; every other error propagates
+    allowed = {("main", "InputError")}
+    found = [
+        f"cli.py:{line}"
+        for line, (func, caught) in sorted(silent_handlers((SRC / "cli.py").read_text()).items())
+        if caught != "DerivationFailed" and (func, caught) not in allowed
+    ]
+    assert found == []

@@ -359,8 +359,7 @@ def test_seq_module_uses_fresh_variables():
     answer, _ = solve_scripted(
         PexprScheme(bounds={"x": (0, 1)}),
         Query(PVar("w"), (PSpec((), C_TRUE, C_TRUE),)),
-        [0, 0],
-        lambda step, q: (hoare_module("seq", {"pre": C_TRUE, "mid": C_TRUE, "post": C_TRUE}), step, None),
+        [(hoare_module("seq", {"pre": C_TRUE, "mid": C_TRUE, "post": C_TRUE}), 0, None)] * 2,
     )
     assert answer.final == Seq(Seq(PVar("p0_1"), PVar("p1_1")), PVar("p1"))
     assert len(pvars(answer.final)) == 3
