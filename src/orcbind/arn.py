@@ -11,6 +11,8 @@ formula is lifted along the point's leg to the apex instead, and one
 on-the-fly search of the product with the hyperedges' expansions decides
 it (``counterexample``).
 
+Networks, their labels and their morphisms hold every map as a
+``FrozenMap``, which iterates in key order, so equal networks render alike.
 Constructors only normalize shapes; all well-formedness conditions are
 reported by :func:`validate` so that hand-written network files can be
 checked rather than rejected mid-parse.  Whether a check's input is fit is
@@ -25,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import InputError, ltl
+from . import FrozenMap, InputError, ltl
 from .engine import OrchestrationScheme
 from .muller import (
     LassoTrace,
@@ -86,7 +88,7 @@ def qualified_signature(ports: dict[str, Port]) -> ActionSignature:
 def point_injection(x: str, port: Port, target: ActionSignature) -> SignatureMorphism:
     """Port actions into a qualified signature: ``m!`` to ``x.m!``."""
     mapping = {a: f"{x}.{a}" for a in port.actions().actions}
-    return SignatureMorphism.make(port.actions(), target, mapping)
+    return SignatureMorphism(port.actions(), target, mapping)
 
 
 @dataclass(frozen=True)
@@ -94,24 +96,21 @@ class Process:
     """Interaction points labelled with ports, plus a behaviour automaton over
     the point-qualified coproduct of the port actions."""
 
-    points: frozenset[str]
-    ports: tuple[tuple[str, Port], ...]
+    port_of: FrozenMap[str, Port]
     automaton: MullerAutomaton
 
     def __post_init__(self):
-        object.__setattr__(self, "points", frozenset(self.points))
-        object.__setattr__(self, "ports", tuple(sorted(dict(self.ports).items())))
-
-    @classmethod
-    def make(cls, ports: dict[str, Port], automaton: MullerAutomaton) -> "Process":
-        return cls(frozenset(ports), tuple(ports.items()), automaton)
+        object.__setattr__(self, "port_of", FrozenMap(self.port_of))
 
     @property
-    def port_of(self) -> dict[str, Port]:
-        return dict(self.ports)
+    def points(self) -> frozenset[str]:
+        return frozenset(self.port_of)
 
     def signature(self) -> ActionSignature:
         return qualified_signature(self.port_of)
+
+
+Process.make = Process  # the benchmark's network families build through this name
 
 
 @dataclass(frozen=True)
@@ -121,32 +120,18 @@ class Connection:
 
     messages: frozenset[str]
     automaton: MullerAutomaton
-    attachments: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    attachment_of: FrozenMap[str, FrozenMap[str, str]]
 
     def __post_init__(self):
         object.__setattr__(self, "messages", frozenset(self.messages))
         object.__setattr__(
-            self,
-            "attachments",
-            tuple(sorted((x, tuple(sorted(dict(mu).items()))) for x, mu in dict(self.attachments).items())),
-        )
-
-    @classmethod
-    def make(cls, messages, automaton, attachments: dict[str, dict[str, str]]) -> "Connection":
-        return cls(
-            frozenset(messages),
-            automaton,
-            tuple((x, tuple(mu.items())) for x, mu in attachments.items()),
+            self, "attachment_of", FrozenMap({x: FrozenMap(mu) for x, mu in self.attachment_of.items()})
         )
 
     def signature(self) -> ActionSignature:
         return ActionSignature(
             frozenset(f"{m}!" for m in self.messages) | frozenset(f"{m}?" for m in self.messages)
         )
-
-    @property
-    def attachment_of(self) -> dict[str, dict[str, str]]:
-        return {x: dict(mu) for x, mu in self.attachments}
 
     def action_attachment(self, x: str, port: Port) -> PartialSignatureMorphism:
         """Partial translation of channel actions into the port's actions:
@@ -158,7 +143,7 @@ class Connection:
                 mapping[f"{m}!"] = f"{pm}!"
             elif pm in port.delivered:
                 mapping[f"{m}?"] = f"{pm}?"
-        return PartialSignatureMorphism.make(self.signature(), port.actions(), mapping)
+        return PartialSignatureMorphism(self.signature(), port.actions(), mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -167,54 +152,33 @@ class Connection:
 
 @dataclass(frozen=True)
 class Arn:
-    points: frozenset[str]
-    ports: tuple[tuple[str, Port], ...]
-    processes: tuple[tuple[str, Process], ...]
-    connections: tuple[tuple[str, Connection], ...]
-    incidence: tuple[tuple[str, frozenset[str]], ...]
+    """A network: its points are the keys of ``port_of``."""
+
+    port_of: FrozenMap[str, Port]
+    process_of: FrozenMap[str, Process]
+    connection_of: FrozenMap[str, Connection]
+    incidence_of: FrozenMap[str, frozenset[str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", frozenset(self.points))
-        object.__setattr__(self, "ports", tuple(sorted(dict(self.ports).items())))
-        object.__setattr__(self, "processes", tuple(sorted(dict(self.processes).items())))
-        object.__setattr__(self, "connections", tuple(sorted(dict(self.connections).items())))
+        object.__setattr__(self, "port_of", FrozenMap(self.port_of))
+        object.__setattr__(self, "process_of", FrozenMap(self.process_of))
+        object.__setattr__(self, "connection_of", FrozenMap(self.connection_of))
         object.__setattr__(
-            self,
-            "incidence",
-            tuple(sorted((e, frozenset(xs)) for e, xs in dict(self.incidence).items())),
-        )
-
-    @classmethod
-    def make(cls, ports, processes, connections, incidence) -> "Arn":
-        return cls(
-            frozenset(ports),
-            tuple(ports.items()),
-            tuple(processes.items()),
-            tuple(connections.items()),
-            tuple((e, frozenset(xs)) for e, xs in incidence.items()),
+            self, "incidence_of", FrozenMap({e: frozenset(xs) for e, xs in self.incidence_of.items()})
         )
 
     @property
-    def port_of(self) -> dict[str, Port]:
-        return dict(self.ports)
-
-    @property
-    def process_of(self) -> dict[str, Process]:
-        return dict(self.processes)
-
-    @property
-    def connection_of(self) -> dict[str, Connection]:
-        return dict(self.connections)
-
-    @property
-    def incidence_of(self) -> dict[str, frozenset[str]]:
-        return dict(self.incidence)
+    def points(self) -> frozenset[str]:
+        return frozenset(self.port_of)
 
     def edges_at(self, x: str) -> list[str]:
-        return sorted(e for e, xs in self.incidence if x in xs)
+        return sorted(e for e, xs in self.incidence_of.items() if x in xs)
 
     def render(self) -> str:
         return "net{" + ",".join(sorted(self.points)) + "}"
+
+
+Arn.make = Arn  # the benchmark's network families build through this name
 
 
 @dataclass(frozen=True)
@@ -236,8 +200,6 @@ def validate(n: Arn) -> tuple[str, ...]:
     conns = n.connection_of
     inc = n.incidence_of
 
-    if set(ports) != set(n.points):
-        issues.append("ports: every point must carry exactly one port")
     for x, port in sorted(ports.items()):
         overlap = port.published & port.delivered
         if overlap:
@@ -273,7 +235,7 @@ def validate(n: Arn) -> tuple[str, ...]:
         xs = inc.get(p, frozenset())
         if proc.points != xs:
             issues.append(f"process {p}: labelled points {sorted(proc.points)} differ from incidence {sorted(xs)}")
-        for x in sorted(proc.points & set(ports)):
+        for x in sorted(proc.points & n.points):
             if proc.port_of.get(x) != ports[x]:
                 issues.append(f"process {p}: port label at {x} differs from the network's")
         if proc.automaton.signature != proc.signature():
@@ -384,7 +346,7 @@ def subnet_at(n: Arn, x: str) -> Arn:
         frontier = next_frontier
         first = False
     keep_edges = {e for e, xs in inc.items() if xs <= reached}
-    return Arn.make(
+    return Arn(
         {y: n.port_of[y] for y in reached},
         {p: proc for p, proc in n.process_of.items() if p in keep_edges},
         {c: conn for c, conn in n.connection_of.items() if c in keep_edges},
@@ -406,12 +368,12 @@ def diagram_of(n: Arn) -> FiniteDiagram:
     ports = n.port_of
     for x in sorted(n.points):
         nodes[_PT + x] = ports[x].actions()
-    for p, proc in n.processes:
+    for p, proc in n.process_of.items():
         pid = _EDGE + p
         nodes[pid] = proc.signature()
         for x in sorted(proc.points):
             arrows[(_PT + x, pid)] = point_injection(x, ports[x], nodes[pid])
-    for c, conn in n.connections:
+    for c, conn in n.connection_of.items():
         cid = _EDGE + c
         nodes[cid] = conn.signature()
         for x in sorted(n.incidence_of.get(c, frozenset())):
@@ -419,13 +381,9 @@ def diagram_of(n: Arn) -> FiniteDiagram:
             att = conn.action_attachment(x, ports[x])
             dom_sig = ActionSignature(att.domain)
             nodes[sid] = dom_sig
-            arrows[(sid, cid)] = SignatureMorphism.make(
-                dom_sig, nodes[cid], {a: a for a in att.domain}
-            )
-            arrows[(sid, _PT + x)] = SignatureMorphism.make(
-                dom_sig, nodes[_PT + x], att.mapping
-            )
-    return FiniteDiagram.make(nodes, arrows)
+            arrows[(sid, cid)] = SignatureMorphism(dom_sig, nodes[cid], {a: a for a in att.domain})
+            arrows[(sid, _PT + x)] = SignatureMorphism(dom_sig, nodes[_PT + x], att.mapping)
+    return FiniteDiagram(nodes, arrows)
 
 
 def signature_of(n: Arn) -> Cocone:
@@ -509,37 +467,20 @@ class ArnMorphism:
 
     source: Arn
     target: Arn
-    point_pairs: tuple[tuple[str, str], ...]
-    edge_pairs: tuple[tuple[str, str], ...]
-    msg_pairs: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    point_map: FrozenMap[str, str]
+    edge_map: FrozenMap[str, str]
+    msg_map: FrozenMap[str, FrozenMap[str, str]]
 
-    @classmethod
-    def make(cls, source, target, point_map, edge_map, msg_maps) -> "ArnMorphism":
-        return cls(
-            source,
-            target,
-            tuple(sorted(point_map.items())),
-            tuple(sorted(edge_map.items())),
-            tuple(sorted((x, tuple(sorted(m.items()))) for x, m in msg_maps.items())),
-        )
-
-    @property
-    def point_map(self) -> dict[str, str]:
-        return dict(self.point_pairs)
-
-    @property
-    def edge_map(self) -> dict[str, str]:
-        return dict(self.edge_pairs)
-
-    @property
-    def msg_map(self) -> dict[str, dict[str, str]]:
-        return {x: dict(m) for x, m in self.msg_pairs}
+    def __post_init__(self):
+        object.__setattr__(self, "point_map", FrozenMap(self.point_map))
+        object.__setattr__(self, "edge_map", FrozenMap(self.edge_map))
+        object.__setattr__(self, "msg_map", FrozenMap({x: FrozenMap(m) for x, m in self.msg_map.items()}))
 
     def render(self) -> str:
-        moved_points = [f"{x}->{y}" for x, y in self.point_pairs if x != y]
+        moved_points = [f"{x}->{y}" for x, y in self.point_map.items() if x != y]
         moved_msgs = []
-        for x, pairs in self.msg_pairs:
-            changed = [f"{a}->{b}" for a, b in pairs if a != b]
+        for x, mu in self.msg_map.items():
+            changed = [f"{a}->{b}" for a, b in mu.items() if a != b]
             if changed:
                 moved_msgs.append(f"{x}[" + " ".join(changed) + "]")
         inside = "; ".join(filter(None, [" ".join(moved_points), " ".join(moved_msgs)]))
@@ -555,11 +496,11 @@ class ArnMorphism:
             mapping[f"{m}!"] = f"{mu[m]}!"
         for m in port1.delivered:
             mapping[f"{m}?"] = f"{mu[m]}?"
-        return SignatureMorphism.make(port1.actions(), port2.actions(), mapping)
+        return SignatureMorphism(port1.actions(), port2.actions(), mapping)
 
 
 def identity_morphism(n: Arn) -> ArnMorphism:
-    return ArnMorphism.make(
+    return ArnMorphism(
         n,
         n,
         {x: x for x in n.points},
@@ -574,7 +515,7 @@ def compose_morphisms(t1: ArnMorphism, t2: ArnMorphism) -> ArnMorphism:
     pm1, pm2 = t1.point_map, t2.point_map
     em1, em2 = t1.edge_map, t2.edge_map
     mm1, mm2 = t1.msg_map, t2.msg_map
-    return ArnMorphism.make(
+    return ArnMorphism(
         t1.source,
         t2.target,
         {x: pm2[y] for x, y in pm1.items()},
@@ -660,7 +601,7 @@ def check_morphism(theta: ArnMorphism) -> tuple[str, ...]:
         target_proc = procs2.get(em[p])
         if target_proc is None:
             continue
-        if proc.points != target_proc.points or proc.ports != target_proc.ports:
+        if proc.port_of != target_proc.port_of:
             issues.append(f"process {p}: labels not preserved on the nose")
         elif not automata_equal(proc.automaton, target_proc.automaton):
             issues.append(f"process {p}: automaton not preserved on the nose")
@@ -739,18 +680,18 @@ def rename_apart(clause_net: Arn, taken_points: set[str], taken_edges: set[str])
     re_ = lambda e: edge_renames.get(e, e)
     new_connections = {}
     for c, conn in clause_net.connection_of.items():
-        new_connections[re_(c)] = Connection.make(
+        new_connections[re_(c)] = Connection(
             conn.messages,
             conn.automaton,
             {rp(x): mu for x, mu in conn.attachment_of.items()},
         )
-    variant = Arn.make(
+    variant = Arn(
         {rp(x): port for x, port in clause_net.port_of.items()},
         {re_(p): proc for p, proc in clause_net.process_of.items()},
         new_connections,
         {re_(e): frozenset(rp(x) for x in xs) for e, xs in clause_net.incidence_of.items()},
     )
-    theta = ArnMorphism.make(
+    theta = ArnMorphism(
         clause_net,
         variant,
         {x: rp(x) for x in clause_net.points},
@@ -800,14 +741,14 @@ def glue(query_net: Arn, x1: str, clause_net: Arn, x2: str, corr: dict[str, str]
         if x1 in att:
             new_att = {subst(x): mu for x, mu in att.items() if x != x1}
             new_att[vx2] = {m: corr[pm] for m, pm in att[x1].items()}
-            new_connections[c] = Connection.make(conn.messages, conn.automaton, new_att)
+            new_connections[c] = Connection(conn.messages, conn.automaton, new_att)
         else:
             new_connections[c] = conn
     new_connections.update(variant.connection_of)
 
     glued_ports = {subst(x): port for x, port in query_net.port_of.items() if x != x1}
     glued_ports.update(variant.port_of)
-    glued = Arn.make(
+    glued = Arn(
         glued_ports,
         {**query_net.process_of, **variant.process_of},
         new_connections,
@@ -819,7 +760,7 @@ def glue(query_net: Arn, x1: str, clause_net: Arn, x2: str, corr: dict[str, str]
     if validate(glued):
         return None
 
-    theta1 = ArnMorphism.make(
+    theta1 = ArnMorphism(
         query_net,
         glued,
         {x: subst(x) for x in query_net.points},
@@ -829,12 +770,8 @@ def glue(query_net: Arn, x1: str, clause_net: Arn, x2: str, corr: dict[str, str]
             for x in query_net.points
         },
     )
-    theta2 = ArnMorphism.make(
-        clause_net,
-        glued,
-        variant_theta.point_map,
-        variant_theta.edge_map,
-        variant_theta.msg_map,
+    theta2 = ArnMorphism(
+        clause_net, glued, variant_theta.point_map, variant_theta.edge_map, variant_theta.msg_map
     )
     return glued, theta1, theta2
 
@@ -892,7 +829,7 @@ class ArnScheme(OrchestrationScheme):
             return []
         corrs = []
         if hint is not None:
-            corr = dict(hint.get("correspondence", {})) if isinstance(hint, dict) else dict(hint)
+            corr = hint["correspondence"]
             if set(corr) == set(q_orc.port_of[x1].messages):
                 corrs.append(corr)
         else:

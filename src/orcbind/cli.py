@@ -5,8 +5,10 @@ a negative verdict or no answer, 2 for unusable input.  A scripted
 derivation step that no unifier binds is a negative answer (exit 1).  Input
 is unusable when the library raises ``orcbind.InputError``: the parsers
 raise it for unparsable text, ``arn`` for a network, point or formula unfit
-for a check, ``engine`` for a step naming a missing clause or spec, and this
-module for broken files and malformed steps; ``main`` maps it to exit code 2.
+for a check, ``engine`` for a step naming a missing clause or spec and for
+repeated clause names, and this module for broken files and for JSON shapes
+it cannot decode, from a whole file down to one name (``_decoding``);
+``main`` maps it to exit code 2.
 Verdicts produced by bounded oracles are printed with an explicit
 ``bounded`` qualifier.
 
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import InputError, arn, ltl, pexpr
@@ -33,6 +36,40 @@ from .muller import (
     ProductFamily,
 )
 from .sigcat import ActionSignature
+
+# ---------------------------------------------------------------------------
+# Decoding JSON shapes
+
+
+@contextmanager
+def _decoding(what: str, prefixed=()):
+    """Read a JSON shape: a field that is missing or of the wrong type is
+    unusable input, reported as ``WHAT: reason``.  An ``InputError`` raised
+    inside passes through as it is, unless it is one of the ``prefixed``
+    types."""
+    try:
+        yield
+    except prefixed as e:
+        raise InputError(f"{what}: {e}") from e
+    except InputError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise InputError(f"{what}: {e}") from e
+
+
+def _name(value) -> str:
+    """A point, clause or message name, which is a JSON string."""
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"expected a name, got {value!r}")
+
+
+def _names(values) -> frozenset[str]:
+    """A JSON list of names."""
+    if isinstance(values, list):
+        return frozenset(map(_name, values))
+    raise TypeError(f"expected a list of names, got {values!r}")
+
 
 # ---------------------------------------------------------------------------
 # Automaton JSON
@@ -98,7 +135,7 @@ def automaton_to_json(a: MullerAutomaton):
 
 
 def automaton_from_json(data, signature: ActionSignature | None = None) -> MullerAutomaton:
-    try:
+    with _decoding("bad automaton", ltl.FormulaSyntaxError):
         sig = (
             signature
             if signature is not None
@@ -112,12 +149,6 @@ def automaton_from_json(data, signature: ActionSignature | None = None) -> Mulle
         )
         final = family_from_json(data["final"])
         return MullerAutomaton(sig, states, transitions, initial, final)
-    except ltl.FormulaSyntaxError as e:
-        raise InputError(f"bad automaton: {e}") from e
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad automaton: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -129,59 +160,53 @@ def port_to_json(p: arn.Port):
 
 
 def port_from_json(data) -> arn.Port:
-    return arn.Port(frozenset(data.get("published", ())), frozenset(data.get("delivered", ())))
+    return arn.Port(_names(data.get("published", [])), _names(data.get("delivered", [])))
 
 
 def network_to_json(n: arn.Arn):
     return {
-        "points": {x: port_to_json(p) for x, p in n.ports},
+        "points": {x: port_to_json(p) for x, p in n.port_of.items()},
         "processes": {
             name: {"points": sorted(proc.points), "automaton": automaton_to_json(proc.automaton)}
-            for name, proc in n.processes
+            for name, proc in n.process_of.items()
         },
         "connections": {
             name: {
                 "points": sorted(n.incidence_of[name]),
                 "messages": sorted(conn.messages),
                 "automaton": automaton_to_json(conn.automaton),
-                "attachments": {x: dict(mu) for x, mu in conn.attachments},
+                "attachments": conn.attachment_of,
             }
-            for name, conn in n.connections
+            for name, conn in n.connection_of.items()
         },
     }
 
 
 def network_from_json(data) -> arn.Arn:
-    try:
+    with _decoding("bad network"):
         ports = {x: port_from_json(p) for x, p in data.get("points", {}).items()}
         processes = {}
         incidence = {}
         for name, pd in data.get("processes", {}).items():
-            points = list(pd["points"])
+            points = _names(pd["points"])
             proc_ports = {x: ports[x] for x in points if x in ports}
             automaton = automaton_from_json(pd["automaton"])
-            processes[name] = arn.Process.make(proc_ports, automaton)
-            incidence[name] = frozenset(points)
+            processes[name] = arn.Process(proc_ports, automaton)
+            incidence[name] = points
         connections = {}
         for name, cd in data.get("connections", {}).items():
-            connections[name] = arn.Connection.make(
-                frozenset(cd["messages"]),
+            connections[name] = arn.Connection(
+                _names(cd["messages"]),
                 automaton_from_json(cd["automaton"]),
-                {x: dict(mu) for x, mu in cd.get("attachments", {}).items()},
+                {x: {m: _name(pm) for m, pm in mu.items()} for x, mu in cd.get("attachments", {}).items()},
             )
-            incidence[name] = frozenset(cd["points"])
-        return arn.Arn.make(ports, processes, connections, incidence)
-    except InputError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad network: {e}") from e
+            incidence[name] = _names(cd["points"])
+        return arn.Arn(ports, processes, connections, incidence)
 
 
 def spec_from_json(data) -> arn.ArnSpec:
-    try:
-        return arn.ArnSpec(data["point"], ltl.parse_formula(data["formula"]))
-    except (KeyError, TypeError, ltl.FormulaSyntaxError) as e:
-        raise InputError(f"bad spec: {e}") from e
+    with _decoding("bad spec", ltl.FormulaSyntaxError):
+        return arn.ArnSpec(_name(data["point"]), ltl.parse_formula(data["formula"]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,31 +241,36 @@ def load_repository(path: Path) -> Repository:
         raise InputError("only arn-scheme repositories are file-loadable")
     base = path.parent
     clauses = []
-    for cd in data.get("clauses", ()):
-        try:
-            clauses.append(
-                Clause(
-                    cd["name"],
-                    _network_ref(cd, base),
-                    spec_from_json(cd["provides"]),
-                    tuple(spec_from_json(r) for r in cd.get("requires", ())),
-                    hints=tuple(cd.get("hints", ())),
+    with _decoding("bad repository"):
+        for cd in data.get("clauses", ()):
+            try:
+                clauses.append(
+                    Clause(
+                        _name(cd["name"]),
+                        _network_ref(cd, base),
+                        spec_from_json(cd["provides"]),
+                        tuple(spec_from_json(r) for r in cd.get("requires", ())),
+                        hints=tuple(map(_hint, cd.get("hints", ()))),
+                    )
                 )
-            )
-        except KeyError as e:
-            raise InputError(f"clause missing field: {e}") from e
-    try:
-        return Repository(tuple(clauses))
-    except ValueError as e:
-        raise InputError(str(e)) from e
+            except KeyError as e:
+                raise InputError(f"clause missing field: {e}") from e
+    return Repository(tuple(clauses))
+
+
+def _hint(data) -> dict:
+    """A clause hint, which has one shape: ``{"correspondence": {message: message}}``."""
+    with _decoding(f"bad hint {data!r}"):
+        return {"correspondence": {m: _name(pm) for m, pm in data["correspondence"].items()}}
 
 
 def load_query(path: Path) -> Query:
     data = _load_json(path)
     if data.get("scheme", "arn") != "arn":
         raise InputError("only arn-scheme queries are file-loadable")
-    net = _network_ref(data, path.parent)
-    return Query(net, tuple(spec_from_json(s) for s in data.get("requires", ())))
+    with _decoding("bad query"):
+        net = _network_ref(data, path.parent)
+        return Query(net, tuple(spec_from_json(s) for s in data.get("requires", ())))
 
 
 def parse_bounds(text: str) -> tuple[int, int]:
@@ -255,8 +285,8 @@ def load_pexpr_script(path: Path):
     data = _load_json(path)
     if data.get("scheme") != "pexpr":
         raise InputError("derivation scripts must declare scheme: pexpr")
-    variables = tuple(data.get("variables", ()))
-    try:
+    with _decoding("bad derivation script", pexpr.ProgramSyntaxError):
+        variables = tuple(data.get("variables", ()))
         term = pexpr.parse_program(data["term"], variables)
         requires = tuple(
             pexpr.PSpec(
@@ -267,8 +297,6 @@ def load_pexpr_script(path: Path):
             for s in data["requires"]
         )
         steps = data["steps"]
-    except (KeyError, pexpr.ProgramSyntaxError) as e:
-        raise InputError(f"bad derivation script: {e}") from e
     return term, requires, decode_steps(steps, pexpr_step), data
 
 
@@ -279,12 +307,10 @@ def decode_steps(steps, decode) -> list:
         raise InputError(f"bad steps {steps!r}: expected a JSON list")
     triples = []
     for step in steps:
-        try:
+        with _decoding(f"bad step {step!r}", InputError):
             if not isinstance(step, dict):
                 raise TypeError("expected a JSON object")
             triples.append(decode(step))
-        except (KeyError, TypeError, ValueError) as e:
-            raise InputError(f"bad step {step!r}: {e}") from e
     return triples
 
 
@@ -298,13 +324,17 @@ def pexpr_step(step: dict):
             value = pexpr.parse_aexp(value)
         elif key in ("pre", "mid", "post", "cond", "invariant", "shape"):
             value = pexpr.parse_condition(value)
+        elif key == "target":
+            value = _name(value)
         params[key] = value
     return pexpr.hoare_module(step["module"], params), int(step.get("spec", 0)), None
 
 
 def arn_step(step: dict, repository: Repository):
     """A repository clause by name, with an optional correspondence hint."""
-    hint = {"correspondence": dict(step["correspondence"])} if "correspondence" in step else None
+    hint = None
+    if "correspondence" in step:
+        hint = {"correspondence": {m: _name(pm) for m, pm in dict(step["correspondence"]).items()}}
     return repository.clause(step["clause"]), int(step.get("spec", 0)), hint
 
 
@@ -456,7 +486,8 @@ def cmd_pexpr(args) -> int:
     if args.subcommand == "derive":
         term, requires, steps, data = load_pexpr_script(Path(args.script))
         if "bounds" in data:
-            bounds_range = parse_bounds(data["bounds"])
+            with _decoding("bad derivation script"):
+                bounds_range = parse_bounds(data["bounds"])
         scheme = pexpr.PexprScheme(bounds=_DefaultBounds(bounds_range), fuel=args.fuel)
         query = Query(term, requires)
         try:

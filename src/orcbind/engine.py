@@ -120,7 +120,7 @@ class Repository:
     def __post_init__(self):
         names = [c.name for c in self.clauses]
         if len(names) != len(set(names)):
-            raise ValueError("clause names must be unique")
+            raise InputError("clause names must be unique")
 
     def clause(self, name: str) -> Clause:
         for c in self.clauses:

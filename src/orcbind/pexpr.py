@@ -25,7 +25,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from . import InputError
+from . import FrozenMap, InputError
 from .engine import Clause, OrchestrationScheme
 
 # ---------------------------------------------------------------------------
@@ -360,29 +360,23 @@ class PMorphism:
 
     source: PTerm
     target: PTerm
-    subst_pairs: tuple[tuple[str, PTerm], ...]
-    position: Position
+    subst: FrozenMap[str, PTerm]
+    position: Position = ROOT
 
-    @classmethod
-    def make(cls, source, target, subst, position=ROOT) -> "PMorphism":
-        cleaned = {v: t for v, t in dict(subst).items() if t != PVar(v)}
-        m = cls(source, target, tuple(sorted(cleaned.items())), tuple(position))
-        if apply_subst(source, m.subst) != subterm_at(target, m.position):
+    def __post_init__(self):
+        object.__setattr__(self, "subst", FrozenMap({v: t for v, t in self.subst.items() if t != PVar(v)}))
+        object.__setattr__(self, "position", tuple(self.position))
+        if apply_subst(self.source, self.subst) != subterm_at(self.target, self.position):
             raise ValueError("substituted source does not match the target subterm")
-        return m
-
-    @property
-    def subst(self) -> dict[str, PTerm]:
-        return dict(self.subst_pairs)
 
     def render(self) -> str:
-        parts = [f"{v} -> {render_program(t)}" for v, t in self.subst_pairs]
+        parts = [f"{v} -> {render_program(t)}" for v, t in self.subst.items()]
         at = ".".join(map(str, self.position)) if self.position else "e"
         return "{" + "; ".join(parts) + f" @{at}" + "}"
 
 
 def identity_pmorphism(t: PTerm) -> PMorphism:
-    return PMorphism.make(t, t, {}, ROOT)
+    return PMorphism(t, t, {})
 
 
 def compose_pmorphisms(m1: PMorphism, m2: PMorphism) -> PMorphism:
@@ -394,7 +388,7 @@ def compose_pmorphisms(m1: PMorphism, m2: PMorphism) -> PMorphism:
     composed = {
         v: apply_subst(apply_subst(PVar(v), s1), s2) for v in sorted(pvars(m1.source))
     }
-    return PMorphism.make(m1.source, m2.target, composed, m2.position + m1.position)
+    return PMorphism(m1.source, m2.target, composed, m2.position + m1.position)
 
 
 @dataclass(frozen=True)
@@ -426,15 +420,10 @@ def translate_pspec(m: PMorphism, s: PSpec) -> PSpec:
 
 @dataclass(frozen=True)
 class Terminated:
-    state: tuple[tuple[str, int], ...]
+    state: FrozenMap[str, int]
 
-    @classmethod
-    def of(cls, state: dict[str, int]) -> "Terminated":
-        return cls(tuple(sorted(state.items())))
-
-    @property
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.state)
+    def __post_init__(self):
+        object.__setattr__(self, "state", FrozenMap(self.state))
 
 
 @dataclass(frozen=True)
@@ -478,7 +467,7 @@ def interpret(t: PTerm, state: dict[str, int], fuel: int = 10000):
     out = run(t, dict(state), fuel)
     if out is None:
         return OutOfFuel()
-    return Terminated.of(out[0])
+    return Terminated(out[0])
 
 
 Bounds = dict[str, tuple[int, int]]
@@ -498,11 +487,10 @@ class Holds:
 
 @dataclass(frozen=True)
 class Fails:
-    witness: tuple[tuple[str, int], ...]
+    state: FrozenMap[str, int]
 
-    @property
-    def state(self) -> dict[str, int]:
-        return dict(self.witness)
+    def __post_init__(self):
+        object.__setattr__(self, "state", FrozenMap(self.state))
 
 
 @dataclass(frozen=True)
@@ -531,8 +519,8 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel
         if isinstance(result, OutOfFuel):
             fuel_outs += 1
             continue
-        if not eval_condition(s.post, result.as_dict):
-            return Fails(tuple(sorted(state.items())))
+        if not eval_condition(s.post, result.state):
+            return Fails(state)
     if fuel_outs:
         return Inconclusive(fuel_outs)
     return Holds(checked)
@@ -685,8 +673,8 @@ class PexprScheme(OrchestrationScheme):
             taken.add(f"{v}_{i}")
         variant = apply_subst(c_orc, rename)
         glued = replace_at(q_orc, q_spec.position, variant)
-        theta1 = PMorphism.make(q_orc, glued, {sub.name: variant}, ROOT)
-        theta2 = PMorphism.make(c_orc, glued, rename, q_spec.position)
+        theta1 = PMorphism(q_orc, glued, {sub.name: variant})
+        theta2 = PMorphism(c_orc, glued, rename, q_spec.position)
         return [(theta1, theta2)]
 
 

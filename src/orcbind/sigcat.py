@@ -4,7 +4,8 @@ and the sentences over a signature.
 An action signature is a finite set of action symbols.  Symbols may be opaque,
 or carry the structure ``[qualifier.]message{!|?}`` where ``!`` marks a
 publication and ``?`` a delivery.  Colimits are computed by union-find
-quotienting of the disjoint union of node actions.
+quotienting of the disjoint union of node actions.  Morphisms, diagrams and
+cocones hold their maps as ``FrozenMap``s, which iterate in key order.
 
 Sentences are formulas over a signature's actions, built from atoms, ``!``,
 ``&``, ``|``, ``X`` and ``U``, and translated along signature morphisms by
@@ -21,6 +22,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+
+from . import FrozenMap
 
 
 @dataclass(frozen=True)
@@ -62,46 +65,33 @@ class SignatureMorphism:
 
     source: ActionSignature
     target: ActionSignature
-    pairs: tuple[tuple[str, str], ...]
+    mapping: FrozenMap[str, str]
 
     def __post_init__(self):
-        mapping = dict(self.pairs)
-        if set(mapping) != self.source.actions:
+        object.__setattr__(self, "mapping", FrozenMap(self.mapping))
+        if set(self.mapping) != self.source.actions:
             raise ValueError("morphism must be defined on exactly the source actions")
-        extra = set(mapping.values()) - self.target.actions
+        extra = set(self.mapping.values()) - self.target.actions
         if extra:
             raise ValueError(f"morphism image outside target: {sorted(extra)}")
-        object.__setattr__(self, "pairs", tuple(sorted(mapping.items())))
-
-    @classmethod
-    def make(cls, source, target, mapping) -> "SignatureMorphism":
-        return cls(source, target, tuple(dict(mapping).items()))
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
 
     def __call__(self, action: str) -> str:
-        for a, b in self.pairs:
-            if a == action:
-                return b
-        raise KeyError(action)
+        return self.mapping[action]
 
     def inverse_image(self, letter: frozenset[str]) -> frozenset[str]:
         """Preimage of a subset of target actions."""
-        return frozenset(a for a, b in self.pairs if b in letter)
+        return frozenset(a for a, b in self.mapping.items() if b in letter)
 
 
 def identity(sig: ActionSignature) -> SignatureMorphism:
-    return SignatureMorphism.make(sig, sig, {a: a for a in sig.actions})
+    return SignatureMorphism(sig, sig, {a: a for a in sig.actions})
 
 
 def compose(f: SignatureMorphism, g: SignatureMorphism) -> SignatureMorphism:
     """Pointwise composition ``f ; g`` (first f, then g)."""
     if f.target != g.source:
         raise ValueError("endpoint mismatch: target of first != source of second")
-    gm = g.mapping
-    return SignatureMorphism.make(f.source, g.target, {a: gm[b] for a, b in f.pairs})
+    return SignatureMorphism(f.source, g.target, {a: g.mapping[b] for a, b in f.mapping.items()})
 
 
 @dataclass(frozen=True)
@@ -114,66 +104,39 @@ class PartialSignatureMorphism:
 
     source: ActionSignature
     target: ActionSignature
-    pairs: tuple[tuple[str, str], ...]
+    mapping: FrozenMap[str, str]
 
     def __post_init__(self):
-        mapping = dict(self.pairs)
-        missing = set(mapping) - self.source.actions
+        object.__setattr__(self, "mapping", FrozenMap(self.mapping))
+        missing = set(self.mapping) - self.source.actions
         if missing:
             raise ValueError(f"domain outside source: {sorted(missing)}")
-        extra = set(mapping.values()) - self.target.actions
+        extra = set(self.mapping.values()) - self.target.actions
         if extra:
             raise ValueError(f"image outside target: {sorted(extra)}")
-        if len(set(mapping.values())) != len(mapping):
+        if len(set(self.mapping.values())) != len(self.mapping):
             raise ValueError("partial morphism must be injective on its domain")
-        object.__setattr__(self, "pairs", tuple(sorted(mapping.items())))
-
-    @classmethod
-    def make(cls, source, target, mapping) -> "PartialSignatureMorphism":
-        return cls(source, target, tuple(dict(mapping).items()))
-
-    @property
-    def mapping(self) -> dict[str, str]:
-        return dict(self.pairs)
 
     @property
     def domain(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.pairs)
+        return frozenset(self.mapping)
 
 
 @dataclass(frozen=True)
 class FiniteDiagram:
     """A finite diagram of signatures: labelled nodes plus at most one arrow per ordered node pair."""
 
-    nodes: tuple[tuple[str, ActionSignature], ...]
-    arrows: tuple[tuple[str, str, SignatureMorphism], ...]
+    nodes: FrozenMap[str, ActionSignature]
+    arrows: FrozenMap[tuple[str, str], SignatureMorphism]
 
     def __post_init__(self):
-        node_map = dict(self.nodes)
-        if len(node_map) != len(self.nodes):
-            raise ValueError("duplicate node ids")
-        seen = set()
-        for i, j, f in self.arrows:
-            if i not in node_map or j not in node_map:
+        object.__setattr__(self, "nodes", FrozenMap(self.nodes))
+        object.__setattr__(self, "arrows", FrozenMap(self.arrows))
+        for (i, j), f in self.arrows.items():
+            if i not in self.nodes or j not in self.nodes:
                 raise ValueError(f"arrow endpoint missing: {i} -> {j}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate arrow {i} -> {j}")
-            seen.add((i, j))
-            if f.source != node_map[i] or f.target != node_map[j]:
+            if f.source != self.nodes[i] or f.target != self.nodes[j]:
                 raise ValueError(f"arrow {i} -> {j} does not match node signatures")
-        object.__setattr__(self, "nodes", tuple(sorted(node_map.items())))
-        object.__setattr__(self, "arrows", tuple(sorted(self.arrows, key=lambda a: (a[0], a[1]))))
-
-    @classmethod
-    def make(cls, nodes, arrows) -> "FiniteDiagram":
-        return cls(
-            tuple(dict(nodes).items()),
-            tuple((i, j, f) for (i, j), f in dict(arrows).items()),
-        )
-
-    @property
-    def node_map(self) -> dict[str, ActionSignature]:
-        return dict(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -181,27 +144,20 @@ class Cocone:
     """A signature together with one leg per diagram node."""
 
     apex: ActionSignature
-    legs: tuple[tuple[str, SignatureMorphism], ...]
+    legs: FrozenMap[str, SignatureMorphism]
 
     def __post_init__(self):
-        for _, leg in self.legs:
+        object.__setattr__(self, "legs", FrozenMap(self.legs))
+        for leg in self.legs.values():
             if leg.target != self.apex:
                 raise ValueError("cocone leg does not land in the apex")
-        object.__setattr__(self, "legs", tuple(sorted(dict(self.legs).items())))
-
-    @classmethod
-    def make(cls, apex, legs) -> "Cocone":
-        return cls(apex, tuple(dict(legs).items()))
 
     def leg(self, node_id: str) -> SignatureMorphism:
-        for i, f in self.legs:
-            if i == node_id:
-                return f
-        raise KeyError(node_id)
+        return self.legs[node_id]
 
     def commutes_over(self, diagram: FiniteDiagram) -> bool:
         """True iff for every arrow f: i -> j, leg_i = f ; leg_j."""
-        return all(self.leg(i) == compose(f, self.leg(j)) for i, j, f in diagram.arrows)
+        return all(self.leg(i) == compose(f, self.leg(j)) for (i, j), f in diagram.arrows.items())
 
 
 class _UnionFind:
@@ -232,10 +188,10 @@ def colimit(diagram: FiniteDiagram) -> Cocone:
     Apex symbols are named after the lexicographically least (node-id, action)
     pair of each class, qualified by the node id only on name clashes.
     """
-    elements = [(i, a) for i, sig in diagram.nodes for a in ordered_actions(sig)]
+    elements = [(i, a) for i, sig in diagram.nodes.items() for a in ordered_actions(sig)]
     uf = _UnionFind(elements)
-    for i, j, f in diagram.arrows:
-        for a, b in f.pairs:
+    for (i, j), f in diagram.arrows.items():
+        for a, b in f.mapping.items():
             uf.union((i, a), (j, b))
 
     classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
@@ -253,11 +209,9 @@ def colimit(diagram: FiniteDiagram) -> Cocone:
 
     apex = ActionSignature(frozenset(symbol_of.values()))
     legs = {}
-    for i, sig in diagram.nodes:
-        legs[i] = SignatureMorphism.make(
-            sig, apex, {a: symbol_of[uf.find((i, a))] for a in sig.actions}
-        )
-    return Cocone.make(apex, legs)
+    for i, sig in diagram.nodes.items():
+        legs[i] = SignatureMorphism(sig, apex, {a: symbol_of[uf.find((i, a))] for a in sig.actions})
+    return Cocone(apex, legs)
 
 
 def mediating_morphisms(diagram: FiniteDiagram, colim: Cocone, other: Cocone):
@@ -271,8 +225,8 @@ def mediating_morphisms(diagram: FiniteDiagram, colim: Cocone, other: Cocone):
     cod = ordered_actions(other.apex)
     found = []
     for images in itertools.product(cod, repeat=len(dom)):
-        cand = SignatureMorphism.make(colim.apex, other.apex, dict(zip(dom, images)))
-        if all(compose(colim.leg(i), cand) == other.leg(i) for i, _ in diagram.nodes):
+        cand = SignatureMorphism(colim.apex, other.apex, dict(zip(dom, images)))
+        if all(compose(colim.leg(i), cand) == other.leg(i) for i in diagram.nodes):
             found.append(cand)
     return found
 

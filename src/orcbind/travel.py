@@ -44,13 +44,13 @@ def channel_automaton(messages) -> MullerAutomaton:
     parts = []
     for m in sorted(messages):
         a = channel_message_automaton(m)
-        inclusion = SignatureMorphism.make(a.signature, full, {x: x for x in a.signature.actions})
+        inclusion = SignatureMorphism(a.signature, full, {x: x for x in a.signature.actions})
         parts.append(cofree_expansion(a, inclusion))
     return product(parts, signature=full)
 
 
 def connection(messages, attachments) -> Connection:
-    return Connection.make(frozenset(messages), channel_automaton(messages), attachments)
+    return Connection(frozenset(messages), channel_automaton(messages), attachments)
 
 
 # -- ports -------------------------------------------------------------------
@@ -125,16 +125,16 @@ def g_or_not(req, rsp):
 
 def ms_process() -> Process:
     ports = {"MS1": PORT_MS1}
-    return Process.make(ports, responder_automaton("MS1", "getRoutes", "routes", ports))
+    return Process(ports, responder_automaton("MS1", "getRoutes", "routes", ports))
 
 
 def ts_process() -> Process:
     ports = {"TS1": PORT_TS1}
-    return Process.make(ports, responder_automaton("TS1", "routes", "timetables", ports))
+    return Process(ports, responder_automaton("TS1", "routes", "timetables", ports))
 
 
 def jp_process() -> Process:
-    return Process.make({"JP1": PORT_JP1, "JP2": PORT_JP2}, jp_automaton())
+    return Process({"JP1": PORT_JP1, "JP2": PORT_JP2}, jp_automaton())
 
 
 def traveller_process() -> Process:
@@ -144,7 +144,7 @@ def traveller_process() -> Process:
     aut = MullerAutomaton(
         sig, frozenset({"s"}), (("s", TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
-    return Process.make(ports, aut)
+    return Process(ports, aut)
 
 
 # -- networks -----------------------------------------------------------------
@@ -153,7 +153,7 @@ def traveller_process() -> Process:
 def journey_planner_net() -> Arn:
     """The journey-planner module's network: process JP wired through
     connection C to the requires-points R1 and R2."""
-    return Arn.make(
+    return Arn(
         {"JP1": PORT_JP1, "JP2": PORT_JP2, "R1": PORT_R1, "R2": PORT_R2},
         {"JP": jp_process()},
         {
@@ -172,7 +172,7 @@ def journey_planner_net() -> Arn:
 
 def journey_planner_ground_net() -> Arn:
     """The ground extension: MS and TS attached where R1 and R2 were."""
-    return Arn.make(
+    return Arn(
         {"JP1": PORT_JP1, "JP2": PORT_JP2, "MS1": PORT_MS1, "TS1": PORT_TS1},
         {"JP": jp_process(), "MS": ms_process(), "TS": ts_process()},
         {
@@ -192,7 +192,7 @@ def journey_planner_ground_net() -> Arn:
 def traveller_net() -> Arn:
     """The client network: process T wired through a binary connection to the
     requires-point R1."""
-    return Arn.make(
+    return Arn(
         {"T1": PORT_T1, "R1": PORT_TR1},
         {"T": traveller_process()},
         {
@@ -206,11 +206,11 @@ def traveller_net() -> Arn:
 
 
 def ms_net() -> Arn:
-    return Arn.make({"MS1": PORT_MS1}, {"MS": ms_process()}, {}, {"MS": {"MS1"}})
+    return Arn({"MS1": PORT_MS1}, {"MS": ms_process()}, {}, {"MS": {"MS1"}})
 
 
 def ts_net() -> Arn:
-    return Arn.make({"TS1": PORT_TS1}, {"TS": ts_process()}, {}, {"TS": {"TS1"}})
+    return Arn({"TS1": PORT_TS1}, {"TS": ts_process()}, {}, {"TS": {"TS1"}})
 
 
 # -- specifications -----------------------------------------------------------

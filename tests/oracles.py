@@ -336,10 +336,10 @@ def dense_tableau(f, sig) -> MullerAutomaton:
 def colimit_classes_by_closure(diagram):
     """Partition of the disjoint union, computed by pairwise class merging to
     a fixpoint; no union-find involved."""
-    classes = [frozenset({(i, a)}) for i, sig in diagram.nodes for a in sorted(sig.actions)]
+    classes = [frozenset({(i, a)}) for i, sig in diagram.nodes.items() for a in sorted(sig.actions)]
     pairs = []
-    for i, j, f in diagram.arrows:
-        for a, b in f.pairs:
+    for (i, j), f in diagram.arrows.items():
+        for a, b in f.mapping.items():
             pairs.append(((i, a), (j, b)))
     changed = True
     while changed:
@@ -358,7 +358,7 @@ def colimit_classes_by_closure(diagram):
 def colimit_classes_of_cocone(diagram, cocone):
     """Partition induced by a cocone's legs (elements with equal images)."""
     by_symbol = {}
-    for i, sig in diagram.nodes:
+    for i, sig in diagram.nodes.items():
         leg = cocone.leg(i)
         for a in sorted(sig.actions):
             by_symbol.setdefault(leg(a), set()).add((i, a))

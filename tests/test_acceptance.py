@@ -87,7 +87,7 @@ def test_criterion_1_service_pipeline_replay():
     assert requires_points == frozenset(), "final network must have no requires-points"
 
     # the three unification entailments, checked directly
-    t1 = SignatureMorphism.make(
+    t1 = SignatureMorphism(
         travel.PORT_TR1.actions(),
         travel.PORT_JP1.actions(),
         {"getRoute?": "planJourney?", "route!": "directions!"},
@@ -350,21 +350,21 @@ def test_criterion_5_institution_laws():
     # property preservation along every ground morphism in the corpus
     gnet = travel.journey_planner_ground_net()
     final = answer.final
-    inclusion = ArnMorphism.make(
+    inclusion = ArnMorphism(
         gnet,
         final,
         {x: x for x in gnet.points},
         {e: e for e in gnet.incidence_of},
         {x: {m: m for m in gnet.port_of[x].messages} for x in gnet.points},
     )
-    ms_embedding = ArnMorphism.make(
+    ms_embedding = ArnMorphism(
         travel.ms_net(),
         gnet,
         {"MS1": "MS1"},
         {"MS": "MS"},
         {"MS1": {m: m for m in travel.PORT_MS1.messages}},
     )
-    ts_embedding = ArnMorphism.make(
+    ts_embedding = ArnMorphism(
         travel.ts_net(),
         gnet,
         {"TS1": "TS1"},
@@ -387,7 +387,7 @@ def test_criterion_5_institution_laws():
 
     full = parse_program(TARGET_PROGRAM)
     body = subterm_at(full, (1, 0))
-    shift = PMorphism.make(body, full, {}, (1, 0))
+    shift = PMorphism(body, full, {}, (1, 0))
     pspec = PSpec(
         (), parse_condition("[x = q * y + r] & [y <= r]"), parse_condition("[x = q * y + r]")
     )
@@ -432,7 +432,7 @@ def _hom_ok(h, m1, m2):
 def test_criterion_6_universal_properties():
     small = signature("a")
     big = signature("x", "y")
-    sigma = SignatureMorphism.make(small, big, {"a": "x"})
+    sigma = SignatureMorphism(small, big, {"a": "x"})
 
     # pool over one action: none, not-a, a, true
     lam_pool = list(_enumerate_automata(small, ("s0", "s1"), (0b00, 0b01, 0b10, 0b11)))
@@ -554,9 +554,9 @@ def _client_net(req_msg, rsp_msg):
     aut = MullerAutomaton(
         qualified_signature(ports), frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
-    net = Arn.make(
+    net = Arn(
         {"T1": port_t, "R": port_r},
-        {"T": Process.make(ports, aut)},
+        {"T": Process(ports, aut)},
         {"c0": travel.connection({"m1", "m2"}, {"T1": {"m1": req_msg, "m2": rsp_msg}, "R": {"m1": req_msg, "m2": rsp_msg}})},
         {"T": {"T1"}, "c0": {"T1", "R"}},
     )
@@ -566,11 +566,11 @@ def _client_net(req_msg, rsp_msg):
 def _provider_clause(rnd, name, port, formula, extra_requires=None):
     """A one-process provider whose behaviour is exactly the formula's language."""
     ports = {"X": port}
-    qualify = SignatureMorphism.make(
+    qualify = SignatureMorphism(
         port.actions(), qualified_signature(ports), {a: f"X.{a}" for a in port.actions().actions}
     )
     aut = ltl.to_automaton(ltl.translate(formula, qualify), qualified_signature(ports))
-    net = Arn.make(ports, {f"P_{name}": Process.make(ports, aut)}, {}, {f"P_{name}": {"X"}})
+    net = Arn(ports, {f"P_{name}": Process(ports, aut)}, {}, {f"P_{name}": {"X"}})
     return Clause(name, net, ArnSpec("X", formula), ())
 
 
@@ -581,13 +581,13 @@ def _adapter_clause(rnd, name, port_in, inner_req, inner_rsp, promise, downstrea
     port_r2 = Port(frozenset({inner_rsp}), frozenset({inner_req}))
     ports = {"X": port_in, "Y": port_y}
     sig = qualified_signature(ports)
-    qualify = SignatureMorphism.make(
+    qualify = SignatureMorphism(
         port_in.actions(), sig, {a: f"X.{a}" for a in port_in.actions().actions}
     )
     aut = ltl.to_automaton(ltl.translate(promise, qualify), sig)
-    net = Arn.make(
+    net = Arn(
         {"X": port_in, "Y": port_y, "R2": port_r2},
-        {f"P_{name}": Process.make(ports, aut)},
+        {f"P_{name}": Process(ports, aut)},
         {
             "c1": travel.connection(
                 {"n1", "n2"},
@@ -649,8 +649,8 @@ def _permissive_grounding(net):
             frozenset({"s"}),
             AllNonempty(),
         )
-        provider = Arn.make(
-            ports, {f"P{zname}": Process.make(ports, aut)}, {}, {f"P{zname}": {zname}}
+        provider = Arn(
+            ports, {f"P{zname}": Process(ports, aut)}, {}, {f"P{zname}": {zname}}
         )
         result = glue(cur, r, provider, zname, {m: m for m in port.messages})
         assert result is not None, f"could not ground requires-point {r}"

@@ -8,6 +8,7 @@ from orcbind import InputError
 from orcbind import ltl, travel
 from orcbind.arn import (
     Arn,
+    ArnMorphism,
     ArnSpec,
     Connection,
     Port,
@@ -60,12 +61,12 @@ def test_journey_planner_network_is_valid():
 def test_missing_attachment_breaks_coverage_and_pairing():
     net = travel.journey_planner_net()
     conn = net.connection_of["C"]
-    att = conn.attachment_of
+    att = {x: dict(mu) for x, mu in conn.attachment_of.items()}
     del att["R1"]["g"]
-    broken = Arn.make(
+    broken = Arn(
         net.port_of,
         net.process_of,
-        {"C": Connection.make(conn.messages, conn.automaton, att)},
+        {"C": Connection(conn.messages, conn.automaton, att)},
         net.incidence_of,
     )
     issues = validate(broken)
@@ -78,7 +79,7 @@ def test_overlapping_port_polarity_is_reported():
     aut = MullerAutomaton(
         qualified_signature(ports), frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
-    net = Arn.make(ports, {"P": Process.make(ports, aut)}, {}, {"P": {"X"}})
+    net = Arn(ports, {"P": Process(ports, aut)}, {}, {"P": {"X"}})
     issues = validate(net)
     assert any("overlap" in i for i in issues)
 
@@ -88,8 +89,8 @@ def test_adjacent_same_kind_edges_are_reported():
     aut = MullerAutomaton(
         qualified_signature(ports), frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
-    proc = Process.make(ports, aut)
-    net = Arn.make(ports, {"P1": proc, "P2": proc}, {}, {"P1": {"X"}, "P2": {"X"}})
+    proc = Process(ports, aut)
+    net = Arn(ports, {"P1": proc, "P2": proc}, {}, {"P1": {"X"}, "P2": {"X"}})
     assert any("same kind" in i for i in validate(net))
 
 
@@ -102,7 +103,7 @@ def test_isolated_points_are_rejected_but_classified_internal():
         frozenset({"s"}),
         AllNonempty(),
     )
-    net = Arn.make(ports, {"P": Process.make({"X": travel.PORT_MS1}, aut)}, {}, {"P": {"X"}})
+    net = Arn(ports, {"P": Process({"X": travel.PORT_MS1}, aut)}, {}, {"P": {"X"}})
     assert any("no hyperedge" in i for i in validate(net))
     _, _, internal = classify_points(net)
     assert "LONE" in internal
@@ -111,12 +112,12 @@ def test_isolated_points_are_rejected_but_classified_internal():
 def test_binary_connections_must_have_total_attachments():
     net = travel.traveller_net()
     conn = net.connection_of["CT"]
-    att = conn.attachment_of
+    att = {x: dict(mu) for x, mu in conn.attachment_of.items()}
     del att["R1"]["r"]
-    broken = Arn.make(
+    broken = Arn(
         net.port_of,
         net.process_of,
-        {"CT": Connection.make(conn.messages, conn.automaton, att)},
+        {"CT": Connection(conn.messages, conn.automaton, att)},
         net.incidence_of,
     )
     assert any("total" in i for i in validate(broken))
@@ -199,7 +200,7 @@ def test_observed_at_ms1_is_the_reduct_of_the_ms_automaton():
     gnet = travel.journey_planner_ground_net()
     obs = observed_automaton(gnet, "MS1")
     ms = travel.ms_process()
-    inj = SignatureMorphism.make(
+    inj = SignatureMorphism(
         travel.PORT_MS1.actions(),
         ms.signature(),
         {a: f"MS1.{a}" for a in travel.PORT_MS1.actions().actions},
@@ -215,7 +216,7 @@ def cofree_expansion_identity(a):
 
 
 def _restrict(inj, sig):
-    return SignatureMorphism.make(inj.source, sig, inj.mapping)
+    return SignatureMorphism(inj.source, sig, inj.mapping)
 
 
 def test_observed_of_single_process_single_port_net():
@@ -223,12 +224,12 @@ def test_observed_of_single_process_single_port_net():
     f = ltl.parse_formula("G(inn? -> F out!)")
     qualified = ltl.translate(
         f,
-        SignatureMorphism.make(
+        SignatureMorphism(
             ports["X"].actions(), qualified_signature(ports), {"inn?": "X.inn?", "out!": "X.out!"}
         ),
     )
     aut = ltl.to_automaton(qualified, qualified_signature(ports))
-    net = Arn.make(ports, {"P": Process.make(ports, aut)}, {}, {"P": {"X"}})
+    net = Arn(ports, {"P": Process(ports, aut)}, {}, {"P": {"X"}})
     obs = observed_automaton(net, "X")
     assert ltl.holds(obs, f)
     assert not ltl.holds(obs, ltl.parse_formula("G !inn?"))
@@ -263,7 +264,7 @@ def test_observed_at_jp1_projects_the_jp_behaviour():
     gnet = travel.journey_planner_ground_net()
     obs = observed_automaton(gnet, "JP1")
     jp = travel.jp_process()
-    inj = SignatureMorphism.make(
+    inj = SignatureMorphism(
         travel.PORT_JP1.actions(),
         jp.signature(),
         {a: f"JP1.{a}" for a in travel.PORT_JP1.actions().actions},
@@ -282,7 +283,7 @@ def test_channel_product_delivers_without_delay():
 
 def test_observed_behaviour_stable_under_edge_renaming():
     gnet = travel.journey_planner_ground_net()
-    renamed = Arn.make(
+    renamed = Arn(
         gnet.port_of,
         {"ZP": gnet.process_of["JP"], "MS": gnet.process_of["MS"], "TS": gnet.process_of["TS"]},
         {"A": gnet.connection_of["C"]},
@@ -321,7 +322,7 @@ def test_false_is_a_property_exactly_of_dead_points():
         frozenset({"s"}),
         Explicit(frozenset()),
     )
-    net = Arn.make(ports, {"P": Process.make(ports, dead)}, {}, {"P": {"X"}})
+    net = Arn(ports, {"P": Process(ports, dead)}, {}, {"P": {"X"}})
     assert is_property(net, ArnSpec("X", ltl.FALSE))
 
 
@@ -356,7 +357,7 @@ def _morphism(src, dst, point_map, edge_map):
     from orcbind.arn import ArnMorphism
 
     msg_maps = {x: {m: m for m in src.port_of[x].messages} for x in src.points}
-    return ArnMorphism.make(src, dst, point_map, edge_map, msg_maps)
+    return ArnMorphism(src, dst, point_map, edge_map, msg_maps)
 
 
 def test_identity_morphism_checks_out():
@@ -371,11 +372,11 @@ def test_non_commuting_attachment_is_reported():
     src = travel.journey_planner_net()
     dst = travel.journey_planner_ground_net()
     theta = _jp_embedding()
-    msg_maps = theta.msg_map
+    msg_maps = {x: dict(mu) for x, mu in theta.msg_map.items()}
     msg_maps["R1"]["routes"] = "getRoutes"  # breaks polarity and the triangle
     from orcbind.arn import ArnMorphism
 
-    broken = ArnMorphism.make(src, dst, theta.point_map, theta.edge_map, msg_maps)
+    broken = ArnMorphism(src, dst, theta.point_map, theta.edge_map, msg_maps)
     issues = check_morphism(broken)
     assert issues
 
@@ -447,13 +448,13 @@ def _random_ground_pair(rnd):
     f = _random_pointed_formula(rnd, port_x, depth)
     qualified = ltl.translate(
         f,
-        SignatureMorphism.make(
+        SignatureMorphism(
             port_x.actions(), qualified_signature(ports), {a: f"X.{a}" for a in port_x.actions().actions}
         ),
     )
     aut = ltl.to_automaton(qualified, qualified_signature(ports))
-    proc = Process.make(ports, aut)
-    g1 = Arn.make(ports, {"P": proc}, {}, {"P": {"X"}})
+    proc = Process(ports, aut)
+    g1 = Arn(ports, {"P": proc}, {}, {"P": {"X"}})
 
     port_y = Port(frozenset({"back"}), frozenset({"fwd"}))
     ports_y = {"Y": port_y}
@@ -467,9 +468,9 @@ def _random_ground_pair(rnd):
     conn = travel.connection(
         {"m1", "m2"}, {"X": {"m1": out_m, "m2": in_m}, "Y": {"m1": "fwd", "m2": "back"}}
     )
-    g2 = Arn.make(
+    g2 = Arn(
         {"X": port_x, "Y": port_y},
-        {"P": proc, "Q": Process.make(ports_y, perm)},
+        {"P": proc, "Q": Process(ports_y, perm)},
         {"c": conn},
         {"P": {"X"}, "Q": {"Y"}, "c": {"X", "Y"}},
     )
@@ -553,7 +554,7 @@ def test_lifted_check_matches_the_oracle_on_the_journey_planner(point, seed):
 
 def _with_isolated_point(net):
     ports = {**net.port_of, "Z": Port(frozenset({"z"}), frozenset())}
-    return Arn.make(ports, net.process_of, net.connection_of, net.incidence_of)
+    return Arn(ports, net.process_of, net.connection_of, net.incidence_of)
 
 
 @pytest.mark.parametrize(
@@ -582,3 +583,33 @@ def test_counterexample_rejects_unfit_input(net, spec, message):
         counterexample(net, spec)
     assert isinstance(e.value, ValueError)
     assert str(e.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Networks are frozen values
+
+
+def _reversed(m):
+    return dict(reversed(list(m.items())))
+
+
+def test_networks_and_morphisms_built_in_any_order_are_equal_values():
+    net = travel.journey_planner_ground_net()
+    again = Arn(
+        _reversed(net.port_of), _reversed(net.process_of), _reversed(net.connection_of), _reversed(net.incidence_of)
+    )
+    assert again == net and hash(again) == hash(net)
+    theta = identity_morphism(net)
+    msg_map = {x: _reversed(mu) for x, mu in _reversed(theta.msg_map).items()}
+    again_theta = ArnMorphism(again, again, _reversed(theta.point_map), _reversed(theta.edge_map), msg_map)
+    assert again_theta == theta and hash(again_theta) == hash(theta)
+    assert list(again_theta.msg_map) == sorted(net.points)
+
+
+def test_a_network_cannot_be_changed_through_its_maps():
+    net = travel.journey_planner_net()
+    with pytest.raises(TypeError):
+        net.port_of["R1"] = travel.PORT_MS1
+    with pytest.raises(TypeError):
+        net.connection_of["C"].attachment_of["R1"]["g"] = "routes"
+    assert net == travel.journey_planner_net()

@@ -1,7 +1,12 @@
+import io
 import json
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orcbind import arn, cli, ltl, travel
 from orcbind.arn import validate
@@ -358,10 +363,16 @@ def test_files_that_are_not_json_objects_exit_2(command, tmp_path, capsys):
             lambda tmp: _traveller_script(tmp, 5),
             "error: bad steps 5: expected a JSON list\n",
         ),
+        (
+            lambda tmp: _traveller_script(tmp, [{"clause": "journey-planner", "correspondence": {"getRoute": ["x"]}}]),
+            "error: bad step {'clause': 'journey-planner', 'correspondence': {'getRoute': ['x']}}: "
+            "expected a name, got ['x']\n",
+        ),
     ],
     ids=[
         "unknown-module", "spec-out-of-range", "unknown-clause",
         "step-not-an-object", "correspondence-not-a-mapping", "steps-not-a-list",
+        "correspondence-to-a-non-name",
     ],
 )
 def test_unusable_script_steps_exit_2(command, message, tmp_path, capsys):
@@ -369,6 +380,87 @@ def test_unusable_script_steps_exit_2(command, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def _edited(tmp, name, edit):
+    data = json.loads((DATA / name).read_text())
+    edit(data)
+    return _write(tmp / f"edited.{name}", data)
+
+
+def _derive(edit):
+    return lambda tmp: ["pexpr", "derive", _edited(tmp, "division.script.json", edit)]
+
+
+def _validate(edit):
+    return lambda tmp: ["arn", "validate", _edited(tmp, "mapservices.net.json", edit)]
+
+
+def _solve(edit):
+    def command(tmp):
+        for net in DATA.glob("*.net.json"):  # network paths are relative to the repo file
+            shutil.copy(net, tmp)
+        return ["solve", str(DATA / "traveller.query.json"), _edited(tmp, "services.repo.json", edit)]
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        _derive(lambda d: d.update(requires=["x"])),
+        _derive(lambda d: d.update(requires="x")),
+        _derive(lambda d: d.update(variables=5)),
+        _derive(lambda d: d["requires"][0].update(at=5)),
+        _derive(lambda d: d.update(term=5)),
+        _derive(lambda d: d.update(bounds=5)),
+        _validate(lambda d: d.update(points=list(d["points"].values()))),
+        _validate(lambda d: d["points"].update(MS1="x")),
+        _solve(lambda d: d.update(clauses=["x"])),
+        _solve(lambda d: d["clauses"][0].update(hints=["x"])),
+        _solve(lambda d: d["clauses"][0].update(hints=[{"correspondence": 5}])),
+        _solve(lambda d: d["clauses"][1].update(network=5)),
+    ],
+    ids=[
+        "requires-of-strings", "requires-a-string", "variables-a-number", "at-a-number",
+        "term-a-number", "bounds-a-number", "points-a-list", "port-a-string",
+        "clauses-of-strings", "hint-a-string", "correspondence-a-number", "network-a-number",
+    ],
+)
+def test_malformed_nested_shapes_exit_2(command, tmp_path, capsys):
+    assert run(command(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _nested_paths(value, path=()):
+    """The path of every value nested in a JSON document."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, sub in items:
+        yield path + (key,)
+        yield from _nested_paths(sub, path + (key,))
+
+
+_ONE_OF_EACH_JSON_TYPE = [None, True, 5, "x", ["x"], {"x": "y"}]
+
+
+def _json_type(value):
+    return "number" if type(value) in (int, float) else type(value)
+
+
+@settings(max_examples=50)
+@given(st.data())
+def test_a_network_file_with_one_value_swapped_gets_a_verdict_or_exit_2(data):
+    doc = json.loads((DATA / "mapservices.net.json").read_text())
+    *parents, last = data.draw(st.sampled_from(list(_nested_paths(doc))))
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    others = [v for v in _ONE_OF_EACH_JSON_TYPE if _json_type(v) != _json_type(holder[last])]
+    holder[last] = data.draw(st.sampled_from(others))
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert run(["arn", "validate", _write(Path(tmp) / "swapped.net.json", doc)]) in (0, 1, 2)
 
 
 def test_solve_script_replays_the_search_answer(tmp_path, capsys):

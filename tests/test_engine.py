@@ -278,7 +278,7 @@ def test_non_ground_targets_need_a_model_pool():
 def test_skip_module_has_no_counterexample():
     scheme = PexprScheme()
     clause = hoare_module("skip", {"pre": parse_condition("[x = 0]")})
-    pool = [PMorphism.make(clause.orc, clause.orc, {}, ())]
+    pool = [PMorphism(clause.orc, clause.orc, {}, ())]
     assert isinstance(check_clause_correctness(scheme, clause, pool), NoCounterexample)
 
 
@@ -295,7 +295,7 @@ def test_broken_while_module_is_caught():
     body = parse_program("x := x + 1")
     grounded = parse_program("while x < y do x := x + 1 done")
     var = sorted({v for v in _pvars(broken.orc)})[0]
-    pool = [PMorphism.make(broken.orc, grounded, {var: body}, ())]
+    pool = [PMorphism(broken.orc, grounded, {var: body}, ())]
     assert isinstance(check_clause_correctness(scheme, broken, pool), Counterexample)
 
 
@@ -305,7 +305,7 @@ def test_bounded_property_check_is_three_valued():
     division = parse_program("q := 0 ; r := x ; while y <= r do q := q + 1 ; r := r - y done")
     spec = PSpec((), C_TRUE, parse_condition("[x = q * y + r] & [r < y]"))
     assert scheme.check_property(division, spec) is None
-    identity = PMorphism.make(division, division, {}, ())
+    identity = PMorphism(division, division, {}, ())
     assert check_solution(scheme, Query(division, (spec,)), identity) is False
     clause = Clause("division", division, spec, ())
     assert check_clause_correctness(scheme, clause, [identity]) == NoCounterexample(1)
@@ -322,7 +322,7 @@ def test_journey_planner_clause_has_no_counterexample_over_the_fixture_pool():
 
     src = travel.journey_planner_net()
     dst = travel.journey_planner_ground_net()
-    theta = ArnMorphism.make(
+    theta = ArnMorphism(
         src,
         dst,
         {"JP1": "JP1", "JP2": "JP2", "R1": "MS1", "R2": "TS1"},

@@ -122,3 +122,25 @@ def test_cli_turns_no_error_into_a_verdict():
         if caught != "DerivationFailed" and (func, caught) not in allowed
     ]
     assert found == []
+
+
+def pair_tuple_fields(source: str) -> list[str]:
+    """Class fields annotated ``tuple[tuple[str, ...``: maps held as pairs
+    keyed by name, as "Class.field"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    if ast.unparse(item.annotation).replace(" ", "").startswith("tuple[tuple[str,"):
+                        found.append(f"{node.name}.{item.target.id}")
+    return found
+
+
+def test_frozen_values_hold_maps_as_frozen_maps():
+    found = {
+        module.name: fields
+        for module in sorted(SRC.glob("*.py"))
+        if (fields := pair_tuple_fields(module.read_text()))
+    }
+    assert found == {}

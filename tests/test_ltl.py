@@ -160,14 +160,14 @@ def test_next_steps_through_prefix_and_cycle():
 def test_translate_identity():
     sig = signature("a", "b")
     f = parse_formula("G(a -> F b)")
-    ident = SignatureMorphism.make(sig, sig, {"a": "a", "b": "b"})
+    ident = SignatureMorphism(sig, sig, {"a": "a", "b": "b"})
     assert translate(f, ident) == f
 
 
 def test_translate_request_response_formula():
     src = signature("getRoute?", "route!")
     dst = signature("planJourney?", "directions!")
-    sigma = SignatureMorphism.make(
+    sigma = SignatureMorphism(
         src, dst, {"getRoute?": "planJourney?", "route!": "directions!"}
     )
     f = parse_formula("G(getRoute? -> F route!)")
@@ -176,13 +176,13 @@ def test_translate_request_response_formula():
 
 def test_translate_simple_always():
     src, dst = signature("a"), signature("b")
-    sigma = SignatureMorphism.make(src, dst, {"a": "b"})
+    sigma = SignatureMorphism(src, dst, {"a": "b"})
     assert translate(always(Atom("a")), sigma) == always(Atom("b"))
 
 
 def test_translate_unknown_atom_rejected():
     src, dst = signature("a"), signature("b")
-    sigma = SignatureMorphism.make(src, dst, {"a": "b"})
+    sigma = SignatureMorphism(src, dst, {"a": "b"})
     with pytest.raises(ValueError):
         translate(Atom("c"), sigma)
 
@@ -191,7 +191,7 @@ def test_translate_commutes_with_satisfaction_for_bijections():
     rnd = random.Random(43)
     src = signature("a", "b")
     dst = signature("u", "v")
-    sigma = SignatureMorphism.make(src, dst, {"a": "u", "b": "v"})
+    sigma = SignatureMorphism(src, dst, {"a": "u", "b": "v"})
     for _ in range(50):
         f = rand_formula(rnd, 3)
         t = rand_lasso(rnd, src, 2, 3)

@@ -272,7 +272,7 @@ def _language_sample(sig, rnd, count=40):
 
 def test_reduct_along_identity_preserves_language():
     a = channel_automaton()
-    r = reduct(a, SignatureMorphism.make(a.signature, a.signature, {x: x for x in a.signature.actions}))
+    r = reduct(a, SignatureMorphism(a.signature, a.signature, {x: x for x in a.signature.actions}))
     rnd = random.Random(5)
     for t in _language_sample(a.signature, rnd):
         assert accepts(a, t) == accepts(r, t)
@@ -281,7 +281,7 @@ def test_reduct_along_identity_preserves_language():
 def test_reduct_along_inclusion_projects_guards():
     a = channel_automaton()
     small = signature("m!")
-    inclusion = SignatureMorphism.make(small, a.signature, {"m!": "m!"})
+    inclusion = SignatureMorphism(small, a.signature, {"m!": "m!"})
     r = reduct(a, inclusion)
     # set-level definition: a reduct letter is enabled iff some extension is
     masks = r.edge_masks()
@@ -303,7 +303,7 @@ def test_reduct_along_inclusion_projects_guards():
 def test_reduct_along_empty_signature_keeps_satisfiable_transitions():
     a = channel_automaton()
     empty = ActionSignature(frozenset())
-    r = reduct(a, SignatureMorphism.make(empty, a.signature, {}))
+    r = reduct(a, SignatureMorphism(empty, a.signature, {}))
     # one letter; an edge exists iff the original guard was satisfiable
     assert set(r.edge_masks()) == set(a.edge_masks())
     assert all(m == 1 for m in r.edge_masks().values())
@@ -315,14 +315,14 @@ def test_reduct_from_a_large_signature():
     big = signature(*(f"a{i:02}" for i in range(14)))
     a = MullerAutomaton(big, frozenset({"q"}), (("q", G_TRUE, "q"),), frozenset({"q"}), AllNonempty())
     small = signature("a00", "a13")
-    r = reduct(a, SignatureMorphism.make(small, big, {"a00": "a00", "a13": "a13"}))
+    r = reduct(a, SignatureMorphism(small, big, {"a00": "a00", "a13": "a13"}))
     assert r.edge_masks() == {("q", "q"): guard_mask(G_TRUE, small)}
 
 
 def test_expansion_then_reduct_keeps_language_for_injective_morphisms():
     a = channel_automaton()
     big = signature("m!", "m?", "extra")
-    sigma = SignatureMorphism.make(a.signature, big, {"m!": "m!", "m?": "m?"})
+    sigma = SignatureMorphism(a.signature, big, {"m!": "m!", "m?": "m?"})
     back = reduct(cofree_expansion(a, sigma), sigma)
     identity_map = {q: q for q in a.states}
     assert check_homomorphism(identity_map, a, back)
@@ -335,7 +335,7 @@ def test_expansion_then_reduct_keeps_language_for_injective_morphisms():
 def test_expansion_counit_is_homomorphism():
     a = channel_automaton()
     big = signature("m!", "m?", "x", "y")
-    sigma = SignatureMorphism.make(a.signature, big, {"m!": "m!", "m?": "m?"})
+    sigma = SignatureMorphism(a.signature, big, {"m!": "m!", "m?": "m?"})
     expanded = cofree_expansion(a, sigma)
     assert check_homomorphism({q: q for q in a.states}, reduct(expanded, sigma), a)
 

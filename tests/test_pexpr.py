@@ -128,14 +128,24 @@ def test_invalid_position_raises():
 def test_morphism_requires_matching_subterm():
     t1 = PVar("t")
     t2 = division_term()
-    PMorphism.make(t1, t2, {"t": t2}, ())
+    PMorphism(t1, t2, {"t": t2}, ())
     with pytest.raises(ValueError):
-        PMorphism.make(t1, t2, {"t": SKIP}, ())
+        PMorphism(t1, t2, {"t": SKIP}, ())
+
+
+def test_pmorphisms_built_in_any_order_are_equal_values():
+    source = Seq(PVar("b"), PVar("a"))
+    target = Seq(SKIP, Assign("x", Lit(1)))
+    forward = {"a": Assign("x", Lit(1)), "b": SKIP}
+    m1 = PMorphism(source, target, forward)
+    m2 = PMorphism(source, target, dict(reversed(forward.items())))
+    assert m1 == m2 and hash(m1) == hash(m2)
+    assert m1.render() == m2.render()
 
 
 def test_compose_with_identity():
     t = division_term()
-    m = PMorphism.make(PVar("t"), t, {"t": t}, ())
+    m = PMorphism(PVar("t"), t, {"t": t}, ())
     assert compose_pmorphisms(m, identity_pmorphism(t)) == m
     assert compose_pmorphisms(identity_pmorphism(PVar("t")), m) == m
 
@@ -144,8 +154,8 @@ def test_compose_substitution_only_morphisms():
     a, b = PVar("a"), PVar("b")
     t_mid = Seq(b, SKIP)
     t_end = Seq(Assign("x", Lit(1)), SKIP)
-    m1 = PMorphism.make(a, t_mid, {"a": t_mid}, ())
-    m2 = PMorphism.make(t_mid, t_end, {"b": Assign("x", Lit(1))}, ())
+    m1 = PMorphism(a, t_mid, {"a": t_mid}, ())
+    m2 = PMorphism(t_mid, t_end, {"b": Assign("x", Lit(1))}, ())
     composed = compose_pmorphisms(m1, m2)
     assert composed.subst == {"a": t_end}
     assert composed.position == ()
@@ -156,12 +166,12 @@ def test_compose_is_associative_on_generated_triples():
     for _ in range(30):
         t0 = PVar("t")
         mid = Seq(PVar("u"), SKIP)
-        m1 = PMorphism.make(t0, mid, {"t": mid}, ())
+        m1 = PMorphism(t0, mid, {"t": mid}, ())
         filler = rnd.choice([SKIP, Assign("x", Lit(rnd.randint(0, 3)))])
         t2 = Seq(filler, SKIP)
-        m2 = PMorphism.make(mid, t2, {"u": filler}, ())
+        m2 = PMorphism(mid, t2, {"u": filler}, ())
         wrap = Seq(t2, SKIP)
-        m3 = PMorphism.make(t2, wrap, {}, (0,))
+        m3 = PMorphism(t2, wrap, {}, (0,))
         assert compose_pmorphisms(compose_pmorphisms(m1, m2), m3) == compose_pmorphisms(
             m1, compose_pmorphisms(m2, m3)
         )
@@ -171,8 +181,8 @@ def test_position_composition_is_target_first():
     inner = Assign("x", Lit(1))
     mid = Seq(inner, SKIP)
     outer = Seq(SKIP, mid)
-    m1 = PMorphism.make(inner, mid, {}, (0,))
-    m2 = PMorphism.make(mid, outer, {}, (1,))
+    m1 = PMorphism(inner, mid, {}, (0,))
+    m2 = PMorphism(mid, outer, {}, (1,))
     composed = compose_pmorphisms(m1, m2)
     assert composed.position == (1, 0)
     assert subterm_at(outer, composed.position) == inner
@@ -186,7 +196,7 @@ def test_translate_spec_shifts_positions_and_keeps_conditions():
     spec = PSpec((), parse_condition("true"), parse_condition("[x = 0]"))
     inner = Assign("x", Lit(0))
     outer = Seq(SKIP, inner)
-    m = PMorphism.make(inner, outer, {}, (1,))
+    m = PMorphism(inner, outer, {}, (1,))
     out = translate_pspec(m, spec)
     assert out == PSpec((1,), spec.pre, spec.post)
 
@@ -202,18 +212,18 @@ def test_translate_spec_identity():
 
 
 def test_interpret_skip_is_identity():
-    assert interpret(SKIP, {"x": 3}) == Terminated.of({"x": 3})
+    assert interpret(SKIP, {"x": 3}) == Terminated({"x": 3})
 
 
 def test_interpret_assignments():
     t = parse_program("q := 0 ; r := x")
-    assert interpret(t, {"x": 7, "y": 2}) == Terminated.of({"x": 7, "y": 2, "q": 0, "r": 7})
+    assert interpret(t, {"x": 7, "y": 2}) == Terminated({"x": 7, "y": 2, "q": 0, "r": 7})
 
 
 def test_interpret_division_program():
     out = interpret(division_term(), {"x": 7, "y": 2})
     assert isinstance(out, Terminated)
-    assert out.as_dict["q"] == 3 and out.as_dict["r"] == 1
+    assert out.state["q"] == 3 and out.state["r"] == 1
 
 
 def test_interpret_runs_out_of_fuel_on_divergence():
@@ -372,7 +382,7 @@ def test_seq_module_uses_fresh_variables():
 def test_ground_morphisms_preserve_check_verdicts():
     full = division_term()
     body = subterm_at(full, (1, 0))
-    m = PMorphism.make(body, full, {}, (1, 0))
+    m = PMorphism(body, full, {}, (1, 0))
     bounds = {n: (0, 6) for n in "xyqr"}
     specs = [
         PSpec((), parse_condition("[x = q * y + r] & [y <= r]"), parse_condition("[x = q * y + r]")),

@@ -1,8 +1,11 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 
+from orcbind import FrozenMap
 from orcbind.sigcat import (
     ActionSignature,
     Cocone,
@@ -20,7 +23,7 @@ from oracles import colimit_classes_by_closure, colimit_classes_of_cocone
 
 
 def morph(src, dst, **mapping):
-    return SignatureMorphism.make(src, dst, mapping)
+    return SignatureMorphism(src, dst, mapping)
 
 
 def test_compose_identity_neutral():
@@ -56,28 +59,28 @@ def test_compose_endpoint_mismatch():
 def test_morphism_domain_and_image_checked():
     a, b = signature("a"), signature("b")
     with pytest.raises(ValueError):
-        SignatureMorphism.make(a, b, {})
+        SignatureMorphism(a, b, {})
     with pytest.raises(ValueError):
-        SignatureMorphism.make(a, b, {"a": "zzz"})
+        SignatureMorphism(a, b, {"a": "zzz"})
 
 
 def test_partial_morphism_requires_injectivity():
     a, b = signature("m!", "m?"), signature("n!")
-    PartialSignatureMorphism.make(a, b, {"m!": "n!"})
+    PartialSignatureMorphism(a, b, {"m!": "n!"})
     with pytest.raises(ValueError):
-        PartialSignatureMorphism.make(a, b, {"m!": "n!", "m?": "n!"})
+        PartialSignatureMorphism(a, b, {"m!": "n!", "m?": "n!"})
 
 
 def test_colimit_of_single_node_is_identity_like():
     a = signature("p", "q")
-    d = FiniteDiagram.make({"n": a}, {})
+    d = FiniteDiagram({"n": a}, {})
     cocone = colimit(d)
     assert cocone.apex == a
     assert cocone.leg("n") == identity(a)
 
 
 def test_colimit_of_disjoint_nodes_is_coproduct():
-    d = FiniteDiagram.make({"n1": signature("m!"), "n2": signature("m?")}, {})
+    d = FiniteDiagram({"n1": signature("m!"), "n2": signature("m?")}, {})
     cocone = colimit(d)
     assert len(cocone.apex) == 2
     images = {cocone.leg("n1")("m!"), cocone.leg("n2")("m?")}
@@ -86,7 +89,7 @@ def test_colimit_of_disjoint_nodes_is_coproduct():
 
 def test_colimit_name_clash_gets_qualified():
     # two unrelated nodes exporting the same action name must stay distinct
-    d = FiniteDiagram.make({"n1": signature("m!"), "n2": signature("m!")}, {})
+    d = FiniteDiagram({"n1": signature("m!"), "n2": signature("m!")}, {})
     cocone = colimit(d)
     assert len(cocone.apex) == 2
 
@@ -109,7 +112,7 @@ def _connection_diagram():
         ("s_r2", "c"): morph(sp_r2, chan, **{"r?": "r?", "t!": "t!"}),
         ("s_r2", "r2"): morph(sp_r2, r2, **{"r?": "routes?", "t!": "timetables!"}),
     }
-    return FiniteDiagram.make(nodes, arrows)
+    return FiniteDiagram(nodes, arrows)
 
 
 def test_connection_colimit_matches_closure_oracle():
@@ -135,7 +138,7 @@ def test_leg_composition_follows_arrow_composition():
     # composite of the chain with leg(n3)
     s1, s2, s3 = signature("a"), signature("b"), signature("c")
     f, g = morph(s1, s2, a="b"), morph(s2, s3, b="c")
-    d = FiniteDiagram.make(
+    d = FiniteDiagram(
         {"n1": s1, "n2": s2, "n3": s3},
         {("n1", "n2"): f, ("n2", "n3"): g, ("n1", "n3"): compose(f, g)},
     )
@@ -147,11 +150,11 @@ def test_quotient_partitions_and_legs_are_surjective():
     d = _connection_diagram()
     cocone = colimit(d)
     classes = colimit_classes_of_cocone(d, cocone)
-    elements = {(i, a) for i, sig in d.nodes for a in sig.actions}
+    elements = {(i, a) for i, sig in d.nodes.items() for a in sig.actions}
     assert frozenset().union(*classes) == elements
     assert sum(len(c) for c in classes) == len(elements)
     covered = set()
-    for i, _ in d.nodes:
+    for i, _ in d.nodes.items():
         covered |= set(cocone.leg(i).mapping.values())
     assert covered == set(cocone.apex.actions)
 
@@ -169,8 +172,8 @@ def _random_diagram(rnd):
             src, dst = nodes[i], nodes[j]
             dst_actions = sorted(dst.actions)
             mapping = {a: rnd.choice(dst_actions) for a in sorted(src.actions)}
-            arrows[(i, j)] = SignatureMorphism.make(src, dst, mapping)
-    return FiniteDiagram.make(nodes, arrows)
+            arrows[(i, j)] = SignatureMorphism(src, dst, mapping)
+    return FiniteDiagram(nodes, arrows)
 
 
 def test_random_colimits_agree_with_closure_oracle():
@@ -192,10 +195,66 @@ def test_universal_property_unique_mediating_map():
         # derive a second commuting cocone through a random post-composition
         target = signature(*(f"z{i}" for i in range(rnd.randint(1, 3))))
         tgt_actions = sorted(target.actions)
-        post = SignatureMorphism.make(
+        post = SignatureMorphism(
             colim.apex, target, {a: rnd.choice(tgt_actions) for a in sorted(colim.apex.actions)}
         )
-        other = Cocone.make(target, {i: compose(colim.leg(i), post) for i, _ in d.nodes})
+        other = Cocone(target, {i: compose(colim.leg(i), post) for i, _ in d.nodes.items()})
         assert other.commutes_over(d)
         found = mediating_morphisms(d, colim, other)
         assert found == [post]
+
+
+# ---------------------------------------------------------------------------
+# Maps are frozen values
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda m: m.__setitem__("c", 3),
+        lambda m: m.__delitem__("a"),
+        lambda m: m.__ior__({"c": 3}),
+        lambda m: m.clear(),
+        lambda m: m.pop("a"),
+        lambda m: m.popitem(),
+        lambda m: m.setdefault("c", 3),
+        lambda m: m.update(c=3),
+    ],
+    ids=["setitem", "delitem", "ior", "clear", "pop", "popitem", "setdefault", "update"],
+)
+def test_frozen_map_mutators_raise(mutate):
+    m = FrozenMap({"b": 2, "a": 1})
+    with pytest.raises(TypeError):
+        mutate(m)
+    assert m == {"a": 1, "b": 2}
+
+
+def test_frozen_map_iterates_in_key_order_whatever_the_insertion_order():
+    pairs = [("c", 3), ("a", 1), ("b", 2)]
+    for order in itertools.permutations(pairs):
+        m = FrozenMap(dict(order))
+        assert list(m.items()) == sorted(pairs)
+        assert m == FrozenMap(order) and hash(m) == hash(FrozenMap(order))
+
+
+def test_frozen_maps_survive_copy_and_pickle():
+    m = FrozenMap({"b": 2, "a": 1})
+    for again in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+        assert type(again) is FrozenMap and list(again.items()) == [("a", 1), ("b", 2)]
+
+
+def test_morphisms_built_in_any_order_are_equal_values():
+    a, b = signature("x", "y", "z"), signature("u", "v")
+    forward = {"x": "u", "y": "v", "z": "u"}
+    f = SignatureMorphism(a, b, forward)
+    g = SignatureMorphism(a, b, dict(reversed(forward.items())))
+    assert f == g and hash(f) == hash(g)
+    assert list(g.mapping) == ["x", "y", "z"]
+
+
+def test_missing_actions_and_nodes_raise_key_error():
+    cocone = colimit(FiniteDiagram({"n": signature("p")}, {}))
+    with pytest.raises(KeyError):
+        cocone.leg("nosuch")
+    with pytest.raises(KeyError):
+        cocone.leg("n")("nosuch")
