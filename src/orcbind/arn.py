@@ -19,7 +19,8 @@ checked rather than rejected mid-parse.  Whether a check's input is fit is
 decided here too: ``counterexample`` and ``observed_automaton`` raise
 ``orcbind.InputError`` for an ill-formed network, an unknown point, a network
 that is not ground, or a formula over actions outside the point's port; the
-CLI maps it to exit code 2.
+CLI maps it to exit code 2.  ``check_spec`` is the spec part of that test,
+which the CLI also runs on every spec of a query and of a repository.
 """
 
 from __future__ import annotations
@@ -428,6 +429,16 @@ def observed_automaton(n: Arn, x: str) -> MullerAutomaton:
     return reduct(product(parts, signature=leg.target), leg)
 
 
+def check_spec(n: Arn, spec: ArnSpec) -> None:
+    """Raise InputError unless the spec is at a point of the network and its
+    formula uses only the actions of that point's port."""
+    if spec.point not in n.points:
+        raise InputError(f"no such point: {spec.point}")
+    stray = ltl.atoms_of(spec.formula) - n.port_of[spec.point].actions().actions
+    if stray:
+        raise InputError(f"formula uses actions outside the port at {spec.point}: {sorted(stray)}")
+
+
 def counterexample(n: Arn, spec: ArnSpec) -> LassoTrace | None:
     """A trace observed at the spec's point that violates its formula, or
     None when the spec is a property of the network.
@@ -439,13 +450,10 @@ def counterexample(n: Arn, spec: ArnSpec) -> LassoTrace | None:
     leg.  One on-the-fly search of that product decides, and the witness
     over the apex maps back along the leg.
 
-    Raises InputError as ``_apex_parts`` does, and then when the formula
-    uses actions outside the point's port.
+    Raises InputError as ``_apex_parts`` does, and then as ``check_spec``.
     """
     parts, leg = _apex_parts(n, spec.point)
-    stray = ltl.atoms_of(spec.formula) - leg.source.actions
-    if stray:
-        raise InputError(f"formula uses actions outside the port at {spec.point}: {sorted(stray)}")
+    check_spec(n, spec)
     negated = cofree_expansion(ltl.to_automaton(ltl.lnot(spec.formula), leg.source), leg)
     witness = find_accepted_lasso(*parts, negated)
     return None if witness is None else witness.reduct(leg)
@@ -797,20 +805,11 @@ def name_matching_correspondence(port1: Port, port2: Port) -> dict[str, str] | N
 class ArnScheme(OrchestrationScheme):
     """Networks as orchestrations; specs are temporal sentences at points."""
 
-    def compose_morphisms(self, m1, m2):
-        return compose_morphisms(m1, m2)
-
-    def identity_morphism(self, orc):
-        return identity_morphism(orc)
-
-    def translate_spec(self, m, spec):
-        return translate_spec(m, spec)
-
-    def is_ground(self, orc):
-        return is_ground(orc)
-
-    def check_property(self, orc, spec):
-        return is_property(orc, spec)
+    compose_morphisms = staticmethod(compose_morphisms)
+    identity_morphism = staticmethod(identity_morphism)
+    translate_spec = staticmethod(translate_spec)
+    is_ground = staticmethod(is_ground)
+    check_property = staticmethod(is_property)
 
     def spec_entails(self, orc, provided, required):
         if provided.point != required.point:

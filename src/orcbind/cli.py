@@ -43,17 +43,17 @@ from .sigcat import ActionSignature
 
 @contextmanager
 def _decoding(what: str, prefixed=()):
-    """Read a JSON shape: a field that is missing or of the wrong type is
-    unusable input, reported as ``WHAT: reason``.  An ``InputError`` raised
-    inside passes through as it is, unless it is one of the ``prefixed``
-    types."""
+    """Read a JSON shape: a field that is missing, of the wrong type or
+    naming nothing is unusable input, reported as ``WHAT: reason``.  An
+    ``InputError`` raised inside passes through as it is, unless it is one
+    of the ``prefixed`` types."""
     try:
         yield
     except prefixed as e:
         raise InputError(f"{what}: {e}") from e
     except InputError:
         raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, LookupError, TypeError, ValueError) as e:
         raise InputError(f"{what}: {e}") from e
 
 
@@ -62,6 +62,13 @@ def _name(value) -> str:
     if isinstance(value, str):
         return value
     raise TypeError(f"expected a name, got {value!r}")
+
+
+def _integer(value) -> int:
+    """A JSON integer; ``true`` and ``false`` are not integers."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"expected an integer, got {value!r}")
 
 
 def _names(values) -> frozenset[str]:
@@ -290,7 +297,7 @@ def load_pexpr_script(path: Path):
         term = pexpr.parse_program(data["term"], variables)
         requires = tuple(
             pexpr.PSpec(
-                tuple(s.get("at", ())),
+                _position(s.get("at", []), term),
                 pexpr.parse_condition(s["pre"]),
                 pexpr.parse_condition(s["post"]),
             )
@@ -298,6 +305,15 @@ def load_pexpr_script(path: Path):
         )
         steps = data["steps"]
     return term, requires, decode_steps(steps, pexpr_step), data
+
+
+def _position(value, term) -> pexpr.Position:
+    """A position of the term, which is a JSON list of integers."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of integers, got {value!r}")
+    pos = tuple(map(_integer, value))
+    pexpr.subterm_at(term, pos)
+    return pos
 
 
 def decode_steps(steps, decode) -> list:
@@ -327,7 +343,7 @@ def pexpr_step(step: dict):
         elif key == "target":
             value = _name(value)
         params[key] = value
-    return pexpr.hoare_module(step["module"], params), int(step.get("spec", 0)), None
+    return pexpr.hoare_module(step["module"], params), _integer(step.get("spec", 0)), None
 
 
 def arn_step(step: dict, repository: Repository):
@@ -335,7 +351,7 @@ def arn_step(step: dict, repository: Repository):
     hint = None
     if "correspondence" in step:
         hint = {"correspondence": {m: _name(pm) for m, pm in dict(step["correspondence"]).items()}}
-    return repository.clause(step["clause"]), int(step.get("spec", 0)), hint
+    return repository.clause(step["clause"]), _integer(step.get("spec", 0)), hint
 
 
 # ---------------------------------------------------------------------------
@@ -436,10 +452,16 @@ def cmd_solve(args) -> int:
     issues = arn.validate(query.orc)
     if issues:
         raise InputError("query network is not well-formed: " + "; ".join(issues))
+    with _decoding("query spec", InputError):
+        for spec in query.requires:
+            arn.check_spec(query.orc, spec)
     for clause in repository.clauses:
         issues = arn.validate(clause.orc)
         if issues:
             raise InputError(f"clause {clause.name!r} network is not well-formed: " + "; ".join(issues))
+        with _decoding(f"clause {clause.name!r} spec", InputError):
+            for spec in (clause.provides, *clause.requires):
+                arn.check_spec(clause.orc, spec)
 
     if args.script:
         steps = _load_json(Path(args.script)).get("steps", [])

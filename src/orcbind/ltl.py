@@ -2,7 +2,7 @@
 
 Formulas live over a signature of actions; a model is an infinite trace of
 action subsets, represented here by ultimately periodic lassos.  The syntax
-tree, ``lnot``/``land``/``lor``, ``atoms_of`` and ``translate`` are the
+tree, ``lnot``/``land``/``lor`` and ``atoms_of`` are those of the
 sentences of ``sigcat``, shared with transition guards, which are the
 formulas without ``X`` and ``U``; guards are read and written with the same
 ``parse_formula`` and ``render_formula``.  ``F f`` abbreviates ``true U f``
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from . import InputError, sigcat
+from . import InputError
 from .muller import (
     GenBuchi,
     LassoTrace,
@@ -45,9 +45,6 @@ from .sigcat import (
     lnot,
     lor,
 )
-
-# specs translate along signature morphisms as every sentence does
-translate = sigcat.translate
 
 
 def implies(f: Formula, g: Formula) -> Formula:

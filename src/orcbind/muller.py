@@ -23,12 +23,13 @@ component as it completes it and stops at the first accepting one; the
 witness prefix keeps to nodes the search has expanded (its DFS stack and
 that component), and the edge cache keeps one letter per edge (the lowest
 enabling one), not its letter mask.
-``accepts`` runs the same search on the automaton's runs over a lasso.
+``accepts`` runs the same search on the automaton and the lasso's own
+one-run automaton.
 
-Final-state families come in several closed forms; each can test membership
-of a candidate infinity set and can unfold itself into a disjunction of
-"hit these state sets / stay within this state set" constraints, which is
-what acceptance and emptiness search on.
+Final-state families come in several closed forms; each unfolds itself into
+a disjunction of "hit these state sets / stay within this state set"
+constraints, which is what acceptance and emptiness search on.  Membership
+of a candidate infinity set is read off its unfolding over that set.
 """
 
 from __future__ import annotations
@@ -61,8 +62,7 @@ from .sigcat import (
 # Guards
 
 # a guard is a formula, so the guard constructors are the formula constructors
-g_atom, g_not, g_and, g_or = Atom, lnot, land, lor
-G_TRUE = TRUE
+g_atom, g_not, g_and = Atom, lnot, land
 
 
 def guard_atoms(g: Formula) -> frozenset[str]:
@@ -137,63 +137,31 @@ def bit_positions(mask: int):
         mask ^= low
 
 
-def letter_index(letter: frozenset[str], sig: ActionSignature) -> int:
-    actions = ordered_actions(sig)
-    idx = 0
-    for i, a in enumerate(actions):
-        if a in letter:
-            idx |= 1 << i
-    extra = letter - sig.actions
-    if extra:
-        raise ValueError(f"letter uses actions outside signature: {sorted(extra)}")
-    return idx
-
-
 def letter_at(index: int, sig: ActionSignature) -> frozenset[str]:
     actions = ordered_actions(sig)
     return frozenset(a for i, a in enumerate(actions) if index & (1 << i))
 
 
-def guards_equivalent(g1: Formula, g2: Formula, sig: ActionSignature) -> bool:
-    return guard_mask(g1, sig) == guard_mask(g2, sig)
-
-
 def mask_to_guard(mask: int, sig: ActionSignature) -> Formula:
-    """Synthesize a guard with the given semantics (cube-merged DNF)."""
-    full = full_mask(sig)
-    if mask == 0:
-        return FALSE
-    if mask == full:
-        return TRUE
-    n = len(sig.actions)
+    """Synthesize a guard with the given semantics by Shannon expansion on
+    the highest action: the mask's lower half is the letters without that
+    action and its upper half the letters with it; equal halves drop the
+    action.  The empty mask is ``false`` and the full one ``true``."""
     actions = ordered_actions(sig)
-    # cubes as (care_bits, value_bits); start from minterms and merge
-    cubes = {((1 << n) - 1, idx) for idx in range(1 << n) if mask & (1 << idx)}
-    changed = True
-    while changed:
-        changed = False
-        merged = set()
-        used = set()
-        cube_list = sorted(cubes)
-        for i, (c1, v1) in enumerate(cube_list):
-            for c2, v2 in cube_list[i + 1 :]:
-                if c1 == c2 and bin(v1 ^ v2).count("1") == 1:
-                    bit = v1 ^ v2
-                    merged.add((c1 & ~bit, v1 & ~bit))
-                    used.add((c1, v1))
-                    used.add((c2, v2))
-        if merged - cubes:
-            cubes = (cubes - used) | merged
-            changed = True
-    terms = []
-    for care, value in sorted(cubes):
-        lits = []
-        for i in range(n):
-            if care & (1 << i):
-                atom = Atom(actions[i])
-                lits.append(atom if value & (1 << i) else Not(atom))
-        terms.append(land(*lits))
-    return lor(*terms)
+
+    def expand(m: int, n: int) -> Formula:
+        if m == 0:
+            return FALSE
+        if m == (1 << (1 << n)) - 1:
+            return TRUE
+        half = 1 << (n - 1)
+        low, high = m & ((1 << half) - 1), m >> half
+        if low == high:
+            return expand(low, n - 1)
+        x = Atom(actions[n - 1])
+        return lor(land(Not(x), expand(low, n - 1)), land(x, expand(high, n - 1)))
+
+    return expand(mask, len(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +169,20 @@ def mask_to_guard(mask: int, sig: ActionSignature) -> Formula:
 
 # A "requirement disjunct" is a pair (hits, withins): the candidate infinity
 # set must intersect every set in `hits` and stay inside every set in
-# `withins`.  A family unfolds into a disjunction of such constraints that is
-# exactly equivalent to membership for live, non-empty candidate sets.
+# `withins`.  A family unfolds over a state set into a disjunction of such
+# constraints, each hit-set a subset of that state set; a non-empty subset
+# meets some disjunct exactly when it is a member.
 
 
 @dataclass(frozen=True)
 class FinalFamily:
-    def contains(self, s: frozenset) -> bool:
-        raise NotImplementedError
+    def contains(self, s) -> bool:
+        """Is the state set a member?  It is when it is non-empty and meets
+        some disjunct of the family unfolded over it."""
+        s = frozenset(s)
+        return bool(s) and any(
+            all(hits) and all(s <= w for w in withins) for hits, withins in self.dnf(s)
+        )
 
     def dnf(self, states: frozenset):
         raise NotImplementedError
@@ -225,9 +199,6 @@ class Explicit(FinalFamily):
         if any(not s for s in self.sets):
             raise ValueError("final-state sets must be non-empty")
 
-    def contains(self, s):
-        return frozenset(s) in self.sets
-
     def dnf(self, states):
         out = []
         for member in sorted(self.sets, key=_set_key):
@@ -240,9 +211,6 @@ class Explicit(FinalFamily):
 class AllNonempty(FinalFamily):
     """Every non-empty state set is final."""
 
-    def contains(self, s):
-        return bool(s)
-
     def dnf(self, states):
         return [((), ())]
 
@@ -253,9 +221,6 @@ class ImpliesFamily(FinalFamily):
 
     trigger: object
     required: object
-
-    def contains(self, s):
-        return bool(s) and (self.trigger not in s or self.required in s)
 
     def dnf(self, states):
         avoid = frozenset(q for q in states if q != self.trigger)
@@ -272,9 +237,6 @@ class GenBuchi(FinalFamily):
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
 
-    def contains(self, s):
-        return bool(s) and all(s & f for f in self.sets)
-
     def dnf(self, states):
         return [(tuple(f & states for f in self.sets), ())]
 
@@ -287,11 +249,6 @@ class ProductFamily(FinalFamily):
     """
 
     parts: tuple[tuple[int, FinalFamily], ...]
-
-    def contains(self, s):
-        if not s:
-            return False
-        return all(fam.contains(frozenset(q[i] for q in s)) for i, fam in self.parts)
 
     def dnf(self, states):
         disjuncts = [((), ())]
@@ -578,20 +535,21 @@ def _lasso_nodes(roots, path, scc, live, hits, succ, project):
 
 
 def accepts(a: MullerAutomaton, t: LassoTrace) -> bool:
-    """Does the automaton accept the ultimately periodic trace?"""
+    """Does the automaton accept the ultimately periodic trace?
+
+    The trace is an automaton too: one state per lasso position, whose one
+    transition reads that position's letter, as a full cube, to the next
+    position.  It accepts the trace alone, so ``a`` accepts the trace
+    exactly when the two accept a common lasso."""
     if t.signature != a.signature:
         raise ValueError("trace signature differs from automaton signature")
-    letters = [letter_index(t.letter(i), a.signature) for i in range(len(t))]
-    moves = a.moves
-
-    def succ(node):
-        state, pos = node
-        bit = 1 << letters[pos]
-        nxt = t.next_pos(pos)
-        return [(dst, nxt) for dst, m in moves.get(state, ()) if m & bit]
-
-    roots = [(q, 0) for q in a.initial]
-    return _first_live_set(roots, succ, a.final, lambda n: n[0]) is not None
+    actions = ordered_actions(t.signature)
+    steps = [
+        (i, land(*(Atom(x) if x in t.letter(i) else Not(Atom(x)) for x in actions)), t.next_pos(i))
+        for i in range(len(t))
+    ]
+    run = MullerAutomaton(t.signature, frozenset(range(len(t))), steps, frozenset({0}), AllNonempty())
+    return find_accepted_lasso(a, run) is not None
 
 
 def is_empty(a: MullerAutomaton) -> bool:

@@ -612,21 +612,14 @@ class PexprScheme(OrchestrationScheme):
     only as strong as the configured bounds and fuel.
     """
 
+    compose_morphisms = staticmethod(compose_pmorphisms)
+    identity_morphism = staticmethod(identity_pmorphism)
+    translate_spec = staticmethod(translate_pspec)
+    is_ground = staticmethod(is_ground_term)
+
     def __init__(self, bounds: Bounds | None = None, fuel: int = 10000):
         self.bounds = bounds or {}
         self.fuel = fuel
-
-    def compose_morphisms(self, m1, m2):
-        return compose_pmorphisms(m1, m2)
-
-    def identity_morphism(self, orc):
-        return identity_pmorphism(orc)
-
-    def translate_spec(self, m, spec):
-        return translate_pspec(m, spec)
-
-    def is_ground(self, orc):
-        return is_ground_term(orc)
 
     def check_property(self, orc, spec):
         verdict = check_ground_property(orc, spec, self.bounds, self.fuel)

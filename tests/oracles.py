@@ -1,7 +1,9 @@
 """Independent oracles the tests check production code against.
 
 Everything here deliberately avoids the production algorithms: guards are
-evaluated by naive recursion on letters (no bitmasks), acceptance is decided
+evaluated by naive recursion on letters (no bitmasks), final-family
+membership by each family's own definition (no hit/within unfolding),
+acceptance is decided
 by explicit run search over the unrolled product graph (no SCC refinement),
 emptiness by bounded witness-lasso search per final set, and one more
 emptiness route goes through a textbook Muller-to-Buchi conversion.  The
@@ -13,7 +15,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from orcbind.muller import Explicit, GenBuchi, LassoTrace, MullerAutomaton, explicit_members
+from orcbind.muller import (
+    AllNonempty,
+    Explicit,
+    GenBuchi,
+    ImpliesFamily,
+    LassoTrace,
+    MullerAutomaton,
+    ProductFamily,
+)
 from orcbind.ltl import _subformulas
 from orcbind.sigcat import And, Atom, Next, Not, Or, Until, land, ordered_actions
 
@@ -37,8 +47,32 @@ def all_letters(sig):
             yield frozenset(combo)
 
 
+def family_member(f, s) -> bool:
+    """Is the state set a member of the final family?"""
+    s = frozenset(s)
+    if not s:
+        return False
+    if isinstance(f, Explicit):
+        return s in f.sets
+    if isinstance(f, AllNonempty):
+        return True
+    if isinstance(f, ImpliesFamily):
+        return f.trigger not in s or f.required in s
+    if isinstance(f, GenBuchi):
+        return all(s & g for g in f.sets)
+    if isinstance(f, ProductFamily):
+        return all(family_member(g, {q[i] for q in s}) for i, g in f.parts)
+    raise TypeError(f)
+
+
 def _final_sets(a: MullerAutomaton):
-    return explicit_members(a.final, a.states)
+    states = sorted(a.states, key=repr)
+    return frozenset(
+        frozenset(combo)
+        for r in range(1, len(states) + 1)
+        for combo in itertools.combinations(states, r)
+        if family_member(a.final, combo)
+    )
 
 
 def accepts_by_run_search(a: MullerAutomaton, t: LassoTrace) -> bool:

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from orcbind import ltl, travel
+from orcbind import ltl, sigcat, travel
 from orcbind.arn import (
     Arn,
     ArnMorphism,
@@ -30,7 +30,6 @@ from orcbind.engine import Clause, Query, Repository, check_solution, solve, sol
 from orcbind.muller import (
     AllNonempty,
     Explicit,
-    G_TRUE,
     LassoTrace,
     MullerAutomaton,
     accepts,
@@ -56,7 +55,7 @@ from orcbind.pexpr import (
     parse_program,
     render_program,
 )
-from orcbind.sigcat import SignatureMorphism, signature
+from orcbind.sigcat import TRUE, SignatureMorphism, signature
 
 from oracles import accepts_by_run_search, all_letters, is_empty_by_lasso_search
 
@@ -92,7 +91,7 @@ def test_criterion_1_service_pipeline_replay():
         travel.PORT_JP1.actions(),
         {"getRoute?": "planJourney?", "route!": "directions!"},
     )
-    assert ltl.entails(travel.RHO_JP, ltl.translate(travel.RHO_T1, t1))
+    assert ltl.entails(travel.RHO_JP, sigcat.translate(travel.RHO_T1, t1))
     assert ltl.entails(travel.RHO_MS, travel.RHO_JP1)
     assert ltl.entails(travel.RHO_TS, travel.RHO_JP2)
 
@@ -552,7 +551,7 @@ def _client_net(req_msg, rsp_msg):
     port_r = Port(frozenset({rsp_msg}), frozenset({req_msg}))
     ports = {"T1": port_t}
     aut = MullerAutomaton(
-        qualified_signature(ports), frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
+        qualified_signature(ports), frozenset({"s"}), (("s", TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
     net = Arn(
         {"T1": port_t, "R": port_r},
@@ -569,7 +568,7 @@ def _provider_clause(rnd, name, port, formula, extra_requires=None):
     qualify = SignatureMorphism(
         port.actions(), qualified_signature(ports), {a: f"X.{a}" for a in port.actions().actions}
     )
-    aut = ltl.to_automaton(ltl.translate(formula, qualify), qualified_signature(ports))
+    aut = ltl.to_automaton(sigcat.translate(formula, qualify), qualified_signature(ports))
     net = Arn(ports, {f"P_{name}": Process(ports, aut)}, {}, {f"P_{name}": {"X"}})
     return Clause(name, net, ArnSpec("X", formula), ())
 
@@ -584,7 +583,7 @@ def _adapter_clause(rnd, name, port_in, inner_req, inner_rsp, promise, downstrea
     qualify = SignatureMorphism(
         port_in.actions(), sig, {a: f"X.{a}" for a in port_in.actions().actions}
     )
-    aut = ltl.to_automaton(ltl.translate(promise, qualify), sig)
+    aut = ltl.to_automaton(sigcat.translate(promise, qualify), sig)
     net = Arn(
         {"X": port_in, "Y": port_y, "R2": port_r2},
         {f"P_{name}": Process(ports, aut)},
@@ -628,7 +627,6 @@ def _permissive_grounding(net):
     """A model of a network: bind every requires-point to a permissive
     provider, returning the composed morphism into the ground result."""
     from orcbind.arn import glue, identity_morphism
-    from orcbind.muller import G_TRUE
 
     cur = net
     morphism = identity_morphism(net)
@@ -645,7 +643,7 @@ def _permissive_grounding(net):
         aut = MullerAutomaton(
             qualified_signature(ports),
             frozenset({"s"}),
-            (("s", G_TRUE, "s"),),
+            (("s", TRUE, "s"),),
             frozenset({"s"}),
             AllNonempty(),
         )

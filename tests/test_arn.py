@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orcbind import InputError
-from orcbind import ltl, travel
+from orcbind import ltl, sigcat, travel
 from orcbind.arn import (
     Arn,
     ArnMorphism,
@@ -34,7 +34,6 @@ from orcbind.arn import (
 from orcbind.muller import (
     AllNonempty,
     Explicit,
-    G_TRUE,
     LassoTrace,
     MullerAutomaton,
     accepts,
@@ -43,7 +42,7 @@ from orcbind.muller import (
     find_accepted_lasso,
     reduct,
 )
-from orcbind.sigcat import SignatureMorphism, signature
+from orcbind.sigcat import TRUE, SignatureMorphism, signature
 
 from oracles import all_letters, colimit_classes_by_closure, colimit_classes_of_cocone
 
@@ -77,7 +76,7 @@ def test_overlapping_port_polarity_is_reported():
     bad_port = Port(frozenset({"planJourney"}), frozenset({"planJourney"}))
     ports = {"X": bad_port}
     aut = MullerAutomaton(
-        qualified_signature(ports), frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
+        qualified_signature(ports), frozenset({"s"}), (("s", TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
     net = Arn(ports, {"P": Process(ports, aut)}, {}, {"P": {"X"}})
     issues = validate(net)
@@ -87,7 +86,7 @@ def test_overlapping_port_polarity_is_reported():
 def test_adjacent_same_kind_edges_are_reported():
     ports = {"X": travel.PORT_MS1}
     aut = MullerAutomaton(
-        qualified_signature(ports), frozenset({"s"}), (("s", G_TRUE, "s"),), frozenset({"s"}), AllNonempty()
+        qualified_signature(ports), frozenset({"s"}), (("s", TRUE, "s"),), frozenset({"s"}), AllNonempty()
     )
     proc = Process(ports, aut)
     net = Arn(ports, {"P1": proc, "P2": proc}, {}, {"P1": {"X"}, "P2": {"X"}})
@@ -99,7 +98,7 @@ def test_isolated_points_are_rejected_but_classified_internal():
     aut = MullerAutomaton(
         qualified_signature({"X": travel.PORT_MS1}),
         frozenset({"s"}),
-        (("s", G_TRUE, "s"),),
+        (("s", TRUE, "s"),),
         frozenset({"s"}),
         AllNonempty(),
     )
@@ -222,7 +221,7 @@ def _restrict(inj, sig):
 def test_observed_of_single_process_single_port_net():
     ports = {"X": Port(frozenset({"out"}), frozenset({"inn"}))}
     f = ltl.parse_formula("G(inn? -> F out!)")
-    qualified = ltl.translate(
+    qualified = sigcat.translate(
         f,
         SignatureMorphism(
             ports["X"].actions(), qualified_signature(ports), {"inn?": "X.inn?", "out!": "X.out!"}
@@ -318,7 +317,7 @@ def test_false_is_a_property_exactly_of_dead_points():
     dead = MullerAutomaton(
         qualified_signature(ports),
         frozenset({"s"}),
-        (("s", G_TRUE, "s"),),
+        (("s", TRUE, "s"),),
         frozenset({"s"}),
         Explicit(frozenset()),
     )
@@ -446,7 +445,7 @@ def _random_ground_pair(rnd):
     ports = {"X": port_x}
     depth = rnd.randint(1, 2)
     f = _random_pointed_formula(rnd, port_x, depth)
-    qualified = ltl.translate(
+    qualified = sigcat.translate(
         f,
         SignatureMorphism(
             port_x.actions(), qualified_signature(ports), {a: f"X.{a}" for a in port_x.actions().actions}
@@ -461,7 +460,7 @@ def _random_ground_pair(rnd):
     perm = MullerAutomaton(
         qualified_signature(ports_y),
         frozenset({"s"}),
-        (("s", G_TRUE, "s"),),
+        (("s", TRUE, "s"),),
         frozenset({"s"}),
         AllNonempty(),
     )

@@ -368,11 +368,20 @@ def test_files_that_are_not_json_objects_exit_2(command, tmp_path, capsys):
             "error: bad step {'clause': 'journey-planner', 'correspondence': {'getRoute': ['x']}}: "
             "expected a name, got ['x']\n",
         ),
+        *(
+            (
+                lambda tmp, spec=spec: ["pexpr", "derive", _division_script(tmp, spec=spec)],
+                f"error: bad step {{'module': 'seq', 'spec': {spec!r}, 'pre': 'true', "
+                "'mid': '[x = q * y + r]', 'post': '[x = q * y + r] & [r < y]'}: "
+                f"expected an integer, got {spec!r}\n",
+            )
+            for spec in ("1", True, 1.7)
+        ),
     ],
     ids=[
         "unknown-module", "spec-out-of-range", "unknown-clause",
         "step-not-an-object", "correspondence-not-a-mapping", "steps-not-a-list",
-        "correspondence-to-a-non-name",
+        "correspondence-to-a-non-name", "spec-a-string", "spec-a-bool", "spec-a-fraction",
     ],
 )
 def test_unusable_script_steps_exit_2(command, message, tmp_path, capsys):
@@ -412,6 +421,9 @@ def _solve(edit):
         _derive(lambda d: d.update(requires="x")),
         _derive(lambda d: d.update(variables=5)),
         _derive(lambda d: d["requires"][0].update(at=5)),
+        _derive(lambda d: d["requires"][0].update(at=["0"])),
+        _derive(lambda d: d["requires"][0].update(at=[5])),
+        _derive(lambda d: d["requires"][0].update(at=[0.5])),
         _derive(lambda d: d.update(term=5)),
         _derive(lambda d: d.update(bounds=5)),
         _validate(lambda d: d.update(points=list(d["points"].values()))),
@@ -423,6 +435,7 @@ def _solve(edit):
     ],
     ids=[
         "requires-of-strings", "requires-a-string", "variables-a-number", "at-a-number",
+        "at-of-strings", "at-outside-the-term", "at-of-fractions",
         "term-a-number", "bounds-a-number", "points-a-list", "port-a-string",
         "clauses-of-strings", "hint-a-string", "correspondence-a-number", "network-a-number",
     ],
@@ -432,6 +445,44 @@ def test_malformed_nested_shapes_exit_2(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def _query(edit):
+    def command(tmp):
+        for net in DATA.glob("*.net.json"):  # network paths are relative to the query file
+            shutil.copy(net, tmp)
+        return ["solve", _edited(tmp, "traveller.query.json", edit), str(DATA / "services.repo.json")]
+
+    return command
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (
+            _query(lambda d: d["requires"][0].update(point="nosuch")),
+            "query spec: no such point: nosuch",
+        ),
+        (
+            _query(lambda d: d["requires"][0].update(formula="G(nosuch! -> F route!)")),
+            "query spec: formula uses actions outside the port at R1: ['nosuch!']",
+        ),
+        (
+            _solve(lambda d: d["clauses"][0]["requires"][0].update(formula="G (!nosuch? | F routes!)")),
+            "clause 'journey-planner' spec: formula uses actions outside the port at R1: ['nosuch?']",
+        ),
+        (
+            _solve(lambda d: d["clauses"][1]["provides"].update(point="nosuch")),
+            "clause 'map-services' spec: no such point: nosuch",
+        ),
+    ],
+    ids=["query-point", "query-formula", "clause-requires-formula", "clause-provides-point"],
+)
+def test_solve_rejects_specs_that_do_not_fit_their_networks(command, message, tmp_path, capsys):
+    assert run(command(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def _nested_paths(value, path=()):

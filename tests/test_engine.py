@@ -28,7 +28,7 @@ from orcbind.engine import (
     solve_scripted,
     unify,
 )
-from orcbind.muller import AllNonempty, G_TRUE, MullerAutomaton
+from orcbind.muller import AllNonempty, MullerAutomaton
 from orcbind.pexpr import (
     C_TRUE,
     PMorphism,
@@ -42,7 +42,7 @@ from orcbind.pexpr import (
     parse_program,
     render_program,
 )
-from orcbind.sigcat import SignatureMorphism
+from orcbind.sigcat import TRUE, SignatureMorphism
 
 
 ARN = ArnScheme()

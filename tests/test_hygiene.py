@@ -144,3 +144,32 @@ def test_frozen_values_hold_maps_as_frozen_maps():
         if (fields := pair_tuple_fields(module.read_text()))
     }
     assert found == {}
+
+
+def bare_forwarders(source: str) -> list[str]:
+    """Methods of ``OrchestrationScheme`` subclasses whose body is only
+    ``return f(<the method's own arguments>)``, as "Class.method": a scheme
+    binds such an operation with ``staticmethod(f)`` instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and "OrchestrationScheme" in map(ast.unparse, node.bases)):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            body = [s for s in item.body if not (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+            if len(body) != 1 or not isinstance(body[0], ast.Return) or not isinstance(body[0].value, ast.Call):
+                continue
+            call = body[0].value
+            if not call.keywords and list(map(ast.unparse, call.args)) == [a.arg for a in item.args.args[1:]]:
+                found.append(f"{node.name}.{item.name}")
+    return found
+
+
+def test_schemes_bind_operations_instead_of_forwarding_to_them():
+    found = {
+        module.name: methods
+        for module in sorted(SRC.glob("*.py"))
+        if (methods := bare_forwarders(module.read_text()))
+    }
+    assert found == {}

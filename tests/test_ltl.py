@@ -26,7 +26,6 @@ from orcbind.ltl import (
     sat_lasso,
     satisfiable,
     to_automaton,
-    translate,
     valid,
 )
 from orcbind.muller import (
@@ -39,7 +38,7 @@ from orcbind.muller import (
     MullerAutomaton,
     AllNonempty,
 )
-from orcbind.sigcat import SignatureMorphism, signature
+from orcbind.sigcat import SignatureMorphism, signature, translate
 
 from oracles import all_letters, dense_tableau
 

@@ -7,7 +7,6 @@ from orcbind.muller import (
     AllNonempty,
     Explicit,
     GenBuchi,
-    G_TRUE,
     ImpliesFamily,
     LassoTrace,
     MullerAutomaton,
@@ -21,20 +20,19 @@ from orcbind.muller import (
     g_and,
     g_atom,
     g_not,
-    g_or,
     guard_mask,
-    guards_equivalent,
     is_empty,
     mask_to_guard,
     product,
     reduct,
 )
-from orcbind.sigcat import ActionSignature, SignatureMorphism, signature
+from orcbind.sigcat import FALSE, TRUE, ActionSignature, SignatureMorphism, lor, signature
 
 from oracles import (
     accepts_by_run_search,
     all_letters,
     eval_guard,
+    family_member,
     is_empty_by_buchi,
     is_empty_by_lasso_search,
 )
@@ -68,11 +66,11 @@ def lasso(sig, prefix, cycle):
 
 def test_guard_mask_matches_naive_evaluation():
     guards = [
-        G_TRUE,
+        TRUE,
         g_atom("a"),
         g_not(g_atom("b")),
-        g_and(g_atom("a"), g_or(g_atom("b"), g_not(g_atom("c")))),
-        g_or(),
+        g_and(g_atom("a"), lor(g_atom("b"), g_not(g_atom("c")))),
+        lor(),
     ]
     for sig in [signature("a", "b", "c"), signature("a", "b", "c", "d", "e", "f")]:
         for g in guards:
@@ -84,11 +82,13 @@ def test_guard_mask_matches_naive_evaluation():
 
 def test_mask_to_guard_round_trips_semantics():
     rnd = random.Random(3)
-    sig = signature("a", "b", "c")
-    for _ in range(50):
-        mask = rnd.getrandbits(8)
-        g = mask_to_guard(mask, sig)
-        assert guard_mask(g, sig) == mask
+    for n in range(6):
+        sig = signature(*"abcde"[:n])
+        full = (1 << (1 << n)) - 1
+        assert mask_to_guard(0, sig) == FALSE and mask_to_guard(full, sig) == TRUE
+        masks = range(full + 1) if n <= 3 else [rnd.getrandbits(1 << n) for _ in range(200)]
+        for mask in masks:
+            assert guard_mask(mask_to_guard(mask, sig), sig) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +186,10 @@ def test_accepts_agrees_with_run_search_random_three_state():
 def test_emptiness_trivial_cases():
     sig = signature("a")
     one = MullerAutomaton(
-        sig, frozenset({"q"}), (("q", G_TRUE, "q"),), frozenset({"q"}), Explicit(frozenset({frozenset({"q"})}))
+        sig, frozenset({"q"}), (("q", TRUE, "q"),), frozenset({"q"}), Explicit(frozenset({frozenset({"q"})}))
     )
     assert not is_empty(one)
-    none = MullerAutomaton(sig, frozenset({"q"}), (("q", G_TRUE, "q"),), frozenset({"q"}), Explicit(frozenset()))
+    none = MullerAutomaton(sig, frozenset({"q"}), (("q", TRUE, "q"),), frozenset({"q"}), Explicit(frozenset()))
     assert is_empty(none)
 
 
@@ -313,10 +313,10 @@ def test_reduct_from_a_large_signature():
     # a true guard over 14 actions has a mask of 2^14 bits, whose decimal
     # form is longer than Python's default int-to-str limit
     big = signature(*(f"a{i:02}" for i in range(14)))
-    a = MullerAutomaton(big, frozenset({"q"}), (("q", G_TRUE, "q"),), frozenset({"q"}), AllNonempty())
+    a = MullerAutomaton(big, frozenset({"q"}), (("q", TRUE, "q"),), frozenset({"q"}), AllNonempty())
     small = signature("a00", "a13")
     r = reduct(a, SignatureMorphism(small, big, {"a00": "a00", "a13": "a13"}))
-    assert r.edge_masks() == {("q", "q"): guard_mask(G_TRUE, small)}
+    assert r.edge_masks() == {("q", "q"): guard_mask(TRUE, small)}
 
 
 def test_expansion_then_reduct_keeps_language_for_injective_morphisms():
@@ -388,6 +388,39 @@ def test_product_projections_are_homomorphisms():
     p = product([a, b])
     assert check_homomorphism({q: q[0] for q in p.states}, p, a)
     assert check_homomorphism({q: q[1] for q in p.states}, p, b)
+
+
+_PAIRS = frozenset(itertools.product("pq", "xy"))
+_FAMILIES = {
+    "explicit-empty": (frozenset("pqr"), Explicit(frozenset())),
+    "explicit": (frozenset("pqr"), Explicit(frozenset({frozenset("p"), frozenset("pq"), frozenset("pqr")}))),
+    "all-nonempty": (frozenset("pqr"), AllNonempty()),
+    "implies": (frozenset("pqr"), ImpliesFamily("p", "q")),
+    "implies-itself": (frozenset("pqr"), ImpliesFamily("p", "p")),
+    "gen-buchi": (frozenset("pqr"), GenBuchi((frozenset("p"), frozenset("qr")))),
+    "gen-buchi-empty": (frozenset("pqr"), GenBuchi(())),
+    "product": (
+        _PAIRS,
+        ProductFamily(((0, ImpliesFamily("p", "q")), (1, Explicit(frozenset({frozenset("x"), frozenset("xy")}))))),
+    ),
+    "nested-product": (
+        frozenset(itertools.product(_PAIRS, "uv")),
+        ProductFamily(
+            (
+                (0, ProductFamily(((0, GenBuchi((frozenset("q"),))), (1, ImpliesFamily("y", "x"))))),
+                (1, Explicit(frozenset({frozenset("u"), frozenset("uv")}))),
+            )
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_family_membership_matches_the_oracle(name):
+    states, family = _FAMILIES[name]
+    for r in range(len(states) + 1):
+        for combo in itertools.combinations(sorted(states, key=repr), r):
+            assert family.contains(frozenset(combo)) == family_member(family, combo)
 
 
 def test_product_family_matches_explicit_enumeration():
@@ -478,7 +511,7 @@ def test_isomorphism_rejects_different_languages():
     b = MullerAutomaton(
         a.signature,
         a.states,
-        (("q0", G_TRUE, "q0"), ("q0", G_TRUE, "q1"), ("q1", G_TRUE, "q1"), ("q1", G_TRUE, "q0")),
+        (("q0", TRUE, "q0"), ("q0", TRUE, "q1"), ("q1", TRUE, "q1"), ("q1", TRUE, "q0")),
         a.initial,
         AllNonempty(),
     )
