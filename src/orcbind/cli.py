@@ -155,6 +155,7 @@ def automaton_from_json(data, signature: ActionSignature | None = None) -> Mulle
             for src, g, dst in data["transitions"]
         )
         final = family_from_json(data["final"])
+        final.check_states(states)
         return MullerAutomaton(sig, states, transitions, initial, final)
 
 

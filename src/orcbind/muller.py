@@ -187,6 +187,10 @@ class FinalFamily:
     def dnf(self, states: frozenset):
         raise NotImplementedError
 
+    def check_states(self, states: frozenset) -> None:
+        """Raise ``ValueError`` when the family names a state outside
+        ``states``; a family that names none has nothing to check."""
+
 
 @dataclass(frozen=True)
 class Explicit(FinalFamily):
@@ -198,6 +202,9 @@ class Explicit(FinalFamily):
         object.__setattr__(self, "sets", frozenset(frozenset(s) for s in self.sets))
         if any(not s for s in self.sets):
             raise ValueError("final-state sets must be non-empty")
+
+    def check_states(self, states):
+        _known(frozenset().union(*self.sets), states)
 
     def dnf(self, states):
         out = []
@@ -227,6 +234,9 @@ class ImpliesFamily(FinalFamily):
         hit = frozenset({self.required}) & states
         return [((), (avoid,)), ((hit,), ())]
 
+    def check_states(self, states):
+        _known(frozenset({self.trigger, self.required}), states)
+
 
 @dataclass(frozen=True)
 class GenBuchi(FinalFamily):
@@ -239,6 +249,9 @@ class GenBuchi(FinalFamily):
 
     def dnf(self, states):
         return [(tuple(f & states for f in self.sets), ())]
+
+    def check_states(self, states):
+        _known(frozenset().union(*self.sets), states)
 
 
 @dataclass(frozen=True)
@@ -265,6 +278,17 @@ class ProductFamily(FinalFamily):
                 for h2, w2 in lifted
             ]
         return disjuncts
+
+    def check_states(self, states):
+        for i, fam in self.parts:
+            if not all(isinstance(q, tuple) and 0 <= i < len(q) for q in states):
+                raise ValueError(f"product component {i!r} is not a position of every state")
+            fam.check_states(frozenset(q[i] for q in states))
+
+
+def _known(named: frozenset, states: frozenset) -> None:
+    if not named <= states:
+        raise ValueError(f"final family names unknown states {sorted(named - states, key=_key)}")
 
 
 def _key(x):

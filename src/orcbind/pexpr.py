@@ -22,6 +22,7 @@ position is the root.  Conditions never count as children.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -431,53 +432,104 @@ class OutOfFuel:
     pass
 
 
+def _run(term: PTerm, state: dict[str, int], fuel: int) -> int | None:
+    """Run a ground term, updating ``state`` in place; returns the fuel left,
+    or None when a loop runs out of it."""
+    if isinstance(term, Assign):
+        state[term.target] = eval_aexp(term.expr, state)
+    elif isinstance(term, Seq):
+        fuel = _run(term.first, state, fuel)
+        return None if fuel is None else _run(term.second, state, fuel)
+    elif isinstance(term, If):
+        return _run(term.then if eval_condition(term.cond, state) else term.orelse, state, fuel)
+    elif isinstance(term, While):
+        while eval_condition(term.cond, state):
+            if fuel <= 0:
+                return None
+            fuel = _run(term.body, state, fuel - 1)
+            if fuel is None:
+                return None
+    elif not isinstance(term, Skip):
+        raise TypeError(term)
+    return fuel
+
+
 def interpret(t: PTerm, state: dict[str, int], fuel: int = 10000):
-    """Big-step evaluation over integer states; fuel decrements per loop iteration."""
+    """Big-step evaluation over integer states; fuel decrements per loop
+    iteration.  Groundness is checked once, then ``_run`` walks the term on
+    a copy of the state."""
     if not is_ground_term(t):
         raise ValueError("cannot interpret a term with program variables")
-
-    def run(term, st, fuel):
-        if isinstance(term, Skip):
-            return st, fuel
-        if isinstance(term, Assign):
-            st = dict(st)
-            st[term.target] = eval_aexp(term.expr, st)
-            return st, fuel
-        if isinstance(term, Seq):
-            out = run(term.first, st, fuel)
-            if out is None:
-                return None
-            st, fuel = out
-            return run(term.second, st, fuel)
-        if isinstance(term, If):
-            branch = term.then if eval_condition(term.cond, st) else term.orelse
-            return run(branch, st, fuel)
-        if isinstance(term, While):
-            while eval_condition(term.cond, st):
-                if fuel <= 0:
-                    return None
-                fuel -= 1
-                out = run(term.body, st, fuel)
-                if out is None:
-                    return None
-                st, fuel = out
-            return st, fuel
-        raise TypeError(term)
-
-    out = run(t, dict(state), fuel)
-    if out is None:
+    state = dict(state)
+    if _run(t, state, fuel) is None:
         return OutOfFuel()
-    return Terminated(out[0])
+    return Terminated(state)
 
 
 Bounds = dict[str, tuple[int, int]]
 
 
+def _ranges(names, bounds: Bounds, default):
+    return [range(bounds.get(n, default)[0], bounds.get(n, default)[1] + 1) for n in names]
+
+
 def enumerate_states(idents, bounds: Bounds, default=(0, 8)):
     names = sorted(idents)
-    ranges = [range(bounds.get(n, default)[0], bounds.get(n, default)[1] + 1) for n in names]
-    for combo in itertools.product(*ranges):
+    for combo in itertools.product(*_ranges(names, bounds, default)):
         yield dict(zip(names, combo))
+
+
+def _box(idents, bounds: Bounds, default=(0, 8)):
+    """The box in ``enumerate_states`` order, without its states: per
+    identifier, its range and how many consecutive states share each value;
+    and the number of states."""
+    names = sorted(idents)
+    box, run = {}, 1
+    for name, values in reversed(list(zip(names, _ranges(names, bounds, default)))):
+        box[name] = (values, run)
+        run *= len(values)
+    return box, run
+
+
+_AEXP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE_OPS = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
+
+
+def _aexp_column(e: AExp, box):
+    """The values of ``e`` over the box, as a lazy iterator."""
+    if isinstance(e, Lit):
+        return itertools.repeat(e.value)
+    if isinstance(e, Ident):
+        values, run = box[e.name]
+        if run == 1:
+            return itertools.cycle(values)
+        runs = map(itertools.repeat, itertools.cycle(values), itertools.repeat(run))
+        return itertools.chain.from_iterable(runs)
+    if isinstance(e, BinOp):
+        return map(_AEXP_OPS[e.op], _aexp_column(e.lhs, box), _aexp_column(e.rhs, box))
+    raise TypeError(e)
+
+
+def _condition_column(c: Condition, box):
+    """The truth values of ``c`` over the box, as a lazy iterator."""
+    if isinstance(c, Compare):
+        return map(_COMPARE_OPS[c.op], _aexp_column(c.lhs, box), _aexp_column(c.rhs, box))
+    if isinstance(c, CNot):
+        return map(operator.not_, _condition_column(c.sub, box))
+    if isinstance(c, (CAnd, COr)):
+        if not c.subs:
+            return itertools.repeat(isinstance(c, CAnd))
+        combine = operator.and_ if isinstance(c, CAnd) else operator.or_
+        subs = [_condition_column(s, box) for s in c.subs]
+        column = subs[0]
+        for sub in subs[1:]:
+            column = map(combine, column, sub)
+        return column
+    raise TypeError(c)
+
+
+def _conjuncts(c: Condition) -> frozenset[Condition]:
+    return frozenset(c.subs if isinstance(c, CAnd) else (c,))
 
 
 @dataclass(frozen=True)
@@ -502,11 +554,13 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel
     """Partial-correctness check of a spec over all in-bounds states.
 
     Terminated runs from pre-states must satisfy the post-condition; a run
-    that exhausts fuel downgrades a would-be Holds to Inconclusive.
+    that exhausts fuel downgrades a would-be Holds to Inconclusive.  The
+    states are those of ``enumerate_states``; groundness is checked once,
+    and each pre-state costs one ``_run`` of the addressed subterm.
     """
     if not is_ground_term(t):
         raise ValueError("property checking needs a ground term")
-    bounds = bounds or {}
+    bounds = {} if bounds is None else bounds
     sub = subterm_at(t, s.position)
     idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post) | set(bounds)
     checked = 0
@@ -515,11 +569,10 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel
         if not eval_condition(s.pre, state):
             continue
         checked += 1
-        result = interpret(sub, state, fuel)
-        if isinstance(result, OutOfFuel):
+        final = dict(state)
+        if _run(sub, final, fuel) is None:
             fuel_outs += 1
-            continue
-        if not eval_condition(s.post, result.state):
+        elif not eval_condition(s.post, final):
             return Fails(state)
     if fuel_outs:
         return Inconclusive(fuel_outs)
@@ -527,13 +580,21 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel
 
 
 def entails_conditions(c1: Condition, c2: Condition, bounds: Bounds | None = None) -> bool:
-    """Bounded semantic consequence: every in-bounds state satisfying c1 satisfies c2."""
-    bounds = bounds or {}
+    """Bounded semantic consequence: every in-bounds state satisfying c1 satisfies c2.
+
+    Decided without the box when c1 is false or every conjunct of c2 is a
+    conjunct of c1, which entails under any box.  Otherwise both conditions
+    are evaluated as lazy columns over the box, one entry per state of
+    ``enumerate_states`` (``_box``, ``_condition_column``), and the check
+    stops at the first state satisfying c1 and not c2.
+    """
+    if c1 == C_FALSE or _conjuncts(c2) <= _conjuncts(c1):
+        return True
+    bounds = {} if bounds is None else bounds
     idents = condition_idents(c1) | condition_idents(c2) | set(bounds)
-    for state in enumerate_states(idents, bounds):
-        if eval_condition(c1, state) and not eval_condition(c2, state):
-            return False
-    return True
+    box, size = _box(idents, bounds)
+    counterexamples = map(operator.gt, _condition_column(c1, box), _condition_column(c2, box))
+    return not any(itertools.islice(counterexamples, size))
 
 
 def refines(s1: PSpec, s2: PSpec, m1: PMorphism, m2: PMorphism, bounds: Bounds | None = None) -> bool:
@@ -609,7 +670,12 @@ class PexprScheme(OrchestrationScheme):
     """Program expressions as orchestrations; specs are positioned Hoare pairs.
 
     Entailment and property checks are bounded semantic checks; verdicts are
-    only as strong as the configured bounds and fuel.
+    only as strong as the configured bounds and fuel.  ``spec_entails`` and
+    ``is_trivial`` decide by ``entails_conditions`` (syntactic consequence,
+    else columns over the box), ``check_property`` by
+    ``check_ground_property`` (one run per pre-state).  ``bounds`` maps an
+    identifier to its range; unlisted identifiers range over 0..8 unless the
+    mapping answers ``get`` with a default of its own.
     """
 
     compose_morphisms = staticmethod(compose_pmorphisms)
@@ -618,7 +684,7 @@ class PexprScheme(OrchestrationScheme):
     is_ground = staticmethod(is_ground_term)
 
     def __init__(self, bounds: Bounds | None = None, fuel: int = 10000):
-        self.bounds = bounds or {}
+        self.bounds = {} if bounds is None else bounds
         self.fuel = fuel
 
     def check_property(self, orc, spec):

@@ -8,6 +8,9 @@ by explicit run search over the unrolled product graph (no SCC refinement),
 emptiness by bounded witness-lasso search per final set, and one more
 emptiness route goes through a textbook Muller-to-Buchi conversion.  The
 LTL tableau is built densely, by testing every pair of truth assignments.
+The bounded pexpr oracles decide one enumerated state at a time, and run
+programs with a functional interpreter that copies the state on every
+assignment.
 """
 
 from __future__ import annotations
@@ -25,6 +28,24 @@ from orcbind.muller import (
     ProductFamily,
 )
 from orcbind.ltl import _subformulas
+from orcbind.pexpr import (
+    Assign,
+    Fails,
+    Holds,
+    If,
+    Inconclusive,
+    OutOfFuel,
+    Seq,
+    Skip,
+    Terminated,
+    While,
+    condition_idents,
+    enumerate_states,
+    eval_aexp,
+    eval_condition,
+    subterm_at,
+    term_idents,
+)
 from orcbind.sigcat import And, Atom, Next, Not, Or, Until, land, ordered_actions
 
 
@@ -397,3 +418,60 @@ def colimit_classes_of_cocone(diagram, cocone):
         for a in sorted(sig.actions):
             by_symbol.setdefault(leg(a), set()).add((i, a))
     return frozenset(frozenset(v) for v in by_symbol.values())
+
+
+def interpret_functionally(t, state, fuel: int = 10000):
+    """Big-step evaluation of a ground term that never mutates a state."""
+
+    def run(term, st, fuel):
+        if isinstance(term, Skip):
+            return st, fuel
+        if isinstance(term, Assign):
+            return {**st, term.target: eval_aexp(term.expr, st)}, fuel
+        if isinstance(term, Seq):
+            out = run(term.first, st, fuel)
+            return None if out is None else run(term.second, *out)
+        if isinstance(term, If):
+            return run(term.then if eval_condition(term.cond, st) else term.orelse, st, fuel)
+        if isinstance(term, While):
+            while eval_condition(term.cond, st):
+                if fuel <= 0:
+                    return None
+                out = run(term.body, st, fuel - 1)
+                if out is None:
+                    return None
+                st, fuel = out
+            return st, fuel
+        raise TypeError(term)
+
+    out = run(t, dict(state), fuel)
+    return OutOfFuel() if out is None else Terminated(out[0])
+
+
+def check_by_interpretation(t, s, bounds=None, fuel: int = 10000):
+    """Partial correctness over the box, one interpreter run per pre-state."""
+    bounds = {} if bounds is None else bounds
+    sub = subterm_at(t, s.position)
+    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post) | set(bounds)
+    checked = fuel_outs = 0
+    for state in enumerate_states(idents, bounds):
+        if not eval_condition(s.pre, state):
+            continue
+        checked += 1
+        result = interpret_functionally(sub, state, fuel)
+        if isinstance(result, OutOfFuel):
+            fuel_outs += 1
+        elif not eval_condition(s.post, result.state):
+            return Fails(state)
+    return Inconclusive(fuel_outs) if fuel_outs else Holds(checked)
+
+
+def entails_by_enumeration(c1, c2, bounds=None) -> bool:
+    """Every in-bounds state satisfying c1 satisfies c2, state by state."""
+    bounds = {} if bounds is None else bounds
+    idents = condition_idents(c1) | condition_idents(c2) | set(bounds)
+    return all(
+        eval_condition(c2, state)
+        for state in enumerate_states(idents, bounds)
+        if eval_condition(c1, state)
+    )

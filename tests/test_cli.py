@@ -300,6 +300,26 @@ def test_pexpr_derive_reports_failing_step(tmp_path, capsys):
     assert "step 5" in out and "no unifier" in out
 
 
+def test_pexpr_derive_validates_refinements_over_the_given_bounds(tmp_path, capsys):
+    # skip provides <true, true>; true => [x <= 2] holds over 0..2 only
+    script = _write(
+        tmp_path / "small.script.json",
+        {
+            "scheme": "pexpr",
+            "variables": ["t"],
+            "term": "t",
+            "requires": [{"pre": "true", "post": "[x <= 2]"}],
+            "steps": [{"module": "skip", "spec": 0, "pre": "true"}],
+        },
+    )
+    assert run(["pexpr", "derive", script, "--bounds", "0..2"]) == 0
+    out = capsys.readouterr().out
+    assert "final program: skip" in out
+    assert "(refinements validated with the bounded oracle over 0..2)" in out
+    assert run(["pexpr", "derive", script, "--bounds", "0..8"]) == 1
+    assert "no unifier" in capsys.readouterr().out
+
+
 def _write(path, data):
     path.write_text(json.dumps(data))
     return str(path)
@@ -546,3 +566,24 @@ def test_pexpr_check(capsys):
     assert code == 0
     assert "holds (bounded" in capsys.readouterr().out
     assert run(["pexpr", "check", str(DATA / "division.pgm"), "(true, [x = q * y + r] & [r < y])"]) == 1
+
+
+def test_pexpr_check_enumerates_the_given_bounds(capsys):
+    spec = "([1 <= y], [x = q * y + r])"
+    assert run(["pexpr", "check", str(DATA / "division.pgm"), spec, "--bounds", "0..2"]) == 0
+    assert capsys.readouterr().out == "holds (bounded: 0..2, 54 pre-states)\n"  # 3^3 * 2
+    assert run(["pexpr", "check", str(DATA / "division.pgm"), spec]) == 0
+    assert capsys.readouterr().out == "holds (bounded: 0..8, 5832 pre-states)\n"  # 9^3 * 8
+
+
+@pytest.mark.parametrize(
+    "final",
+    [{"gen-buchi": [["nosuchstate"]]}, {"product": [[7, "all-nonempty"]]}, "implies(nosuch->idle)"],
+    ids=["gen-buchi-state", "product-index", "implies-trigger"],
+)
+def test_final_families_must_name_states_of_their_automaton(final, tmp_path, capsys):
+    net = _edited(tmp_path, "mapservices.net.json", lambda d: d["processes"]["MS"]["automaton"].update(final=final))
+    assert run(["arn", "check", net, "MS1", "G !getRoutes?"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad automaton: ")

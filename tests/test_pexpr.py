@@ -2,12 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import check_by_interpretation, entails_by_enumeration, interpret_functionally
+from orcbind.cli import _DefaultBounds
 from orcbind.engine import Query, solve_scripted
 from orcbind.pexpr import (
     C_TRUE,
     Assign,
     BinOp,
+    CAnd,
+    CNot,
+    COr,
     Compare,
     Fails,
     Holds,
@@ -319,6 +325,112 @@ def test_refines_identity_and_strictness():
     weaker_post = PSpec((), spec.pre, parse_condition("true"))
     assert not refines(spec, weaker_post, ident, ident)
     assert refines(stronger_pre, spec, ident, ident)
+
+
+# ---------------------------------------------------------------------------
+# The oracles against their state-by-state definitions
+
+NAMES = ("x", "y", "z")
+
+
+def aexps(names):
+    leaves = st.one_of(st.integers(-3, 3).map(Lit), st.sampled_from(names).map(Ident))
+    return st.recursive(
+        leaves,
+        lambda sub: st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+        max_leaves=4,
+    )
+
+
+def conditions(names):
+    compares = st.builds(Compare, st.sampled_from(("=", "<=", "<")), aexps(names), aexps(names))
+    return st.recursive(
+        compares,
+        lambda sub: st.one_of(
+            st.builds(CNot, sub),
+            st.lists(sub, max_size=3).map(lambda cs: CAnd(tuple(cs))),
+            st.lists(sub, max_size=3).map(lambda cs: COr(tuple(cs))),
+        ),
+        max_leaves=4,
+    )
+
+
+def programs(names):
+    assigns = st.builds(Assign, st.sampled_from(names), aexps(names))
+    return st.recursive(
+        st.one_of(st.just(SKIP), assigns),
+        lambda sub: st.one_of(
+            st.builds(Seq, sub, sub),
+            st.builds(If, conditions(names), sub, sub),
+            st.builds(While, conditions(names), sub),
+        ),
+        max_leaves=4,
+    )
+
+
+def ranges():
+    """Negative, single-value and empty (lo > hi) ranges among others."""
+    return st.tuples(st.integers(-3, 2), st.integers(-1, 2)).map(lambda p: (p[0], p[0] + p[1]))
+
+
+@st.composite
+def names_and_box(draw):
+    """One to three names and a box: None or a partial map (the rest 0..8,
+    so at most two names), a full map with an extra name, or the command
+    line's mapping with a default range for every name."""
+    names = tuple(draw(st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)))
+    kind = draw(st.sampled_from(("none", "partial", "full", "default")))
+    if kind == "none":
+        return names[:2], None
+    if kind == "partial":
+        return names[:2], {n: draw(ranges()) for n in draw(st.lists(st.sampled_from(names[:2]), unique=True))}
+    if kind == "full":
+        return names, {n: draw(ranges()) for n in names + ("w",)}
+    return names, _DefaultBounds(draw(ranges()))
+
+
+@settings(max_examples=200)
+@given(names_and_box(), st.data())
+def test_entailment_agrees_with_enumeration(names_box, data):
+    names, bounds = names_box
+    c1, c2 = data.draw(conditions(names)), data.draw(conditions(names))
+    assert entails_conditions(c1, c2, bounds) == entails_by_enumeration(c1, c2, bounds)
+
+
+@settings(max_examples=100)
+@given(names_and_box(), st.data())
+def test_entailment_of_a_conjunct_subset_holds_under_every_box(names_box, data):
+    names, bounds = names_box
+    conjuncts = data.draw(st.lists(conditions(names), min_size=1, max_size=4))
+    kept = data.draw(st.lists(st.sampled_from(conjuncts), max_size=len(conjuncts)))
+    c1, c2 = c_and(*conjuncts), c_and(*kept)
+    assert entails_conditions(c1, c2, bounds)
+    assert entails_by_enumeration(c1, c2, bounds)
+
+
+@settings(max_examples=100)
+@given(names_and_box(), st.integers(0, 4), st.data())
+def test_property_checks_agree_with_interpretation(names_box, fuel, data):
+    names, bounds = names_box
+    t = data.draw(programs(names))
+    at = data.draw(st.sampled_from(positions(t)))
+    s = PSpec(at, data.draw(conditions(names)), data.draw(conditions(names)))
+    assert check_ground_property(t, s, bounds, fuel) == check_by_interpretation(t, s, bounds, fuel)
+
+
+@given(programs(NAMES), st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(0, 4))
+def test_interpret_agrees_with_the_functional_interpreter(t, values, fuel):
+    state = dict(zip(NAMES, values))
+    assert interpret(t, state, fuel) == interpret_functionally(t, state, fuel)
+    assert state == dict(zip(NAMES, values))
+
+
+def test_fuel_outs_are_counted_per_pre_state():
+    t = parse_program("while 0 < x do skip done")
+    spec = PSpec((), C_TRUE, C_TRUE)
+    bounds = {"x": (-1, 2)}
+    assert check_ground_property(t, spec, bounds, fuel=3) == Inconclusive(2)
+    assert check_by_interpretation(t, spec, bounds, fuel=3) == Inconclusive(2)
 
 
 # ---------------------------------------------------------------------------
