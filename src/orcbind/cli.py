@@ -281,12 +281,23 @@ def load_query(path: Path) -> Query:
         return Query(net, tuple(spec_from_json(s) for s in data.get("requires", ())))
 
 
+_BOUNDS_HELP = (
+    "range LO..HI of every variable (default 0..8); "
+    "write a negative bound with '=', as --bounds=-2..2"
+)
+
+
 def parse_bounds(text: str) -> tuple[int, int]:
+    """``LO..HI`` as a pair; an empty range would make every bounded check
+    hold vacuously, so it is refused."""
     try:
         lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = int(lo), int(hi)
     except ValueError as e:
         raise InputError(f"bad bounds {text!r}, expected LO..HI") from e
+    if lo > hi:
+        raise InputError(f"bad bounds {text!r}: the range is empty")
+    return lo, hi
 
 
 def load_pexpr_script(path: Path):
@@ -619,13 +630,13 @@ def build_parser() -> argparse.ArgumentParser:
     pex_sub = p_pex.add_subparsers(dest="subcommand", required=True)
     d = pex_sub.add_parser("derive")
     d.add_argument("script")
-    d.add_argument("--bounds", default="0..8")
+    d.add_argument("--bounds", default="0..8", help=_BOUNDS_HELP)
     d.add_argument("--fuel", type=int, default=10000)
     d.add_argument("--output", default=None)
     k = pex_sub.add_parser("check")
     k.add_argument("program")
     k.add_argument("spec")
-    k.add_argument("--bounds", default="0..8")
+    k.add_argument("--bounds", default="0..8", help=_BOUNDS_HELP)
     k.add_argument("--fuel", type=int, default=10000)
 
     return parser

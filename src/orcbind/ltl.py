@@ -18,17 +18,10 @@ The surface grammar used throughout files and the command line:
 from __future__ import annotations
 
 import re
+from collections import deque
 
 from . import InputError
-from .muller import (
-    GenBuchi,
-    LassoTrace,
-    MullerAutomaton,
-    atom_column,
-    bit_positions,
-    boolean_mask,
-    find_accepted_lasso,
-)
+from .muller import GenBuchi, LassoTrace, MullerAutomaton, find_accepted_lasso
 from .sigcat import (
     FALSE,
     TRUE,
@@ -102,47 +95,66 @@ def sat_lasso(t: LassoTrace, f: Formula) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Formula -> automaton (reachable tableau)
+# Formula -> automaton (obligation tableau)
 #
-# States are truth assignments to the "elementary" subformulas (atoms, Next,
-# Until); the truth of composite subformulas is derived.  With k elementary
-# subformulas, assignment i makes elementary[j] true iff bit k-1-j of i is
-# set, so counting i up lists the assignments in itertools.product order.
-# A state is named by its assignment index i.
-# Each subformula's truth over all 2^k assignments is one bitmask column,
-# laid out like a guard's letter mask: the elementary columns are muller's
-# atom columns, and muller's ``boolean_mask`` combines them into the column
-# of any composite subformula.
+# A state is a pair (obligations, fulfilled): the formulas that must hold
+# from its position on, and the Untils that the transition entering it did
+# not postpone.  The initial state is ({f}, every Until).  A state's
+# transitions come from expanding its obligations, as Gerth, Peled, Vardi
+# and Wolper do ("Simple on-the-fly automatic verification of linear
+# temporal logic", PSTV 1995).  A branch of the expansion takes each
+# obligation apart:
 #
-# The Next step and the one-step unrolling of Until constrain the successor
-# only through the truth of the Next arguments and of the Untils there, so
-# each state turns them into one requirement: a (mask, value) over those
-# bits.  Its successors are the assignments that meet it, in index order,
-# which fixes the order of the emptiness search and so its witnesses; a
-# state whose Until contradicts its own unrolling has none.  Only
-# the states reachable from the initial assignments are built, each with its
-# transitions, and a generalized-Buchi family per Until subformula, over
-# those states, rules out postponing eventualities forever.
+#   a, !a          a literal of the transition's guard
+#   X g, !X g      g, resp. !g, is an obligation of the next state
+#   g & h, !(g|h)  both parts, negated under the negation
+#   g | h, !(g&h)  one branch per part, negated under the negation
+#   g U h          h (fulfilled), or g and X(g U h) (postponed)
+#   !(g U h)       !h and !g, or !h and X !(g U h)
+#
+# A branch that holds some h together with lnot(h), among the formulas it
+# has expanded or has still to expand, is dropped; so is a successor whose
+# obligations have no branch left, and the initial state when f has none.
+# Each branch gives one transition, whose guard is the conjunction of its
+# literals, to the state of its next obligations and of the Untils it did
+# not postpone; equal (guard, successor) pairs give one.  The
+# generalized-Buchi family has one set per Until that some state postpones,
+# the states whose fulfilled part holds it, so that no eventuality is
+# postponed forever: acceptance on the entering transition (Couvreur, FM
+# 1999), kept on the state it enters.  (An Until that no state postpones
+# would add the set of all states.)
+#
+# Within one call, formulas are numbered in the order they are met, and an
+# obligation set is expanded in that order; states are numbered in the
+# order they are found.  So the automaton does not depend on the hash seed,
+# and branches are sets of small ints.  The choices of each formula, the
+# expansion of each obligation set and each guard are computed once per
+# call.
 
 
-def _subformulas(f: Formula):
-    seen = []
-
-    def walk(h):
-        if h in seen:
-            return
-        seen.append(h)
-        if isinstance(h, (Not, Next)):
-            walk(h.sub)
-        elif isinstance(h, (And, Or)):
-            for s in h.subs:
-                walk(s)
-        elif isinstance(h, Until):
-            walk(h.lhs)
-            walk(h.rhs)
-
-    walk(f)
-    return seen
+def _choices(h: Formula):
+    """The ways to expand one obligation, or None for a literal: a list of
+    alternatives, each ``(now, next, postponed)``, the formulas to expand at
+    this position, the obligations of the next one and the Untils
+    postponed."""
+    neg = isinstance(h, Not)
+    g = h.sub if neg else h
+    if isinstance(g, Atom):
+        return None
+    if neg and isinstance(g, Not):
+        return [((g.sub,), (), ())]
+    if isinstance(g, Next):
+        return [((), (lnot(g.sub) if neg else g.sub,), ())]
+    if isinstance(g, (And, Or)):
+        parts = tuple(map(lnot, g.subs)) if neg else g.subs
+        if isinstance(g, And) != neg:  # a conjunction, after De Morgan
+            return [(parts, (), ())]
+        return [((s,), (), ()) for s in parts]
+    if isinstance(g, Until):
+        if neg:
+            return [((lnot(g.rhs), lnot(g.lhs)), (), ()), ((lnot(g.rhs),), (h,), ())]
+        return [((g.rhs,), (), ()), ((g.lhs,), (g,), (g,))]
+    raise TypeError(h)
 
 
 def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutomaton:
@@ -153,78 +165,110 @@ def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutoma
     if stray:
         raise ValueError(f"formula atoms outside signature: {sorted(stray)}")
 
-    elementary = [h for h in _subformulas(f) if isinstance(h, (Atom, Next, Until))]
-    nexts = [h for h in elementary if isinstance(h, Next)]
-    untils = [h for h in elementary if isinstance(h, Until)]
-    k = len(elementary)
-    full = (1 << (1 << k)) - 1
-    columns = {h: atom_column(k, k - 1 - j) for j, h in enumerate(elementary)}
+    number: dict[Formula, int] = {}
+    formula: list[Formula] = []
+    negation: dict[int, int] = {}
+    choices: dict[int, list | None] = {}
 
-    def column(h: Formula) -> int:
-        return boolean_mask(h, columns.__getitem__, full)
+    def intern(h: Formula) -> int:
+        i = number.get(h)
+        if i is None:
+            i = number[h] = len(formula)
+            formula.append(h)
+        return i
 
-    # the successor's truths a step constrains: one requirement bit each
-    ahead = [column(h.sub) for h in nexts] + [columns[u] for u in untils]
-    steps = [(columns[h], None, None) for h in nexts] + [
-        (columns[u], column(u.lhs), column(u.rhs)) for u in untils
-    ]
+    def neg(i: int) -> int:
+        if i not in negation:
+            negation[i] = intern(lnot(formula[i]))
+        return negation[i]
 
-    def requirement(i: int):
-        """The (mask, value) successors of assignment i must meet, or None."""
-        mask = value = 0
-        for b, (c, lhs, rhs) in enumerate(steps):
-            now = c >> i & 1
-            if lhs is None:  # X g holds now iff g holds next
-                mask |= 1 << b
-                value |= now << b
-            elif rhs >> i & 1:  # the Until is fulfilled now
-                if not now:
-                    return None
-            elif lhs >> i & 1:  # the Until holds now iff it holds next
-                mask |= 1 << b
-                value |= now << b
-            elif now:
-                return None
-        return mask, value
+    def choices_of(i: int):
+        if i not in choices:
+            alternatives = _choices(formula[i])
+            choices[i] = alternatives and [
+                (
+                    tuple((intern(s), neg(intern(s))) for s in now),
+                    frozenset(map(intern, ahead)),
+                    frozenset(map(intern, later)),
+                )
+                for now, ahead, later in alternatives
+            ]
+        return choices[i]
 
-    successors: dict[tuple[int, int], list[int]] = {}
-
-    def successors_of(req) -> list[int]:
-        out = successors.get(req)
-        if out is None:
-            mask, value = req
-            meet = full
-            for b, c in enumerate(ahead):
-                if mask >> b & 1:
-                    meet &= c if value >> b & 1 else full ^ c
-            out = successors[req] = list(bit_positions(meet))
+    def branches(obligations: frozenset) -> list:
+        """The branches of an obligation set, in order, as ``(literals,
+        next, postponed)``; contradictory branches are dropped."""
+        todo = tuple(sorted(obligations))
+        if any(neg(i) in obligations for i in todo):
+            return []
+        out = []
+        stack = [(todo, frozenset(), frozenset(), frozenset(), frozenset())]
+        while stack:
+            todo, now, literals, nxt, postponed = stack.pop()
+            if not todo:
+                out.append((literals, nxt, postponed))
+                continue
+            i, rest = todo[0], todo[1:]
+            if i in now:
+                stack.append((rest, now, literals, nxt, postponed))
+                continue
+            now = now | {i}
+            alternatives = choices_of(i)
+            if alternatives is None:
+                stack.append((rest, now, literals | {i}, nxt, postponed))
+                continue
+            grown = []
+            for adds, ahead, later in alternatives:
+                pending = rest
+                for j, nj in adds:
+                    if nj in now or nj in pending:
+                        break
+                    pending += (j,)
+                else:
+                    grown.append((pending, now, literals, nxt | ahead, postponed | later))
+            stack.extend(reversed(grown))
         return out
 
-    initial = list(bit_positions(column(f)))
-    succ: dict[int, list[int]] = {}
-    frontier = list(initial)
-    reached = set(initial)
-    while frontier:
-        i = frontier.pop()
-        req = requirement(i)
-        succ[i] = [] if req is None else successors_of(req)
-        for j in succ[i]:
-            if j not in reached:
-                reached.add(j)
-                frontier.append(j)
+    guards: dict[frozenset, Formula] = {}
+    expansions: dict[frozenset, list] = {}
 
-    order = sorted(succ)
-    atoms = [(k - 1 - j, Atom(h.action)) for j, h in enumerate(elementary) if isinstance(h, Atom)]
+    def expand(obligations: frozenset) -> list:
+        """The distinct (guard, next, postponed) triples of the branches."""
+        out = expansions.get(obligations)
+        if out is None:
+            out = []
+            for literals, nxt, postponed in branches(obligations):
+                guard = guards.get(literals)
+                if guard is None:
+                    guard = guards[literals] = land(*(formula[i] for i in literals))
+                out.append((guard, nxt, postponed))
+            out = expansions[obligations] = list(dict.fromkeys(out))
+        return out
+
+    # a state is keyed by its obligations and the Untils it postponed, the
+    # complement of its fulfilled part
+    start = (frozenset({intern(f)}), frozenset())
+    state: dict[tuple, int] = {}
+    queue = deque()
+    if expand(start[0]):
+        state[start] = 0
+        queue.append(start)
     transitions = []
-    for i in order:
-        g = land(*(a if i >> b & 1 else Not(a) for b, a in atoms))
-        transitions.extend((i, g, j) for j in succ[i])
-    fairness = []
-    for u in untils:
-        fair = (full ^ columns[u]) | column(u.rhs)
-        fairness.append(frozenset(i for i in order if fair >> i & 1))
+    while queue:
+        obligations, _ = src = queue.popleft()
+        for guard, nxt, postponed in expand(obligations):
+            if not expand(nxt):
+                continue
+            dst = (nxt, postponed)
+            if dst not in state:
+                state[dst] = len(state)
+                queue.append(dst)
+            transitions.append((state[src], guard, state[dst]))
+    untils = sorted(frozenset().union(*(p for _, p in state)))
+    fairness = tuple(frozenset(i for (_, p), i in state.items() if u not in p) for u in untils)
+    initial = frozenset({0}) if state else frozenset()
     return MullerAutomaton(
-        sig, frozenset(order), tuple(transitions), frozenset(initial), GenBuchi(tuple(fairness))
+        sig, frozenset(state.values()), tuple(transitions), initial, GenBuchi(fairness)
     )
 
 

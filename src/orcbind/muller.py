@@ -8,8 +8,7 @@ checks, acceptance, emptiness) happens on the guard semantics -- bitmasks
 indexed by letters -- never on guard syntax.
 
 Letter-set semantics lives here.  ``boolean_mask`` is the one evaluator of
-``!``, ``&`` and ``|`` over bitmasks: ``guard_mask`` runs it on atom columns,
-and the LTL tableau runs it on the columns of its elementary subformulas.
+``!``, ``&`` and ``|`` over bitmasks; ``guard_mask`` runs it on atom columns.
 ``MullerAutomaton.moves`` turns an automaton's transitions into masks once
 and caches them; the searches read it and ``edge_masks`` merges it.
 ``product`` masks its factors' transitions itself, because it needs their
@@ -18,11 +17,12 @@ guards and their global order.
 ``product`` builds the full categorical product over every state tuple.
 Emptiness of an intersection never needs it: ``find_accepted_lasso`` takes
 the factors themselves and explores their product on the fly, from the
-initial state tuples only.  Tarjan's algorithm tests each strongly connected
-component as it completes it and stops at the first accepting one; the
-witness prefix keeps to nodes the search has expanded (its DFS stack and
-that component), and the edge cache keeps one letter per edge (the lowest
-enabling one), not its letter mask.
+initial state tuples only.  A path-based SCC search accepts a partial SCC as
+soon as a closing cycle puts the states of its nodes into every factor's
+family, and tests every other SCC when it completes; it stops at the first
+live set.  The witness prefix keeps to nodes the search has expanded (its
+DFS path and that SCC), and the edge cache keeps one letter per edge (the
+lowest enabling one), not its letter mask.
 ``accepts`` runs the same search on the automaton and the lasso's own
 one-run automaton.
 
@@ -422,89 +422,109 @@ class LassoTrace:
 #
 # Acceptance and emptiness both ask: does some node set D reachable from the
 # roots, strongly connected with at least one edge, project onto a set of
-# states that the final family accepts?  Tarjan's algorithm runs from the
-# roots and tests each SCC as soon as it completes it (Couvreur 1999;
-# Geldenhuys and Valmari 2004), so the search stops at the first live set.
-# The family is unfolded into hit/within disjuncts over the SCC's states;
-# for each disjunct the SCC is restricted to the within-sets and the SCCs of
-# the restriction are tested against the hit-sets.  Maximal SCCs suffice:
-# hits are monotone under supersets and every live candidate lies inside a
-# maximal SCC of the restriction.  Nodes are visited in successor order from
-# the roots in the given order; nothing else is sorted.
+# states that the final family accepts?  One path-based SCC search (Gabow's
+# two stacks, the root stack of Couvreur, "On-the-fly verification of linear
+# temporal logic", FM 1999) runs from the roots.  Each open root carries the
+# states that the nodes of its partial SCC project to, one set per factor.
+# When a back edge or a self-loop closes a cycle there, merging open roots,
+# and one of those sets grows, the partial SCC is tested against the
+# product family by its own definition, each factor's family on its set:
+# a partial SCC is strongly connected, so a member is a live set, and the
+# search stops at once.  This early test sees every hit-only family, and
+# within-sets that the whole partial SCC keeps to.  Every other live set is
+# found when its SCC completes: the family is unfolded into hit/within
+# disjuncts over the SCC's states; for each disjunct the SCC is restricted to
+# the within-sets, and the SCCs of the restriction, found by the same
+# search, are tested against the hit-sets.  Maximal SCCs suffice: hits are
+# monotone under supersets and every live candidate lies inside a maximal
+# SCC of the restriction.  Nodes are visited in successor order from the
+# roots in the given order; nothing else is sorted.
 
 
-def _sccs(roots, succ):
-    """Tarjan's algorithm, iterative, from the given roots.
+def _sccs(roots, succ, parts=()):
+    """The strongly connected sets with a cycle that a path-based search
+    from the given roots finds, as ``(nodes, path, complete)``.
 
-    Yields each SCC as soon as it is complete, as a node list ending in the
-    SCC's DFS root, together with the DFS work stack, whose nodes lead from
-    a search root to the parent of that DFS root.  The stack is valid only
-    until the generator resumes.
+    Each completed SCC with at least one edge is yielded with
+    ``complete`` true.  With ``parts``, the ``(i, family)`` pairs of a
+    product family, a partial SCC is yielded with ``complete`` false as soon
+    as a closing cycle puts the states of its nodes, at every position
+    ``i``, into ``family``.  ``nodes`` lists the set in DFS order from its
+    root; ``path`` leads from a search root to that root, which ends it.
     """
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    counter = itertools.count()
+    pos = {}  # open node -> its index on ``stack``; a done node -> -1
+    stack = []  # the open nodes, in DFS order
+    opened = []  # open roots: [stack index, work depth, state sets, cyclic]
+    work = []  # the DFS path, with each node's successor iterator
+
+    def push(node):
+        pos[node] = len(stack)
+        stack.append(node)
+        opened.append([pos[node], len(work), [{node[i]} for i, _ in parts], False])
+        work.append((node, iter(succ(node))))
+
     for root in roots:
-        if root in index:
+        if root in pos:
             continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
+        push(root)
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
-                    advanced = True
+                at = pos.get(nxt)
+                if at is None:
+                    push(nxt)
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                yield comp, work
+                if at < 0:
+                    continue
+                # merge the open roots above nxt into the one holding it
+                start, depth, sets, cyclic = opened.pop()
+                grown = False
+                while start > at:
+                    start, depth, below, cyclic = opened.pop()
+                    for mine, keep in zip(sets, below):
+                        if not mine <= keep:
+                            keep |= mine
+                            grown = True
+                    sets = below
+                opened.append([start, depth, sets, True])
+                changed = grown or not cyclic
+                if changed and parts and all(fam.contains(s) for s, (_, fam) in zip(sets, parts)):
+                    yield stack[start:], [n for n, _ in work[: depth + 1]], False
+            else:
+                work.pop()
+                if opened[-1][0] == pos[node]:
+                    start, depth, _, cyclic = opened.pop()
+                    comp = stack[start:]
+                    del stack[start:]
+                    for n in comp:
+                        pos[n] = -1
+                    if cyclic:
+                        yield comp, [n for n, _ in work] + [node], True
 
 
-def _first_live_set(roots, succ, family, project):
+def _first_live_set(roots, succ, family):
     """The first live set the search from the roots finds, or None.
 
     Returns ``(path, scc, live, hits)``: ``path`` leads from a root to the
-    DFS root of ``scc``, the SCC holding ``live``, and ``hits`` are the
-    hit-sets of the disjunct that ``live`` meets.
+    DFS root of ``scc``, the strongly connected set holding ``live``, and
+    ``hits`` are the hit-sets of the disjunct that ``live`` meets.
     """
-    for scc, work in _sccs(roots, succ):
-        if len(scc) == 1 and scc[0] not in succ(scc[0]):
-            continue
-        for hits, withins in family.dnf(frozenset(map(project, scc))):
-            region = [n for n in scc if all(project(n) in w for w in withins)]
+    for scc, path, complete in _sccs(roots, succ, family.parts):
+        disjuncts = family.dnf(frozenset(scc))
+        if not complete:
+            live = frozenset(scc)
+            hits = next(h for h, ws in disjuncts if all(h) and all(live <= w for w in ws))
+            return path, scc, scc, hits
+        for hits, withins in disjuncts:
+            region = [n for n in scc if all(n in w for w in withins)]
             if len(region) == len(scc):
                 subs = [scc]
             else:
                 inside = set(region)
-                subs = (sub for sub, _ in _sccs(region, lambda n: [m for m in succ(n) if m in inside]))
+                subs = (sub for sub, _, _ in _sccs(region, lambda n: [m for m in succ(n) if m in inside]))
             for sub in subs:
-                if len(sub) == 1 and sub[0] not in succ(sub[0]):
-                    continue
-                if all(any(project(n) in t for n in sub) for t in hits):
-                    return [n for n, _ in work] + [scc[-1]], scc, sub, hits
+                if all(any(n in t for n in sub) for t in hits):
+                    return path, scc, sub, hits
     return None
 
 
@@ -527,7 +547,7 @@ def _shortest_path(seeds, succ, inside, goal):
     raise AssertionError("goal unreachable")
 
 
-def _lasso_nodes(roots, path, scc, live, hits, succ, project):
+def _lasso_nodes(roots, path, scc, live, hits, succ):
     """The node paths of a lasso's prefix and cycle through a live set found
     by the search.
 
@@ -546,10 +566,10 @@ def _lasso_nodes(roots, path, scc, live, hits, succ, project):
         walk.extend(_shortest_path([n for n in succ(src) if n in live], succ, live, goal))
 
     walk = [start]
-    pending = [t for t in hits if project(start) not in t]
+    pending = [t for t in hits if start not in t]
     while pending:
-        leg(lambda n: any(project(n) in t for t in pending))
-        pending = [t for t in pending if project(walk[-1]) not in t]
+        leg(lambda n: any(n in t for t in pending))
+        pending = [t for t in pending if walk[-1] not in t]
     leg(lambda n: n == start)
     return prefix, walk
 
@@ -593,10 +613,11 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
     cache keeps only each destination's lowest enabling letter index, the
     letter the witness uses, not the mask.
 
-    Tarjan's algorithm tests each SCC against the ``ProductFamily``
-    unfolded over that SCC as soon as it completes it, and stops at the
+    The search (``_sccs``) tests a partial SCC against the factors'
+    families as soon as a closing cycle adds states to it, and a completed
+    SCC against the ``ProductFamily`` unfolded over it; it stops at the
     first live set.  The witness prefix is a shortest path from a root into
-    the live set through the nodes of the DFS stack and of that SCC, which
+    the live set through the nodes of the DFS path and of that SCC, which
     are expanded already; its cycle passes through one node of each hit-set
     of the disjunct met.  It is the witness the search returns on
     ``product(automata)``.
@@ -623,26 +644,22 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
                 ]
             e = edges[node] = {}
             for dst, m in partial:
-                low = next(bit_positions(m))
+                low = (m & -m).bit_length() - 1
                 if low < e.get(dst, low + 1):
                     e[dst] = low
         return e
 
     roots = sorted(itertools.product(*(a.initial for a in automata)), key=_key)
     family = ProductFamily(tuple(enumerate(a.final for a in automata)))
-    found = _first_live_set(roots, succ, family, _same)
+    found = _first_live_set(roots, succ, family)
     if found is None:
         return None
-    prefix, cycle = _lasso_nodes(roots, *found, succ, _same)
+    prefix, cycle = _lasso_nodes(roots, *found, succ)
 
     def letters(nodes):
         return tuple(letter_at(edges[src][dst], sig) for src, dst in zip(nodes, nodes[1:]))
 
     return LassoTrace(sig, letters(prefix), letters(cycle))
-
-
-def _same(node):
-    return node
 
 
 def reduct(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAutomaton:

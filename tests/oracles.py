@@ -7,7 +7,8 @@ acceptance is decided
 by explicit run search over the unrolled product graph (no SCC refinement),
 emptiness by bounded witness-lasso search per final set, and one more
 emptiness route goes through a textbook Muller-to-Buchi conversion.  The
-LTL tableau is built densely, by testing every pair of truth assignments.
+LTL tableau is built over truth assignments, densely by testing every pair
+of them, or from the initial ones by bitmask columns.
 The bounded pexpr oracles decide one enumerated state at a time, and run
 programs with a functional interpreter that copies the state on every
 assignment.
@@ -26,8 +27,10 @@ from orcbind.muller import (
     LassoTrace,
     MullerAutomaton,
     ProductFamily,
+    atom_column,
+    bit_positions,
+    boolean_mask,
 )
-from orcbind.ltl import _subformulas
 from orcbind.pexpr import (
     Assign,
     Fails,
@@ -324,7 +327,28 @@ def is_empty_by_buchi(a: MullerAutomaton) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Colimit by naive equivalence closure
+# LTL tableaux over truth assignments
+
+
+def subformulas(f):
+    """The subformulas of f, each once, in depth-first order from f."""
+    seen = []
+
+    def walk(h):
+        if h in seen:
+            return
+        seen.append(h)
+        if isinstance(h, (Not, Next)):
+            walk(h.sub)
+        elif isinstance(h, (And, Or)):
+            for s in h.subs:
+                walk(s)
+        elif isinstance(h, Until):
+            walk(h.lhs)
+            walk(h.rhs)
+
+    walk(f)
+    return seen
 
 
 def dense_tableau(f, sig) -> MullerAutomaton:
@@ -332,9 +356,9 @@ def dense_tableau(f, sig) -> MullerAutomaton:
     subformulas, with a transition for every pair that passes the Next step
     and the one-step unrolling of each Until, tested by recursive truth
     evaluation.  Assignments are listed in itertools.product order over the
-    elementary subformulas in ``_subformulas`` order, and each state is named
+    elementary subformulas in ``subformulas`` order, and each state is named
     by its position in that list."""
-    subs = _subformulas(f)
+    subs = subformulas(f)
     elementary = [h for h in subs if isinstance(h, (Atom, Next, Until))]
     untils = [h for h in subs if isinstance(h, Until)]
 
@@ -386,6 +410,71 @@ def dense_tableau(f, sig) -> MullerAutomaton:
     return MullerAutomaton(
         sig, frozenset(index.values()), tuple(transitions), initial, GenBuchi(fairness)
     )
+
+
+def assignment_tableau(f, sig) -> MullerAutomaton:
+    """The part of ``dense_tableau`` reachable from its initial states, built
+    from those states by bitmask columns, one bit per truth assignment.
+
+    With k elementary subformulas, assignment i makes elementary[j] true iff
+    bit k-1-j of i is set, so counting i up lists the assignments in the
+    dense order.  Each state turns the Next step and the one-step unrolling
+    of its Untils into one (mask, value) requirement over its successor's
+    Next-argument and Until bits, or none when an Until contradicts its own
+    unrolling; its successors are the assignments that meet it."""
+    elementary = [h for h in subformulas(f) if isinstance(h, (Atom, Next, Until))]
+    nexts = [h for h in elementary if isinstance(h, Next)]
+    untils = [h for h in elementary if isinstance(h, Until)]
+    k = len(elementary)
+    full = (1 << (1 << k)) - 1
+    columns = {h: atom_column(k, k - 1 - j) for j, h in enumerate(elementary)}
+
+    def column(h):
+        return boolean_mask(h, columns.__getitem__, full)
+
+    ahead = [column(h.sub) for h in nexts] + [columns[u] for u in untils]
+    steps = [(columns[h], None, None) for h in nexts] + [
+        (columns[u], column(u.lhs), column(u.rhs)) for u in untils
+    ]
+
+    def successors(i):
+        meet = full
+        for b, (c, lhs, rhs) in enumerate(steps):
+            now = c >> i & 1
+            if lhs is not None and rhs >> i & 1:  # the Until is fulfilled now
+                if not now:
+                    return []
+            elif lhs is None or lhs >> i & 1:  # it holds now iff it holds next
+                meet &= ahead[b] if now else full ^ ahead[b]
+            elif now:
+                return []
+        return list(bit_positions(meet))
+
+    initial = list(bit_positions(column(f)))
+    succ = {}
+    frontier = list(initial)
+    while frontier:
+        i = frontier.pop()
+        if i not in succ:
+            succ[i] = successors(i)
+            frontier.extend(succ[i])
+    order = sorted(succ)
+    atoms = [(k - 1 - j, h) for j, h in enumerate(elementary) if isinstance(h, Atom)]
+    transitions = []
+    for i in order:
+        g = land(*(a if i >> b & 1 else Not(a) for b, a in atoms))
+        transitions.extend((i, g, j) for j in succ[i])
+    fairness = tuple(
+        frozenset(i for i in order if ((full ^ columns[u]) | column(u.rhs)) >> i & 1)
+        for u in untils
+    )
+    return MullerAutomaton(
+        sig, frozenset(order), tuple(transitions), frozenset(initial), GenBuchi(fairness)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Colimit by naive equivalence closure
 
 
 def colimit_classes_by_closure(diagram):

@@ -576,6 +576,25 @@ def test_pexpr_check_enumerates_the_given_bounds(capsys):
     assert capsys.readouterr().out == "holds (bounded: 0..8, 5832 pre-states)\n"  # 9^3 * 8
 
 
+def test_an_empty_bounds_range_exits_2(tmp_path, capsys):
+    # an empty box would make every bounded check hold vacuously
+    spec = "([1 <= y], [x = q * y])"
+    assert run(["pexpr", "check", str(DATA / "division.pgm"), spec, "--bounds", "3..1"]) == 2
+    assert run(["pexpr", "derive", str(DATA / "division.script.json"), "--bounds", "3..1"]) == 2
+    script = json.loads((DATA / "division.script.json").read_text())
+    script["bounds"] = "3..1"
+    assert run(["pexpr", "derive", _write(tmp_path / "empty.script.json", script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("the range is empty") == 3
+
+
+def test_a_negative_lower_bound_is_written_with_an_equals_sign(capsys):
+    spec = "([1 <= y], [x = q * y])"
+    assert run(["pexpr", "check", str(DATA / "division.pgm"), spec, "--bounds=-2..2"]) == 1
+    assert capsys.readouterr().out.startswith("fails (witness state: q=-2,")
+
+
 @pytest.mark.parametrize(
     "final",
     [{"gen-buchi": [["nosuchstate"]]}, {"product": [[7, "all-nonempty"]]}, "implies(nosuch->idle)"],

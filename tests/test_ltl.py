@@ -40,7 +40,7 @@ from orcbind.muller import (
 )
 from orcbind.sigcat import SignatureMorphism, signature, translate
 
-from oracles import all_letters, dense_tableau
+from oracles import all_letters, assignment_tableau, dense_tableau
 
 
 def lasso(sig, prefix, cycle):
@@ -254,11 +254,42 @@ def formulas(depth):
     )
 
 
+SIG_AB = signature("a", "b")
+
+
+def lassos():
+    """Lassos over {a, b} with at most 3 prefix and 3 cycle letters."""
+    letters = st.frozensets(st.sampled_from(["a", "b"]))
+    return st.builds(
+        LassoTrace,
+        st.just(SIG_AB),
+        st.lists(letters, max_size=3).map(tuple),
+        st.lists(letters, min_size=1, max_size=3).map(tuple),
+    )
+
+
 @given(formulas(4))
-def test_tableau_is_the_reachable_part_of_the_dense_one(f):
-    sig = signature("a", "b")
-    a = to_automaton(f, sig)
-    dense = dense_tableau(f, sig)
+def test_satisfiable_agrees_with_the_dense_tableau(f):
+    assert (satisfiable(f, SIG_AB) is None) == (find_accepted_lasso(dense_tableau(f, SIG_AB)) is None)
+
+
+@given(formulas(4), st.lists(lassos(), min_size=1, max_size=4))
+def test_tableau_accepts_exactly_the_lassos_that_satisfy_the_formula(f, traces):
+    a = to_automaton(f, SIG_AB)
+    for t in traces:
+        assert accepts(a, t) == sat_lasso(t, f)
+
+
+@given(formulas(4))
+def test_every_witness_satisfies_the_formula(f):
+    w = satisfiable(f, SIG_AB)
+    assert w is None or sat_lasso(w, f)
+
+
+@given(formulas(4))
+def test_assignment_tableau_is_the_reachable_part_of_the_dense_one(f):
+    a = assignment_tableau(f, SIG_AB)
+    dense = dense_tableau(f, SIG_AB)
     assert a.initial == dense.initial
     # the states reached from the initial ones, with their transitions in
     # the dense order
@@ -272,7 +303,6 @@ def test_tableau_is_the_reachable_part_of_the_dense_one(f):
     assert a.states == reached
     assert a.transitions == tuple(t for t in dense.transitions if t[0] in reached)
     assert a.final.sets == tuple(s & reached for s in dense.final.sets)
-    assert satisfiable(f, sig) == find_accepted_lasso(dense)
 
 
 def test_unsatisfiable_root_gives_an_empty_tableau():
