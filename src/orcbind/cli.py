@@ -221,11 +221,22 @@ def spec_from_json(data) -> arn.ArnSpec:
 # Repository / query / script files
 
 
-def _load_json(path: Path) -> dict:
+def _read_text(path: Path) -> str:
+    """A file's text; a file that is missing, unreadable or not UTF-8 text
+    is unusable input."""
     try:
-        data = json.loads(path.read_text())
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError as e:
         raise InputError(f"no such file: {path}") from e
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
+def _load_json(path: Path) -> dict:
+    try:
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: {e}") from e
     if not isinstance(data, dict):
@@ -281,8 +292,9 @@ def load_query(path: Path) -> Query:
         return Query(net, tuple(spec_from_json(s) for s in data.get("requires", ())))
 
 
+_DEFAULT_BOUNDS = "{}..{}".format(*pexpr.BOUNDS)
 _BOUNDS_HELP = (
-    "range LO..HI of every variable (default 0..8); "
+    f"range LO..HI of every variable (default {_DEFAULT_BOUNDS}); "
     "write a negative bound with '=', as --bounds=-2..2"
 )
 
@@ -516,13 +528,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_pexpr(args) -> int:
-    bounds_range = parse_bounds(args.bounds)
+    bounds = parse_bounds(args.bounds)
     if args.subcommand == "derive":
         term, requires, steps, data = load_pexpr_script(Path(args.script))
         if "bounds" in data:
             with _decoding("bad derivation script"):
-                bounds_range = parse_bounds(data["bounds"])
-        scheme = pexpr.PexprScheme(bounds=_DefaultBounds(bounds_range), fuel=args.fuel)
+                bounds = parse_bounds(data["bounds"])
+        scheme = pexpr.PexprScheme(bounds, args.fuel)
         query = Query(term, requires)
         try:
             answer, _ = solve_scripted(scheme, query, steps)
@@ -531,7 +543,7 @@ def cmd_pexpr(args) -> int:
             return 1
         print(render_answer(answer))
         print(f"final program: {pexpr.render_program(answer.final)}")
-        lo, hi = bounds_range
+        lo, hi = bounds
         print(f"(refinements validated with the bounded oracle over {lo}..{hi})")
         if args.output:
             Path(args.output).write_text(
@@ -540,18 +552,12 @@ def cmd_pexpr(args) -> int:
         return 0
 
     # check PROGRAM SPEC
-    try:
-        program_text = Path(args.program).read_text()
-    except FileNotFoundError as e:
-        raise InputError(str(e)) from e
-    term = pexpr.parse_program(program_text.strip())
+    term = pexpr.parse_program(_read_text(Path(args.program)).strip())
     pre_text, post_text = _split_spec_pair(args.spec)
     spec = pexpr.PSpec(
         (), pexpr.parse_condition(pre_text), pexpr.parse_condition(post_text)
     )
-    verdict = pexpr.check_ground_property(
-        term, spec, _DefaultBounds(bounds_range), fuel=args.fuel
-    )
+    verdict = pexpr.check_ground_property(term, spec, bounds, args.fuel)
     if isinstance(verdict, pexpr.Holds):
         print(f"holds (bounded: {args.bounds}, {verdict.states_checked} pre-states)")
         return 0
@@ -561,20 +567,6 @@ def cmd_pexpr(args) -> int:
         return 1
     print(f"inconclusive (bounded: {args.bounds}; {verdict.out_of_fuel_states} runs out of fuel)")
     return 1
-
-
-class _DefaultBounds(dict):
-    """Bounds mapping with a uniform default range for unlisted identifiers."""
-
-    def __init__(self, default):
-        super().__init__()
-        self.default = tuple(default)
-
-    def get(self, key, default=None):
-        return super().get(key, self.default)
-
-    def __missing__(self, key):
-        return self.default
 
 
 def _split_spec_pair(text: str):
@@ -630,14 +622,14 @@ def build_parser() -> argparse.ArgumentParser:
     pex_sub = p_pex.add_subparsers(dest="subcommand", required=True)
     d = pex_sub.add_parser("derive")
     d.add_argument("script")
-    d.add_argument("--bounds", default="0..8", help=_BOUNDS_HELP)
-    d.add_argument("--fuel", type=int, default=10000)
+    d.add_argument("--bounds", default=_DEFAULT_BOUNDS, help=_BOUNDS_HELP)
+    d.add_argument("--fuel", type=int, default=pexpr.FUEL)
     d.add_argument("--output", default=None)
     k = pex_sub.add_parser("check")
     k.add_argument("program")
     k.add_argument("spec")
-    k.add_argument("--bounds", default="0..8", help=_BOUNDS_HELP)
-    k.add_argument("--fuel", type=int, default=10000)
+    k.add_argument("--bounds", default=_DEFAULT_BOUNDS, help=_BOUNDS_HELP)
+    k.add_argument("--fuel", type=int, default=pexpr.FUEL)
 
     return parser
 

@@ -331,23 +331,26 @@ class MullerAutomaton:
         object.__setattr__(self, "transitions", tuple(self.transitions))
         if not self.initial <= self.states:
             raise ValueError("initial states must be states")
+        checked = set()
         for src, g, dst in self.transitions:
             if src not in self.states or dst not in self.states:
                 raise ValueError(f"transition endpoint outside states: {src!r} -> {dst!r}")
-            stray = guard_atoms(g) - self.signature.actions
-            if stray:
-                raise ValueError(f"guard atoms outside signature: {sorted(stray)}")
+            if g not in checked:
+                checked.add(g)
+                stray = guard_atoms(g) - self.signature.actions
+                if stray:
+                    raise ValueError(f"guard atoms outside signature: {sorted(stray)}")
 
     @cached_property
     def moves(self) -> dict[object, list[tuple[object, int]]]:
         """Satisfiable transitions as letter masks: state -> [(dst, mask)], in
-        transition order; a run of transitions carrying one guard object
-        shares one mask."""
+        transition order; equal guards share one mask."""
         out: dict[object, list[tuple[object, int]]] = {}
-        guard = mask = None
+        masks: dict[Formula, int] = {}
         for src, g, dst in self.transitions:
-            if g is not guard:
-                guard, mask = g, guard_mask(g, self.signature)
+            mask = masks.get(g)
+            if mask is None:
+                mask = masks[g] = guard_mask(g, self.signature)
             if mask:
                 out.setdefault(src, []).append((dst, mask))
         return out

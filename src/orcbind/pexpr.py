@@ -5,7 +5,8 @@ plus program variables standing for statements still to be discovered.
 Specifications are Hoare triples addressed at term positions; the Hoare
 rules become clause schemas; correctness checking is a bounded semantic
 oracle over integer states with an explicit fuel budget, so verdicts about
-loops are three-valued.
+loops are three-valued.  The states form a box: every identifier ranges
+over one ``lo..hi`` range (``BOUNDS`` unless the caller gives another).
 
 Surface syntax:
 
@@ -55,19 +56,16 @@ class BinOp(AExp):
     rhs: AExp
 
 
+_AEXP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 def eval_aexp(e: AExp, state: dict[str, int]) -> int:
     if isinstance(e, Lit):
         return e.value
     if isinstance(e, Ident):
         return state[e.name]
     if isinstance(e, BinOp):
-        a, b = eval_aexp(e.lhs, state), eval_aexp(e.rhs, state)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
+        return _AEXP_OPS[e.op](eval_aexp(e.lhs, state), eval_aexp(e.rhs, state))
     raise TypeError(e)
 
 
@@ -136,46 +134,36 @@ def c_not(c):
     return CNot(c)
 
 
-def c_and(*cs):
+def _connective(cls, unit, zero, cs):
+    """``cls`` over ``cs``: nested ``cls`` operands are flattened in written
+    order (no sorting, no deduplication, so printed programs keep the user's
+    order), ``unit`` operands dropped, and any ``zero`` absorbs the whole."""
     flat = []
     for c in cs:
-        if isinstance(c, CAnd):
+        if isinstance(c, cls):
             flat.extend(c.subs)
-        elif c == C_FALSE:
-            return C_FALSE
+        elif c == zero:
+            return zero
         else:
             flat.append(c)
-    flat = [c for c in flat if c != C_TRUE]
-    if len(flat) == 1:
-        return flat[0]
-    return CAnd(tuple(flat))
+    flat = [c for c in flat if c != unit]
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def c_and(*cs):
+    return _connective(CAnd, C_TRUE, C_FALSE, cs)
 
 
 def c_or(*cs):
-    flat = []
-    for c in cs:
-        if isinstance(c, COr):
-            flat.extend(c.subs)
-        elif c == C_TRUE:
-            return C_TRUE
-        else:
-            flat.append(c)
-    flat = [c for c in flat if c != C_FALSE]
-    if len(flat) == 1:
-        return flat[0]
-    return COr(tuple(flat))
+    return _connective(COr, C_FALSE, C_TRUE, cs)
+
+
+_COMPARE_OPS = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
 def eval_condition(c: Condition, state: dict[str, int]) -> bool:
     if isinstance(c, Compare):
-        a, b = eval_aexp(c.lhs, state), eval_aexp(c.rhs, state)
-        if c.op == "=":
-            return a == b
-        if c.op == "<=":
-            return a <= b
-        if c.op == "<":
-            return a < b
-        raise ValueError(c.op)
+        return _COMPARE_OPS[c.op](eval_aexp(c.lhs, state), eval_aexp(c.rhs, state))
     if isinstance(c, CNot):
         return not eval_condition(c.sub, state)
     if isinstance(c, CAnd):
@@ -418,6 +406,10 @@ def translate_pspec(m: PMorphism, s: PSpec) -> PSpec:
 # ---------------------------------------------------------------------------
 # Interpreter and bounded oracles
 
+# The default box (every identifier ranges over lo..hi) and loop fuel.
+BOUNDS = (0, 8)
+FUEL = 10000
+
 
 @dataclass(frozen=True)
 class Terminated:
@@ -454,7 +446,7 @@ def _run(term: PTerm, state: dict[str, int], fuel: int) -> int | None:
     return fuel
 
 
-def interpret(t: PTerm, state: dict[str, int], fuel: int = 10000):
+def interpret(t: PTerm, state: dict[str, int], fuel: int = FUEL):
     """Big-step evaluation over integer states; fuel decrements per loop
     iteration.  Groundness is checked once, then ``_run`` walks the term on
     a copy of the state."""
@@ -466,33 +458,24 @@ def interpret(t: PTerm, state: dict[str, int], fuel: int = 10000):
     return Terminated(state)
 
 
-Bounds = dict[str, tuple[int, int]]
-
-
-def _ranges(names, bounds: Bounds, default):
-    return [range(bounds.get(n, default)[0], bounds.get(n, default)[1] + 1) for n in names]
-
-
-def enumerate_states(idents, bounds: Bounds, default=(0, 8)):
+def enumerate_states(idents, bounds: tuple[int, int]):
+    """Every state of the box: each identifier ranges over ``lo..hi``, and
+    states come in lexicographic order of the sorted identifiers."""
     names = sorted(idents)
-    for combo in itertools.product(*_ranges(names, bounds, default)):
+    lo, hi = bounds
+    for combo in itertools.product(range(lo, hi + 1), repeat=len(names)):
         yield dict(zip(names, combo))
 
 
-def _box(idents, bounds: Bounds, default=(0, 8)):
+def _box(idents, bounds: tuple[int, int]):
     """The box in ``enumerate_states`` order, without its states: per
     identifier, its range and how many consecutive states share each value;
     and the number of states."""
     names = sorted(idents)
-    box, run = {}, 1
-    for name, values in reversed(list(zip(names, _ranges(names, bounds, default)))):
-        box[name] = (values, run)
-        run *= len(values)
-    return box, run
-
-
-_AEXP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_COMPARE_OPS = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
+    values = range(bounds[0], bounds[1] + 1)
+    n = len(values)
+    box = {name: (values, n**i) for i, name in enumerate(reversed(names))}
+    return box, n ** len(names)
 
 
 def _aexp_column(e: AExp, box):
@@ -550,7 +533,7 @@ class Inconclusive:
     out_of_fuel_states: int = 0
 
 
-def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel: int = 10000):
+def check_ground_property(t: PTerm, s: PSpec, bounds: tuple[int, int] = BOUNDS, fuel: int = FUEL):
     """Partial-correctness check of a spec over all in-bounds states.
 
     Terminated runs from pre-states must satisfy the post-condition; a run
@@ -560,9 +543,8 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel
     """
     if not is_ground_term(t):
         raise ValueError("property checking needs a ground term")
-    bounds = {} if bounds is None else bounds
     sub = subterm_at(t, s.position)
-    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post) | set(bounds)
+    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post)
     checked = 0
     fuel_outs = 0
     for state in enumerate_states(idents, bounds):
@@ -579,7 +561,7 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: Bounds | None = None, fuel
     return Holds(checked)
 
 
-def entails_conditions(c1: Condition, c2: Condition, bounds: Bounds | None = None) -> bool:
+def entails_conditions(c1: Condition, c2: Condition, bounds: tuple[int, int] = BOUNDS) -> bool:
     """Bounded semantic consequence: every in-bounds state satisfying c1 satisfies c2.
 
     Decided without the box when c1 is false or every conjunct of c2 is a
@@ -590,24 +572,10 @@ def entails_conditions(c1: Condition, c2: Condition, bounds: Bounds | None = Non
     """
     if c1 == C_FALSE or _conjuncts(c2) <= _conjuncts(c1):
         return True
-    bounds = {} if bounds is None else bounds
-    idents = condition_idents(c1) | condition_idents(c2) | set(bounds)
+    idents = condition_idents(c1) | condition_idents(c2)
     box, size = _box(idents, bounds)
     counterexamples = map(operator.gt, _condition_column(c1, box), _condition_column(c2, box))
     return not any(itertools.islice(counterexamples, size))
-
-
-def refines(s1: PSpec, s2: PSpec, m1: PMorphism, m2: PMorphism, bounds: Bounds | None = None) -> bool:
-    """Refinement up to a cospan: aligned positions, weaker pre, stronger post."""
-    if m1.target != m2.target:
-        raise ValueError("cospan targets do not coincide")
-    t1 = translate_pspec(m1, s1)
-    t2 = translate_pspec(m2, s2)
-    if t1.position != t2.position:
-        return False
-    return entails_conditions(t1.pre, t2.pre, bounds) and entails_conditions(
-        t2.post, t1.post, bounds
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -673,9 +641,8 @@ class PexprScheme(OrchestrationScheme):
     only as strong as the configured bounds and fuel.  ``spec_entails`` and
     ``is_trivial`` decide by ``entails_conditions`` (syntactic consequence,
     else columns over the box), ``check_property`` by
-    ``check_ground_property`` (one run per pre-state).  ``bounds`` maps an
-    identifier to its range; unlisted identifiers range over 0..8 unless the
-    mapping answers ``get`` with a default of its own.
+    ``check_ground_property`` (one run per pre-state).  ``bounds`` is the
+    box, one ``(lo, hi)`` range for every identifier.
     """
 
     compose_morphisms = staticmethod(compose_pmorphisms)
@@ -683,8 +650,8 @@ class PexprScheme(OrchestrationScheme):
     translate_spec = staticmethod(translate_pspec)
     is_ground = staticmethod(is_ground_term)
 
-    def __init__(self, bounds: Bounds | None = None, fuel: int = 10000):
-        self.bounds = {} if bounds is None else bounds
+    def __init__(self, bounds: tuple[int, int] = BOUNDS, fuel: int = FUEL):
+        self.bounds = bounds
         self.fuel = fuel
 
     def check_property(self, orc, spec):

@@ -537,11 +537,10 @@ def interpret_functionally(t, state, fuel: int = 10000):
     return OutOfFuel() if out is None else Terminated(out[0])
 
 
-def check_by_interpretation(t, s, bounds=None, fuel: int = 10000):
+def check_by_interpretation(t, s, bounds, fuel: int = 10000):
     """Partial correctness over the box, one interpreter run per pre-state."""
-    bounds = {} if bounds is None else bounds
     sub = subterm_at(t, s.position)
-    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post) | set(bounds)
+    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post)
     checked = fuel_outs = 0
     for state in enumerate_states(idents, bounds):
         if not eval_condition(s.pre, state):
@@ -555,10 +554,9 @@ def check_by_interpretation(t, s, bounds=None, fuel: int = 10000):
     return Inconclusive(fuel_outs) if fuel_outs else Holds(checked)
 
 
-def entails_by_enumeration(c1, c2, bounds=None) -> bool:
+def entails_by_enumeration(c1, c2, bounds) -> bool:
     """Every in-bounds state satisfying c1 satisfies c2, state by state."""
-    bounds = {} if bounds is None else bounds
-    idents = condition_idents(c1) | condition_idents(c2) | set(bounds)
+    idents = condition_idents(c1) | condition_idents(c2)
     return all(
         eval_condition(c2, state)
         for state in enumerate_states(idents, bounds)

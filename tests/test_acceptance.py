@@ -64,7 +64,7 @@ def report(number, description):
     print(f"[PASS] criterion {number}: {description}")
 
 
-BOUNDS = {n: (0, 8) for n in "xyqr"}
+BOUNDS = (0, 8)
 
 
 # ---------------------------------------------------------------------------

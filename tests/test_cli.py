@@ -353,6 +353,29 @@ def test_files_that_are_not_json_objects_exit_2(command, tmp_path, capsys):
     assert captured.err == f"error: {empty}: expected a JSON object\n"
 
 
+@pytest.mark.parametrize("unreadable", ["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda path: ["arn", "validate", path],
+        lambda path: ["solve", path, str(DATA / "services.repo.json")],
+        lambda path: ["pexpr", "derive", path],
+        lambda path: ["pexpr", "check", path, "(true, true)"],
+    ],
+    ids=["arn-validate", "solve", "pexpr-derive", "pexpr-check"],
+)
+def test_unreadable_files_exit_2(command, unreadable, tmp_path, capsys):
+    path = tmp_path / unreadable
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"scheme": "pexpr", "term": "\xff"}')
+    assert run(command(str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

@@ -283,7 +283,7 @@ def test_skip_module_has_no_counterexample():
 
 
 def test_broken_while_module_is_caught():
-    scheme = PexprScheme(bounds={n: (0, 4) for n in "xy"})
+    scheme = PexprScheme(bounds=(0, 4))
     cond = parse_condition("[x < y]")
     rho = parse_condition("[x <= y]")
     broken = Clause(
@@ -301,7 +301,7 @@ def test_broken_while_module_is_caught():
 
 def test_bounded_property_check_is_three_valued():
     # every y = 0 pre-state of division loops until the fuel runs out
-    scheme = PexprScheme(bounds={"x": (0, 2), "y": (0, 2)}, fuel=50)
+    scheme = PexprScheme(bounds=(0, 2), fuel=50)
     division = parse_program("q := 0 ; r := x ; while y <= r do q := q + 1 ; r := r - y done")
     spec = PSpec((), C_TRUE, parse_condition("[x = q * y + r] & [r < y]"))
     assert scheme.check_property(division, spec) is None

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from orcbind import muller
 from orcbind.muller import (
     AllNonempty,
     Explicit,
@@ -78,6 +79,20 @@ def test_guard_mask_matches_naive_evaluation():
             for letter in all_letters(sig):
                 idx = sum(1 << i for i, a in enumerate(sorted(sig.actions)) if a in letter)
                 assert bool(mask & (1 << idx)) == eval_guard(g, letter)
+
+
+def test_equal_guards_are_masked_once(monkeypatch):
+    # equal but distinct guard objects, interleaved across the transitions
+    sig = signature("a", "b")
+    transitions = tuple(
+        (q, g, q) for q in ("p", "q") for g in (g_atom("a"), g_not(g_atom("b")), g_atom("a"))
+    )
+    a = MullerAutomaton(sig, frozenset({"p", "q"}), transitions, frozenset({"p"}), AllNonempty())
+    calls = []
+    monkeypatch.setattr(muller, "guard_mask", lambda g, s: calls.append(g) or guard_mask(g, s))
+    masks = a.moves
+    assert len(calls) == 2 and set(calls) == {g_atom("a"), g_not(g_atom("b"))}
+    assert masks["p"] == [(d, guard_mask(g, sig)) for _, g, d in transitions[:3]]
 
 
 def test_mask_to_guard_round_trips_semantics():
