@@ -652,96 +652,75 @@ def translate_spec(theta: ArnMorphism, spec: ArnSpec) -> ArnSpec:
 # Binding: gluing a clause network onto a query network
 
 
-def _freshen(name: str, taken: set[str]) -> str:
-    candidate = name
-    i = 1
-    while candidate in taken:
-        candidate = f"{name}~{i}"
-        i += 1
-    return candidate
+def is_correspondence(corr, port1: Port, port2: Port) -> bool:
+    """Does corr map the messages of port1 injectively into those of port2,
+    published onto published and delivered onto delivered?"""
+    return (
+        set(corr) == port1.messages
+        and len(set(corr.values())) == len(corr)
+        and all(corr[m] in port2.published for m in port1.published)
+        and all(corr[m] in port2.delivered for m in port1.delivered)
+    )
 
 
-def rename_apart(clause_net: Arn, taken_points: set[str], taken_edges: set[str]):
-    """A variant of a network whose requires-points and hyperedges avoid the
-    given names, together with the variant morphism.
+def _fresh_names(names, taken) -> dict[str, str]:
+    """Each name to itself or, when taken, to the first ``name~i`` (i = 1, 2,
+    ...) that is neither taken, one of the names, nor chosen earlier, in
+    name order."""
+    avoid = set(taken) | set(names)
+    fresh = {}
+    for name in sorted(names):
+        new, i = name, 0
+        while name in taken and new in avoid:
+            i += 1
+            new = f"{name}~{i}"
+        avoid.add(new)
+        fresh[name] = new
+    return fresh
 
-    Computation-incident points cannot be renamed (process labels pin them);
-    a collision there returns None.
+
+def rename_apart(net: Arn, taken_points, taken_edges):
+    """A variant of a network whose points and hyperedges avoid the taken
+    names, with its point and edge maps: (variant, point_map, edge_map).
+
+    Every colliding name is renamed; process labels keep their point names,
+    so a variant with a renamed computation-incident point is ill-formed.
     """
-    requires, _, _ = classify_points(clause_net)
-    point_renames = {}
-    for x in sorted(clause_net.points):
-        if x in taken_points:
-            if x not in requires:
-                return None
-            point_renames[x] = _freshen(x, taken_points | set(clause_net.points) | set(point_renames.values()))
-    edge_renames = {}
-    for e in sorted(clause_net.incidence_of):
-        if e in taken_edges:
-            edge_renames[e] = _freshen(
-                e, taken_edges | set(clause_net.incidence_of) | set(edge_renames.values())
-            )
-    if not point_renames and not edge_renames:
-        return clause_net, identity_morphism(clause_net)
-
-    rp = lambda x: point_renames.get(x, x)
-    re_ = lambda e: edge_renames.get(e, e)
-    new_connections = {}
-    for c, conn in clause_net.connection_of.items():
-        new_connections[re_(c)] = Connection(
-            conn.messages,
-            conn.automaton,
-            {rp(x): mu for x, mu in conn.attachment_of.items()},
-        )
+    rp = _fresh_names(net.points, taken_points)
+    re_ = _fresh_names(net.incidence_of, taken_edges)
     variant = Arn(
-        {rp(x): port for x, port in clause_net.port_of.items()},
-        {re_(p): proc for p, proc in clause_net.process_of.items()},
-        new_connections,
-        {re_(e): frozenset(rp(x) for x in xs) for e, xs in clause_net.incidence_of.items()},
+        {rp[x]: port for x, port in net.port_of.items()},
+        {re_[p]: proc for p, proc in net.process_of.items()},
+        {
+            re_[c]: Connection(conn.messages, conn.automaton, {rp[x]: mu for x, mu in conn.attachment_of.items()})
+            for c, conn in net.connection_of.items()
+        },
+        {re_[e]: frozenset(rp[x] for x in xs) for e, xs in net.incidence_of.items()},
     )
-    theta = ArnMorphism(
-        clause_net,
-        variant,
-        {x: rp(x) for x in clause_net.points},
-        {e: re_(e) for e in clause_net.incidence_of},
-        {x: {m: m for m in clause_net.port_of[x].messages} for x in clause_net.points},
-    )
-    return variant, theta
+    return variant, rp, re_
 
 
 def glue(query_net: Arn, x1: str, clause_net: Arn, x2: str, corr: dict[str, str]):
-    """Fuse a requires-point of the query with a provides-point of the clause.
+    """Fuse a requires-point of the query with a provides-point of the clause
+    along a correspondence of their messages (``is_correspondence``).
 
-    `corr` maps the messages of the query port injectively and
-    polarity-preservingly into the clause port's messages.  Returns
-    (glued, theta1, theta2) or None when no well-formed gluing exists.
+    The clause is renamed apart from the query's other points and its
+    hyperedges first.  Returns (glued, theta1, theta2), or None when corr is
+    no correspondence, x1 or x2 is of the wrong kind, a clause point that is
+    not a requires-point is taken, or the glued network is ill-formed.
     """
+    if not is_correspondence(corr, query_net.port_of[x1], clause_net.port_of[x2]):
+        return None
     q_requires, _, _ = classify_points(query_net)
-    _, c_provides, _ = classify_points(clause_net)
+    c_requires, c_provides, _ = classify_points(clause_net)
     if x1 not in q_requires or x2 not in c_provides:
         return None
-    port1 = query_net.port_of[x1]
-    if set(corr) != set(port1.messages):
-        return None
-    if len(set(corr.values())) != len(corr):
-        return None
+    remaining_points = query_net.points - {x1}
+    if (clause_net.points - c_requires) & remaining_points:
+        return None  # process labels pin computation-incident points
 
-    remaining_points = set(query_net.points) - {x1}
-    renamed = rename_apart(clause_net, remaining_points, set(query_net.incidence_of))
-    if renamed is None:
-        return None
-    variant, variant_theta = renamed
-    vx2 = variant_theta.point_map[x2]
-    port2 = variant.port_of[vx2]
-    for m in port1.published:
-        if corr[m] not in port2.published:
-            return None
-    for m in port1.delivered:
-        if corr[m] not in port2.delivered:
-            return None
-    if vx2 in remaining_points:
-        return None
-
+    variant, point_map, edge_map = rename_apart(clause_net, remaining_points, query_net.incidence_of)
+    vx2 = point_map[x2]
     subst = lambda x: vx2 if x == x1 else x
     new_connections = {}
     for c, conn in query_net.connection_of.items():
@@ -768,34 +747,16 @@ def glue(query_net: Arn, x1: str, clause_net: Arn, x2: str, corr: dict[str, str]
     if validate(glued):
         return None
 
+    identity = lambda n: {x: {m: m for m in port.messages} for x, port in n.port_of.items()}
     theta1 = ArnMorphism(
         query_net,
         glued,
         {x: subst(x) for x in query_net.points},
         {e: e for e in query_net.incidence_of},
-        {
-            x: (corr if x == x1 else {m: m for m in query_net.port_of[x].messages})
-            for x in query_net.points
-        },
+        {**identity(query_net), x1: corr},
     )
-    theta2 = ArnMorphism(
-        clause_net, glued, variant_theta.point_map, variant_theta.edge_map, variant_theta.msg_map
-    )
+    theta2 = ArnMorphism(clause_net, glued, point_map, edge_map, identity(clause_net))
     return glued, theta1, theta2
-
-
-def name_matching_correspondence(port1: Port, port2: Port) -> dict[str, str] | None:
-    """Identity-on-names correspondence when it is total and polarity-preserving."""
-    corr = {}
-    for m in port1.published:
-        if m not in port2.published:
-            return None
-        corr[m] = m
-    for m in port1.delivered:
-        if m not in port2.delivered:
-            return None
-        corr[m] = m
-    return corr
 
 
 # ---------------------------------------------------------------------------
@@ -822,23 +783,11 @@ class ArnScheme(OrchestrationScheme):
         return ltl.valid(spec.formula, sig)
 
     def candidate_unifiers(self, q_orc, q_spec, c_orc, c_provides, hint):
-        x1 = q_spec.point
-        x2 = c_provides.point
+        """The one gluing along the hint's correspondence or, without a hint,
+        along the identity on the query port's message names."""
+        x1, x2 = q_spec.point, c_provides.point
         if x1 not in q_orc.points or x2 not in c_orc.points:
             return []
-        corrs = []
-        if hint is not None:
-            corr = hint["correspondence"]
-            if set(corr) == set(q_orc.port_of[x1].messages):
-                corrs.append(corr)
-        else:
-            guess = name_matching_correspondence(q_orc.port_of[x1], c_orc.port_of[x2])
-            if guess is not None:
-                corrs.append(guess)
-        out = []
-        for corr in corrs:
-            result = glue(q_orc, x1, c_orc, x2, corr)
-            if result is not None:
-                glued, theta1, theta2 = result
-                out.append((theta1, theta2))
-        return out
+        corr = hint["correspondence"] if hint is not None else {m: m for m in q_orc.port_of[x1].messages}
+        result = glue(q_orc, x1, c_orc, x2, corr)
+        return [] if result is None else [result[1:]]

@@ -6,9 +6,10 @@ derivation step that no unifier binds is a negative answer (exit 1).  Input
 is unusable when the library raises ``orcbind.InputError``: the parsers
 raise it for unparsable text, ``arn`` for a network, point or formula unfit
 for a check, ``engine`` for a step naming a missing clause or spec and for
-repeated clause names, and this module for broken files and for JSON shapes
-it cannot decode, from a whole file down to one name (``_decoding``);
-``main`` maps it to exit code 2.
+repeated clause names, and this module for broken files, for an ``--output``
+path it cannot write (``_json_writer``) and for JSON shapes it cannot
+decode, from a whole file down to one name (``_decoding``); ``main`` maps it
+to exit code 2.
 Verdicts produced by bounded oracles are printed with an explicit
 ``bounded`` qualifier.
 
@@ -232,6 +233,27 @@ def _read_text(path: Path) -> str:
         raise InputError(f"{path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
+def _json_writer(text: str | None):
+    """The writer of ``--output`` JSON to the path ``text``, or None without
+    one.  A directory, or a path whose parent is not a directory, is unusable
+    input before any work; so is a write that fails."""
+    if text is None:
+        return None
+    path = Path(text)
+    if path.is_dir():
+        raise InputError(f"{path}: is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"{path}: no such directory: {path.parent}")
+
+    def write(data):
+        try:
+            path.write_text(json.dumps(data, indent=2) + "\n")
+        except OSError as e:
+            raise InputError(f"{path}: {e.strerror or e}") from e
+
+    return write
 
 
 def _load_json(path: Path) -> dict:
@@ -470,6 +492,7 @@ def cmd_ltl(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    write_output = _json_writer(args.output)
     scheme = arn.ArnScheme()
     query = load_query(Path(args.query))
     repository = load_repository(Path(args.repository))
@@ -517,10 +540,8 @@ def cmd_solve(args) -> int:
         unresolved = [s for s in stuck.requires if not scheme.is_trivial(stuck.orc, s)]
         for s in unresolved:
             print(f"unresolved: {s.render()}")
-    if args.output:
-        Path(args.output).write_text(
-            json.dumps(trace_to_json(answers, partial=unresolved), indent=2) + "\n"
-        )
+    if write_output:
+        write_output(trace_to_json(answers, partial=unresolved))
     if not answers:
         print("no answer within limits")
         return 1
@@ -530,6 +551,7 @@ def cmd_solve(args) -> int:
 def cmd_pexpr(args) -> int:
     bounds = parse_bounds(args.bounds)
     if args.subcommand == "derive":
+        write_output = _json_writer(args.output)
         term, requires, steps, data = load_pexpr_script(Path(args.script))
         if "bounds" in data:
             with _decoding("bad derivation script"):
@@ -545,10 +567,8 @@ def cmd_pexpr(args) -> int:
         print(f"final program: {pexpr.render_program(answer.final)}")
         lo, hi = bounds
         print(f"(refinements validated with the bounded oracle over {lo}..{hi})")
-        if args.output:
-            Path(args.output).write_text(
-                json.dumps(trace_to_json([answer]), indent=2) + "\n"
-            )
+        if write_output:
+            write_output(trace_to_json([answer]))
         return 0
 
     # check PROGRAM SPEC

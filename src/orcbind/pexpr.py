@@ -772,6 +772,9 @@ class _Parser:
 
     def afactor(self):
         kind, value = self.peek()
+        if kind == "minus" and self.tokens[self.idx + 1][0] == "int":
+            self.take()
+            return Lit(-int(self.take()[1]))
         if kind == "int":
             self.take()
             return Lit(int(value))

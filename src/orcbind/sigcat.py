@@ -39,14 +39,8 @@ class ActionSignature:
             if not a:
                 raise ValueError("empty action symbol")
 
-    def __contains__(self, action: str) -> bool:
-        return action in self.actions
-
     def __len__(self) -> int:
         return len(self.actions)
-
-    def __or__(self, other: "ActionSignature") -> "ActionSignature":
-        return ActionSignature(self.actions | other.actions)
 
 
 def signature(*actions: str) -> ActionSignature:

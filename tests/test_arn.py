@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 from functools import cache
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orcbind import InputError
-from orcbind import ltl, sigcat, travel
+from orcbind import arn, ltl, sigcat, travel
 from orcbind.arn import (
     Arn,
     ArnMorphism,
@@ -21,6 +23,7 @@ from orcbind.arn import (
     diagram_of,
     glue,
     identity_morphism,
+    is_correspondence,
     is_ground,
     is_property,
     observed_automaton,
@@ -55,6 +58,88 @@ def test_journey_planner_network_is_valid():
     assert validate(travel.journey_planner_net()) == ()
     assert validate(travel.journey_planner_ground_net()) == ()
     assert validate(travel.traveller_net()) == ()
+
+
+def _jp_connection(n, **changes):
+    return {"connection_of": {"C": dataclasses.replace(n.connection_of["C"], **changes)}}
+
+
+def _jp_attached(n, x, mu):
+    return _jp_connection(n, attachment_of={**n.connection_of["C"].attachment_of, x: mu})
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda n: {"incidence_of": {**n.incidence_of, "X": {"R1"}}},
+            "incidence: edge names must be exactly the processes and connections",
+        ),
+        (
+            lambda n: {"process_of": {**n.process_of, "C": n.process_of["JP"]}},
+            "edges: process and connection names must be disjoint",
+        ),
+        (lambda n: {"incidence_of": {**n.incidence_of, "C": set()}}, "edge C: incidence set is empty"),
+        (
+            lambda n: {"incidence_of": {**n.incidence_of, "C": n.incidence_of["C"] | {"Z"}}},
+            "edge C: incident with unknown points ['Z']",
+        ),
+        (
+            lambda n: {"incidence_of": {**n.incidence_of, "JP": {"JP1"}}},
+            "process JP: labelled points ['JP1', 'JP2'] differ from incidence ['JP1']",
+        ),
+        (
+            lambda n: {"port_of": {**n.port_of, "JP1": Port({"directions", "extra"}, {"planJourney"})}},
+            "process JP: port label at JP1 differs from the network's",
+        ),
+        (
+            lambda n: {"process_of": {"JP": Process(n.process_of["JP"].port_of, travel.channel_automaton({"g"}))}},
+            "process JP: automaton signature is not the coproduct of its port actions",
+        ),
+        (
+            lambda n: _jp_attached(n, "JP1", {}),
+            "connection C: attachments at non-incident points ['JP1']",
+        ),
+        (
+            lambda n: _jp_connection(n, automaton=travel.channel_automaton({"g"})),
+            "connection C: channel automaton signature must be the message actions",
+        ),
+        (
+            lambda n: _jp_attached(n, "R1", {"g": "getRoutes", "q": "routes"}),
+            "connection C at R1: attachment domain outside channel messages ['q']",
+        ),
+        (
+            lambda n: _jp_attached(n, "R1", {"g": "getRoutes", "r": "getRoutes"}),
+            "connection C at R1: attachment is not injective",
+        ),
+        (
+            lambda n: _jp_attached(n, "R1", {"g": "getRoutes", "r": "nothing"}),
+            "connection C at R1: attachment image outside the port ['nothing']",
+        ),
+        (
+            lambda n: _jp_connection(n, messages=set("grtu"), automaton=travel.channel_automaton(set("grtu"))),
+            "connection C: messages not covered by any attachment ['u']",
+        ),
+    ],
+    ids=[
+        "edge-names",
+        "edge-kinds-overlap",
+        "empty-incidence",
+        "unknown-point",
+        "process-points",
+        "process-port-label",
+        "process-automaton",
+        "stray-attachment",
+        "channel-automaton",
+        "attachment-domain",
+        "attachment-injective",
+        "attachment-image",
+        "coverage",
+    ],
+)
+def test_every_validate_message_is_produced(change, message):
+    net = travel.journey_planner_net()
+    assert message in validate(dataclasses.replace(net, **change(net)))
 
 
 def test_missing_attachment_breaks_coverage_and_pairing():
@@ -415,16 +500,114 @@ def test_translate_spec_identity_and_functoriality():
     assert translate_spec(composed, s) == translate_spec(delta1, translate_spec(theta1, s))
 
 
-def test_rename_apart_refuses_to_rename_process_points():
+def test_rename_apart_renames_every_colliding_name():
     clause = travel.journey_planner_net()
-    assert rename_apart(clause, {"JP1"}, set()) is None
-    variant = rename_apart(clause, {"R1"}, {"C"})
-    assert variant is not None
-    net, theta = variant
+    net, point_map, edge_map = rename_apart(clause, {"R1"}, {"C"})
     assert "R1" not in net.points
     assert "C" not in net.incidence_of
-    assert check_morphism(theta) == ()
+    identity = {x: {m: m for m in port.messages} for x, port in clause.port_of.items()}
+    assert check_morphism(ArnMorphism(clause, net, point_map, edge_map, identity)) == ()
     assert validate(net) == ()
+    # a process point is renamed too, so its process label no longer fits
+    net, point_map, _ = rename_apart(clause, {"JP1", "JP1~1"}, set())
+    assert point_map == {"JP1": "JP1~2", "JP2": "JP2", "R1": "R1", "R2": "R2"}
+    assert any("process JP" in issue for issue in validate(net))
+
+
+_MESSAGES = ("a", "b", "c", "d")
+
+
+@st.composite
+def _ports(draw):
+    messages = draw(st.lists(st.sampled_from(_MESSAGES), unique=True, max_size=4))
+    k = draw(st.integers(0, len(messages)))
+    return Port(frozenset(messages[:k]), frozenset(messages[k:]))
+
+
+@given(_ports(), _ports(), st.data())
+def test_is_correspondence_agrees_with_enumeration(port1, port2, data):
+    # every one-to-one map from port1's messages into port2's that keeps polarity
+    ms = sorted(port1.messages)
+    correspondences = [
+        dict(zip(ms, image))
+        for image in itertools.permutations(sorted(port2.messages), len(ms))
+        if all((m in port1.published) == (v in port2.published) for m, v in zip(ms, image))
+    ]
+    maps = [st.dictionaries(st.sampled_from(_MESSAGES), st.sampled_from(_MESSAGES), max_size=4)]
+    if port2.messages:  # total on port1's messages, into port2's
+        maps.append(st.fixed_dictionaries({m: st.sampled_from(sorted(port2.messages)) for m in ms}))
+    if correspondences:
+        maps.append(st.sampled_from(correspondences))
+    corr = data.draw(st.one_of(maps))
+    assert is_correspondence(corr, port1, port2) == (corr in correspondences)
+
+
+def _permissive_process(ports):
+    aut = MullerAutomaton(
+        qualified_signature(ports), frozenset({"s"}), (("s", TRUE, "s"),), frozenset({"s"}), AllNonempty()
+    )
+    return Process(ports, aut)
+
+
+def _client():
+    """A process at Q talks over the channel C to the requires-point R."""
+    ports = {"Q": Port({"b", "c"}, {"a"}), "R": Port({"a"}, {"b", "c"})}
+    ident = {m: m for m in "abc"}
+    return Arn(
+        ports,
+        {"QP": _permissive_process({"Q": ports["Q"]})},
+        {"C": travel.connection({"a", "b", "c"}, {"Q": ident, "R": ident})},
+        {"QP": {"Q"}, "C": {"Q", "R"}},
+    )
+
+
+def _provider(x):
+    """One process providing at the point x."""
+    ports = {x: Port({"v", "x"}, {"w", "y", "z"})}
+    return Arn(ports, {"PP": _permissive_process(ports)}, {}, {"PP": {x}})
+
+
+_CORR = {"a": "x", "b": "y", "c": "z"}
+
+
+@pytest.mark.parametrize("x2", ["P", "R"])
+def test_glue_fuses_along_a_correspondence(x2):
+    # the clause point may take the name of the fused query point
+    glued, theta1, theta2 = glue(_client(), "R", _provider(x2), x2, _CORR)
+    assert validate(glued) == ()
+    assert check_morphism(theta1) == () and check_morphism(theta2) == ()
+    assert glued.connection_of["C"].attachment_of[x2] == _CORR
+
+
+@pytest.mark.parametrize(
+    "x1, clause, x2, corr",
+    [
+        ("Q", _provider("P"), "P", {"a": "y", "b": "x", "c": "v"}),
+        ("R", travel.journey_planner_net(), "JP2", {"a": "getRoutes", "b": "routes", "c": "timetables"}),
+        ("R", _provider("P"), "P", {"a": "x", "b": "y"}),
+        ("R", _provider("P"), "P", {**_CORR, "d": "w"}),
+        ("R", _provider("P"), "P", {"a": "x", "b": "y", "c": "y"}),
+        ("R", _provider("P"), "P", {"a": "w", "b": "y", "c": "z"}),
+        ("R", _provider("P"), "P", {"a": "x", "b": "v", "c": "z"}),
+        ("R", _provider("Q"), "Q", _CORR),
+    ],
+    ids=[
+        "x1-not-requires",
+        "x2-not-provides",
+        "missing-key",
+        "extra-key",
+        "not-injective",
+        "published-to-delivered",
+        "delivered-to-published",
+        "process-point-taken",
+    ],
+)
+def test_glue_rejects(x1, clause, x2, corr, monkeypatch):
+    def unreachable(net):
+        raise AssertionError("rejected only after gluing")
+
+    monkeypatch.setattr(arn, "validate", unreachable)
+    assert glue(_client(), x1, clause, x2, corr) is None
 
 
 def test_property_preservation_along_ground_morphisms():

@@ -376,6 +376,23 @@ def test_unreadable_files_exit_2(command, unreadable, tmp_path, capsys):
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("output", ["directory", "no-parent"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json")],
+        ["pexpr", "derive", str(DATA / "division.script.json")],
+    ],
+    ids=["solve", "pexpr-derive"],
+)
+def test_unwritable_output_exits_2_before_any_search(command, output, tmp_path, capsys):
+    path = tmp_path if output == "directory" else tmp_path / "missing" / "x.json"
+    assert run(command + ["--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

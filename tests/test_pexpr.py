@@ -85,6 +85,16 @@ def test_condition_round_trip():
         assert parse_condition(render_condition(c)) == c
 
 
+def test_a_minus_before_an_integer_is_a_negative_literal():
+    x = Ident("x")
+    assert parse_aexp("x - 3") == parse_aexp("x-3") == BinOp("-", x, Lit(3))
+    assert parse_aexp("x - -3") == BinOp("-", x, Lit(-3))
+    assert parse_aexp("-3 * x") == BinOp("*", Lit(-3), x)
+    assert parse_condition("[-3 = x]") == Compare("=", Lit(-3), x)
+    with pytest.raises(ProgramSyntaxError):
+        parse_aexp("-x")
+
+
 def test_condition_brackets_are_optional():
     assert parse_condition("x = 1 & y < 2") == parse_condition("[x = 1] & [y < 2]")
 
@@ -333,9 +343,9 @@ def test_spec_entails_identity_and_strictness():
 NAMES = ("x", "y", "z")
 
 
-def aexps(names, least=-3):
-    """``least`` is the least literal; the parser reads no negative literal."""
-    leaves = st.one_of(st.integers(least, 3).map(Lit), st.sampled_from(names).map(Ident))
+def aexps(names):
+    """Literals from -3 to 3, which the parser reads back."""
+    leaves = st.one_of(st.integers(-3, 3).map(Lit), st.sampled_from(names).map(Ident))
     return st.recursive(
         leaves,
         lambda sub: st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
@@ -343,8 +353,8 @@ def aexps(names, least=-3):
     )
 
 
-def conditions(names, least=-3):
-    compares = st.builds(Compare, st.sampled_from(("=", "<=", "<")), aexps(names, least), aexps(names, least))
+def conditions(names):
+    compares = st.builds(Compare, st.sampled_from(("=", "<=", "<")), aexps(names), aexps(names))
     return st.recursive(
         compares,
         lambda sub: st.one_of(
@@ -381,7 +391,7 @@ def names_and_box(draw):
     return names, draw(ranges())
 
 
-@given(conditions(NAMES, least=0))
+@given(conditions(NAMES))
 def test_parsed_conditions_round_trip_in_written_order(c):
     # the parser builds with c_and/c_or, which keep the written order and every
     # comparison, unless a true or false operand absorbs or drops some
