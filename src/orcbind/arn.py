@@ -471,7 +471,9 @@ def is_property(n: Arn, spec: ArnSpec) -> bool:
 @dataclass(frozen=True)
 class ArnMorphism:
     """An injective hypergraph homomorphism with per-point polarity-preserving
-    message injections; labels are preserved as dictated by edge kinds."""
+    message injections; labels are preserved as dictated by edge kinds.
+    The tests check these conditions with ``check_morphism`` of
+    ``tests/oracles.py``."""
 
     source: Arn
     target: Arn
@@ -530,113 +532,6 @@ def compose_morphisms(t1: ArnMorphism, t2: ArnMorphism) -> ArnMorphism:
         {e: em2[f] for e, f in em1.items()},
         {x: {m: mm2[pm1[x]][v] for m, v in mu.items()} for x, mu in mm1.items()},
     )
-
-
-def automata_equal(a1: MullerAutomaton, a2: MullerAutomaton) -> bool:
-    """On-the-nose equality with semantic guard comparison."""
-    return (
-        a1.signature == a2.signature
-        and a1.states == a2.states
-        and a1.initial == a2.initial
-        and a1.final == a2.final
-        and a1.edge_masks() == a2.edge_masks()
-    )
-
-
-def check_morphism(theta: ArnMorphism) -> tuple[str, ...]:
-    """Every violated morphism condition, with its location."""
-    issues = []
-    n1, n2 = theta.source, theta.target
-    pm, em, mm = theta.point_map, theta.edge_map, theta.msg_map
-    inc1, inc2 = n1.incidence_of, n2.incidence_of
-
-    if set(pm) != set(n1.points):
-        issues.append("point map must be total on the source points")
-    if set(em) != set(inc1):
-        issues.append("edge map must be total on the source hyperedges")
-    if any(y not in n2.points for y in pm.values()):
-        issues.append("point map image outside target points")
-    if any(f not in inc2 for f in em.values()):
-        issues.append("edge map image outside target hyperedges")
-    if issues:
-        return tuple(issues)
-
-    if len(set(pm.values())) != len(pm):
-        issues.append("point map is not injective")
-    if len(set(em.values())) != len(em):
-        issues.append("edge map is not injective")
-
-    procs1, procs2 = n1.process_of, n2.process_of
-    conns1, conns2 = n1.connection_of, n2.connection_of
-    for p in sorted(procs1):
-        if em[p] not in procs2:
-            issues.append(f"edge {p}: computation hyperedge mapped to a non-process edge")
-    for c in sorted(conns1):
-        if em[c] not in conns2:
-            issues.append(f"edge {c}: communication hyperedge mapped to a non-connection edge")
-
-    for e, xs in sorted(inc1.items()):
-        image = frozenset(pm[x] for x in xs)
-        if image != inc2[em[e]] & frozenset(pm.values()) or not image <= inc2[em[e]]:
-            # homomorphism condition: x in gamma_e iff theta(x) in gamma_theta(e)
-            for x in sorted(n1.points):
-                if (x in xs) != (pm[x] in inc2[em[e]]):
-                    issues.append(f"incidence not preserved at point {x}, edge {e}")
-
-    comp_incident = {x for p in procs1 for x in inc1.get(p, frozenset())}
-    for x in sorted(n1.points):
-        port1 = n1.port_of[x]
-        port2 = n2.port_of.get(pm[x])
-        mu = mm.get(x)
-        if mu is None or set(mu) != set(port1.messages):
-            issues.append(f"point {x}: message injection must be total on the port messages")
-            continue
-        if len(set(mu.values())) != len(mu):
-            issues.append(f"point {x}: message injection is not injective")
-        if port2 is None:
-            continue
-        for m in sorted(port1.published):
-            if mu[m] not in port2.published:
-                issues.append(f"point {x}: published message {m} not mapped to a published message")
-        for m in sorted(port1.delivered):
-            if mu[m] not in port2.delivered:
-                issues.append(f"point {x}: delivered message {m} not mapped to a delivered message")
-        if x in comp_incident:
-            if any(m != v for m, v in mu.items()):
-                issues.append(f"point {x}: computation-incident point must carry the identity injection")
-
-    for p, proc in sorted(procs1.items()):
-        target_proc = procs2.get(em[p])
-        if target_proc is None:
-            continue
-        if proc.port_of != target_proc.port_of:
-            issues.append(f"process {p}: labels not preserved on the nose")
-        elif not automata_equal(proc.automaton, target_proc.automaton):
-            issues.append(f"process {p}: automaton not preserved on the nose")
-
-    for c, conn in sorted(conns1.items()):
-        target_conn = conns2.get(em[c])
-        if target_conn is None:
-            continue
-        if conn.messages != target_conn.messages:
-            issues.append(f"connection {c}: channel messages not preserved")
-            continue
-        if not automata_equal(conn.automaton, target_conn.automaton):
-            issues.append(f"connection {c}: channel automaton not preserved")
-        att1 = conn.attachment_of
-        att2 = target_conn.attachment_of
-        for x in sorted(inc1.get(c, frozenset())):
-            mu1 = att1.get(x, {})
-            mu2 = att2.get(pm[x], {})
-            mux = mm.get(x, {})
-            if set(mu1) != set(mu2):
-                issues.append(f"connection {c} at {x}: attachment domains differ after mapping")
-                continue
-            for m in sorted(mu1):
-                if mux.get(mu1[m]) != mu2[m]:
-                    issues.append(f"connection {c} at {x}: attachment triangle does not commute on {m}")
-
-    return tuple(issues)
 
 
 def translate_spec(theta: ArnMorphism, spec: ArnSpec) -> ArnSpec:

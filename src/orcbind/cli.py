@@ -5,11 +5,15 @@ a negative verdict or no answer, 2 for unusable input.  A scripted
 derivation step that no unifier binds is a negative answer (exit 1).  Input
 is unusable when the library raises ``orcbind.InputError``: the parsers
 raise it for unparsable text, ``arn`` for a network, point or formula unfit
-for a check, ``engine`` for a step naming a missing clause or spec and for
-repeated clause names, and this module for broken files, for an ``--output``
-path it cannot write (``_json_writer``) and for JSON shapes it cannot
-decode, from a whole file down to one name (``_decoding``); ``main`` maps it
-to exit code 2.
+for a check, ``muller`` for a guard whose disjunctive normal form has more
+than ``muller.MAX_CUBES`` cubes, ``engine`` for a step naming a missing
+clause or spec and for repeated clause names, and this module for broken
+files, for an ``--output`` path it cannot write (``_json_writer``) and for
+JSON shapes it cannot decode, from a whole file down to one name
+(``_decoding``); ``main`` maps it to exit code 2.  A limit that would make
+a verdict vacuous (``--max-answers`` below 1, ``--max-depth`` or ``--fuel``
+below 0) exits 2 from argument parsing (``_at_least``), as an empty
+``--bounds`` range exits 2 from ``parse_bounds``.
 Verdicts produced by bounded oracles are printed with an explicit
 ``bounded`` qualifier.
 
@@ -321,6 +325,23 @@ _BOUNDS_HELP = (
 )
 
 
+def _at_least(low: int):
+    """An argparse ``type``: an integer of at least ``low``.  A smaller
+    limit (no answer sought, a negative depth or fuel) would make the verdict
+    say nothing, so it is refused."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def parse_bounds(text: str) -> tuple[int, int]:
     """``LO..HI`` as a pair; an empty range would make every bounded check
     hold vacuously, so it is refused."""
@@ -423,7 +444,7 @@ def render_answer(answer: Answer) -> str:
     return "\n".join(lines)
 
 
-def trace_to_json(answers, partial=None):
+def trace_to_json(answers, partial=None, end=None):
     out = {"answers": []}
     for a in answers:
         out["answers"].append(
@@ -443,7 +464,17 @@ def trace_to_json(answers, partial=None):
         )
     if partial is not None:
         out["unresolved"] = [s.render() for s in partial]
+    if end is not None:
+        out["search"] = {"status": end.status, "cut": end.cut, "max_depth": end.max_depth}
     return out
+
+
+def render_search_end(end) -> str:
+    """Why a search that found no answer ended."""
+    if end.status == "exhausted":
+        return "search exhausted"
+    plural = "" if end.cut == 1 else "s"
+    return f"{end.cut} derivation{plural} cut at depth {end.max_depth}"
 
 
 # ---------------------------------------------------------------------------
@@ -518,9 +549,9 @@ def cmd_solve(args) -> int:
         except DerivationFailed as e:
             print(str(e))
             return 1
-        answers = [answer]
+        answers, end = [answer], None
     else:
-        answers, partial = solve(
+        answers, end = solve(
             scheme,
             query,
             repository,
@@ -533,17 +564,17 @@ def cmd_solve(args) -> int:
         print(render_answer(a))
     unresolved = None
     if not answers:  # only a search can come back empty
-        steps, stuck = partial
+        stuck = end.query
         print("=== partial derivation (no answer) ===")
-        for i, s in enumerate(steps, start=1):
+        for i, s in enumerate(end.steps, start=1):
             print(render_step(i, s))
         unresolved = [s for s in stuck.requires if not scheme.is_trivial(stuck.orc, s)]
         for s in unresolved:
             print(f"unresolved: {s.render()}")
     if write_output:
-        write_output(trace_to_json(answers, partial=unresolved))
+        write_output(trace_to_json(answers, partial=unresolved, end=end))
     if not answers:
-        print("no answer within limits")
+        print(f"no answer within limits ({render_search_end(end)})")
         return 1
     return 0
 
@@ -634,8 +665,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("query")
     p_solve.add_argument("repository")
     p_solve.add_argument("--script", default=None, help="scripted derivation steps (JSON)")
-    p_solve.add_argument("--max-depth", type=int, default=8)
-    p_solve.add_argument("--max-answers", type=int, default=10)
+    p_solve.add_argument("--max-depth", type=_at_least(0), default=8)
+    p_solve.add_argument("--max-answers", type=_at_least(1), default=10)
     p_solve.add_argument("--output", default=None, help="write machine-readable trace JSON")
 
     p_pex = sub.add_parser("pexpr", help="program derivation and bounded checking")
@@ -643,13 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
     d = pex_sub.add_parser("derive")
     d.add_argument("script")
     d.add_argument("--bounds", default=_DEFAULT_BOUNDS, help=_BOUNDS_HELP)
-    d.add_argument("--fuel", type=int, default=pexpr.FUEL)
+    d.add_argument("--fuel", type=_at_least(0), default=pexpr.FUEL)
     d.add_argument("--output", default=None)
     k = pex_sub.add_parser("check")
     k.add_argument("program")
     k.add_argument("spec")
     k.add_argument("--bounds", default=_DEFAULT_BOUNDS, help=_BOUNDS_HELP)
-    k.add_argument("--fuel", type=int, default=pexpr.FUEL)
+    k.add_argument("--fuel", type=_at_least(0), default=pexpr.FUEL)
 
     return parser
 

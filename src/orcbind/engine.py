@@ -183,6 +183,23 @@ def resolve(scheme: OrchestrationScheme, query: Query, clause: Clause, selected,
     return Query(u.apex, tuple(deduped))
 
 
+@dataclass(frozen=True)
+class SearchEnd:
+    """How a search ended, and the deepest derivation it explored.
+
+    ``status`` is ``"stopped"`` when it found ``max_answers`` answers,
+    ``"cut"`` when it left ``cut`` derivations unfinished at depth
+    ``max_depth``, and ``"exhausted"`` when it explored its whole tree.
+    ``steps`` lead to ``query``, the query the deepest derivation got stuck
+    on, for reporting failed searches."""
+
+    status: str
+    cut: int
+    max_depth: int
+    steps: tuple
+    query: Query
+
+
 def solve(
     scheme: OrchestrationScheme,
     query: Query,
@@ -196,12 +213,12 @@ def solve(
     the scheme heuristic last; the first non-trivial spec (in requires order)
     is always the one resolved.  Deterministic for identical inputs.
 
-    Returns ``(answers, (steps, query))``: the answers found, and the deepest
-    derivation explored (its steps and the query it got stuck on), for
-    reporting failed searches.
+    Returns ``(answers, end)``: the answers found, and the ``SearchEnd``
+    that says how the search ended.
     """
     answers: list[Answer] = []
     best_partial = {"depth": -1, "steps": (), "query": query}
+    cut = 0
 
     def select(q: Query):
         for s in q.requires:
@@ -210,6 +227,7 @@ def solve(
         return None
 
     def search(q: Query, steps, composed, depth):
+        nonlocal cut
         if len(answers) >= max_answers:
             return
         if depth > best_partial["depth"]:
@@ -219,6 +237,7 @@ def solve(
             answers.append(Answer(tuple(steps), composed, q.orc))
             return
         if depth >= max_depth:
+            cut += 1
             return
         for clause in repository.clauses:
             seen = []
@@ -240,7 +259,8 @@ def solve(
                         return
 
     search(query, [], scheme.identity_morphism(query.orc), 0)
-    return answers, (best_partial["steps"], best_partial["query"])
+    status = "stopped" if len(answers) >= max_answers else "cut" if cut else "exhausted"
+    return answers, SearchEnd(status, cut, max_depth, best_partial["steps"], best_partial["query"])
 
 
 def solve_scripted(scheme: OrchestrationScheme, query: Query, steps):

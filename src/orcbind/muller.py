@@ -3,16 +3,32 @@
 A letter of the alphabet is a subset of the automaton's action signature.
 Transitions carry guards, which are the ``sigcat`` formulas without ``X`` and
 ``U`` (an automaton rejects any other); a transition exists for every letter
-satisfying the guard.  All semantic work (products, reducts, homomorphism
-checks, acceptance, emptiness) happens on the guard semantics -- bitmasks
-indexed by letters -- never on guard syntax.
+satisfying the guard.  All semantic work (products, reducts, acceptance,
+emptiness) happens on the guard semantics, never on guard syntax.
 
-Letter-set semantics lives here.  ``boolean_mask`` is the one evaluator of
-``!``, ``&`` and ``|`` over bitmasks; ``guard_mask`` runs it on atom columns.
-``MullerAutomaton.moves`` turns an automaton's transitions into masks once
-and caches them; the searches read it and ``edge_masks`` merges it.
-``product`` masks its factors' transitions itself, because it needs their
-guards and their global order.
+A guard's semantics, its letter set, is a tuple of cubes, the literal
+conjunctions of its disjunctive normal form: the Boolean algebra of cubes of
+D'Antoni and Veanes ("The power of symbolic automata and transducers", CAV
+2017).  A cube ``(pos, neg)`` is two masks over the signature's actions, the
+actions its letters hold and those they lack.  Two cubes meet in ``(pos |
+pos', neg | neg')``, and a cube with ``pos & neg`` is empty and dropped, so
+the empty tuple is the empty set.  Every guard ``orcbind`` builds is one
+cube or a short disjunction of them: the tableau's transitions carry literal
+conjunctions, ``product`` conjoins and ``cofree_expansion`` renames.  A
+guard read from a file can have an exponential normal form (``(a1 | b1) &
+... & (ak | bk)`` has 2^k cubes), so ``guard_mask`` refuses one past
+``MAX_CUBES`` cubes with ``InputError``.  A letter is the mask of its
+actions, so the lowest letter of a cube is its ``pos``, and the lowest of a
+union its least ``pos``.  ``guard_mask``, ``mask_to_guard`` and
+``edge_masks`` keep the names they had when a letter set was a bitmask over
+all 2^n letters: the benchmark's tracer wraps them by name.  That bitmask
+semantics is now the reference in ``tests/oracles.py``, which the tests
+check the cubes against.
+
+``MullerAutomaton.moves`` puts each distinct guard of an automaton in normal
+form once and flattens its transitions into ``(dst, pos, neg)`` triples; the
+searches read it and ``edge_masks`` merges it.  ``product`` normalizes its
+factors' guards itself, because it needs them and their global order.
 
 ``product`` builds the full categorical product over every state tuple.
 Emptiness of an intersection never needs it: ``find_accepted_lasso`` takes
@@ -22,7 +38,7 @@ soon as a closing cycle puts the states of its nodes into every factor's
 family, and tests every other SCC when it completes; it stops at the first
 live set.  The witness prefix keeps to nodes the search has expanded (its
 DFS path and that SCC), and the edge cache keeps one letter per edge (the
-lowest enabling one), not its letter mask.
+lowest enabling one), not its letter set.
 ``accepts`` runs the same search on the automaton and the lasso's own
 one-run automaton.
 
@@ -37,10 +53,10 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
+from . import InputError
 from .sigcat import (
-    FALSE,
     TRUE,
     ActionSignature,
     And,
@@ -78,63 +94,53 @@ def guard_atoms(g: Formula) -> frozenset[str]:
     raise TypeError(g)
 
 
-# Letters of a signature with n actions are indexed 0 .. 2^n - 1; bit i of a
-# letter index says whether action number i (in ordered_actions order) is in
-# the letter.  A guard's semantics is the bitmask over all letter indices.
+# Bit i of a cube's masks, and of a letter, stands for action number i in
+# ordered_actions order.
+
+MAX_CUBES = 4096
 
 
-@lru_cache(maxsize=None)
-def atom_column(n_actions: int, i: int) -> int:
-    """Bitmask over 2^n letter indices whose i-th action bit is set."""
-    mask = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i zeros then 2^i ones
-    for k in range(i + 1, n_actions):
-        mask |= mask << (1 << k)  # repeat the first 2^k letters once more
-    return mask
+def _cap(cubes):
+    if len(cubes) > MAX_CUBES:
+        raise InputError(f"guard has more than {MAX_CUBES} cubes in disjunctive normal form")
+    return cubes
 
 
-def full_mask(sig: ActionSignature) -> int:
-    return (1 << (1 << len(sig.actions))) - 1
+def _meet(xs, ys) -> tuple[tuple[int, int], ...]:
+    """The cubes of the intersection of two letter sets, each once."""
+    out = {}
+    for p, n in xs:
+        for q, m in ys:
+            if not (pq := p | q) & (nm := n | m):
+                out[pq, nm] = None
+        _cap(out)
+    return tuple(out)
 
 
-def boolean_mask(h: Formula, leaf, full: int) -> int:
-    """The bitmask of a ``Not``/``And``/``Or`` combination, given ``leaf(h)``,
-    the mask of every other subformula, and ``full``, the mask of true."""
-    if isinstance(h, Not):
-        return full ^ boolean_mask(h.sub, leaf, full)
-    if isinstance(h, And):
-        m = full
-        for s in h.subs:
-            m &= boolean_mask(s, leaf, full)
-        return m
-    if isinstance(h, Or):
-        m = 0
-        for s in h.subs:
-            m |= boolean_mask(s, leaf, full)
-        return m
-    return leaf(h)
+def guard_mask(g: Formula, sig: ActionSignature) -> tuple[tuple[int, int], ...]:
+    """Semantics of a guard: the cubes of its disjunctive normal form, empty
+    exactly when no letter satisfies it.  Negations are pushed to the atoms;
+    a guard past ``MAX_CUBES`` cubes raises ``InputError``."""
+    bit = {a: 1 << i for i, a in enumerate(ordered_actions(sig))}
 
-
-def guard_mask(g: Formula, sig: ActionSignature) -> int:
-    """Semantics of a guard: one bit per letter of the signature."""
-    actions = ordered_actions(sig)
-    index = {a: i for i, a in enumerate(actions)}
-
-    def atom(h: Formula) -> int:
-        if not isinstance(h, Atom):
+    def dnf(h: Formula, neg: bool):
+        if isinstance(h, Atom):
+            if h.action not in bit:
+                raise ValueError(f"guard atom {h.action!r} outside signature")
+            return ((0, bit[h.action]),) if neg else ((bit[h.action], 0),)
+        if isinstance(h, Not):
+            return dnf(h.sub, not neg)
+        if not isinstance(h, (And, Or)):
             raise TypeError(h)
-        if h.action not in index:
-            raise ValueError(f"guard atom {h.action!r} outside signature")
-        return atom_column(len(actions), index[h.action])
+        parts = [dnf(s, neg) for s in h.subs]
+        if isinstance(h, Or) == neg:  # a conjunction, or a negated disjunction
+            out = ((0, 0),)
+            for part in parts:
+                out = _meet(out, part)
+            return out
+        return _cap(tuple(dict.fromkeys(itertools.chain.from_iterable(parts))))
 
-    return boolean_mask(g, atom, full_mask(sig))
-
-
-def bit_positions(mask: int):
-    """Positions of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return dnf(g, False)
 
 
 def letter_at(index: int, sig: ActionSignature) -> frozenset[str]:
@@ -142,26 +148,17 @@ def letter_at(index: int, sig: ActionSignature) -> frozenset[str]:
     return frozenset(a for i, a in enumerate(actions) if index & (1 << i))
 
 
-def mask_to_guard(mask: int, sig: ActionSignature) -> Formula:
-    """Synthesize a guard with the given semantics by Shannon expansion on
-    the highest action: the mask's lower half is the letters without that
-    action and its upper half the letters with it; equal halves drop the
-    action.  The empty mask is ``false`` and the full one ``true``."""
+def mask_to_guard(cubes, sig: ActionSignature) -> Formula:
+    """A guard with the given letter set: the disjunction of its cubes'
+    literal conjunctions.  No cube is ``false``, a cube of no literal
+    ``true``."""
     actions = ordered_actions(sig)
-
-    def expand(m: int, n: int) -> Formula:
-        if m == 0:
-            return FALSE
-        if m == (1 << (1 << n)) - 1:
-            return TRUE
-        half = 1 << (n - 1)
-        low, high = m & ((1 << half) - 1), m >> half
-        if low == high:
-            return expand(low, n - 1)
-        x = Atom(actions[n - 1])
-        return lor(land(Not(x), expand(low, n - 1)), land(x, expand(high, n - 1)))
-
-    return expand(mask, len(actions))
+    return lor(
+        *(
+            land(*(Atom(a) if p >> i & 1 else Not(Atom(a)) for i, a in enumerate(actions) if (p | n) >> i & 1))
+            for p, n in cubes
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,20 +296,6 @@ def _set_key(s):
     return tuple(sorted(map(_key, s)))
 
 
-def explicit_members(family: FinalFamily, states: frozenset) -> frozenset[frozenset]:
-    """Enumerate the family over subsets of `states` (cross-check conversion)."""
-    if len(states) > 16:
-        raise ValueError("explicit enumeration limited to small state sets")
-    members = []
-    items = sorted(states, key=_key)
-    for r in range(1, len(items) + 1):
-        for combo in itertools.combinations(items, r):
-            s = frozenset(combo)
-            if family.contains(s):
-                members.append(s)
-    return frozenset(members)
-
-
 # ---------------------------------------------------------------------------
 # Automata and lasso traces
 
@@ -342,26 +325,28 @@ class MullerAutomaton:
                     raise ValueError(f"guard atoms outside signature: {sorted(stray)}")
 
     @cached_property
-    def moves(self) -> dict[object, list[tuple[object, int]]]:
-        """Satisfiable transitions as letter masks: state -> [(dst, mask)], in
-        transition order; equal guards share one mask."""
-        out: dict[object, list[tuple[object, int]]] = {}
-        masks: dict[Formula, int] = {}
+    def moves(self) -> dict[object, list[tuple[object, int, int]]]:
+        """Satisfiable transitions as cubes: state -> [(dst, pos, neg)], one
+        triple per cube of each transition's guard, in transition order;
+        equal guards share one normal form."""
+        out: dict[object, list[tuple[object, int, int]]] = {}
+        normal: dict[Formula, tuple] = {}
         for src, g, dst in self.transitions:
-            mask = masks.get(g)
-            if mask is None:
-                mask = masks[g] = guard_mask(g, self.signature)
-            if mask:
-                out.setdefault(src, []).append((dst, mask))
+            cubes = normal.get(g)
+            if cubes is None:
+                cubes = normal[g] = guard_mask(g, self.signature)
+            if cubes:
+                out.setdefault(src, []).extend((dst, p, n) for p, n in cubes)
         return out
 
-    def edge_masks(self) -> dict[tuple[object, object], int]:
-        """Satisfiable semantic edges: (src, dst) -> letter bitmask (merged, non-zero)."""
-        masks: dict[tuple[object, object], int] = {}
+    def edge_masks(self) -> dict[tuple[object, object], tuple[tuple[int, int], ...]]:
+        """Satisfiable semantic edges: (src, dst) -> the cubes of every
+        transition between them, each once."""
+        edges: dict[tuple[object, object], dict] = {}
         for src, out in self.moves.items():
-            for dst, m in out:
-                masks[src, dst] = masks.get((src, dst), 0) | m
-        return masks
+            for dst, p, n in out:
+                edges.setdefault((src, dst), {})[p, n] = None
+        return {e: tuple(cubes) for e, cubes in edges.items()}
 
 
 @dataclass(frozen=True)
@@ -611,10 +596,10 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
     case.  The search runs on their synchronous product without building it:
     nodes are the state tuples reached from the initial tuples (the only
     nodes sorted, by ``repr``), and a node's edges are computed once, by
-    ANDing the masks of the factors' transitions, in the order of ``product``
-    (lexicographic over each factor's transitions from its state).  The edge
-    cache keeps only each destination's lowest enabling letter index, the
-    letter the witness uses, not the mask.
+    meeting the cubes of the factors' transitions, in the order of
+    ``product`` (lexicographic over each factor's transitions from its
+    state).  The edge cache keeps only each destination's lowest enabling
+    letter, the least ``pos`` of its cubes, which the witness uses.
 
     The search (``_sccs``) tests a partial SCC against the factors'
     families as soon as a closing cycle adds states to it, and a completed
@@ -629,27 +614,25 @@ def find_accepted_lasso(*automata: MullerAutomaton) -> LassoTrace | None:
     if any(a.signature != sig for a in automata):
         raise ValueError("product factors must share a signature")
     moves = [a.moves for a in automata]
-    full = full_mask(sig)
-    edges: dict[tuple, dict[tuple, int]] = {}  # node -> {dst: lowest letter index}
+    edges: dict[tuple, dict[tuple, int]] = {}  # node -> {dst: lowest letter}
 
     def succ(node):
         e = edges.get(node)
         if e is None:
             # extend partial destination tuples one factor at a time; a
-            # prefix whose mask is already empty is dropped
-            partial = [((), full)]
+            # prefix whose cube is already empty is dropped
+            partial = [((), 0, 0)]
             for out, q in zip(moves, node):
                 partial = [
-                    (dst + (d,), m & em)
-                    for dst, m in partial
-                    for d, em in out.get(q, ())
-                    if m & em
+                    (dst + (d,), pp, nn)
+                    for dst, p, n in partial
+                    for d, ep, en in out.get(q, ())
+                    if not (pp := p | ep) & (nn := n | en)
                 ]
             e = edges[node] = {}
-            for dst, m in partial:
-                low = (m & -m).bit_length() - 1
-                if low < e.get(dst, low + 1):
-                    e[dst] = low
+            for dst, p, _ in partial:
+                if p < e.get(dst, p + 1):
+                    e[dst] = p
         return e
 
     roots = sorted(itertools.product(*(a.initial for a in automata)), key=_key)
@@ -669,28 +652,36 @@ def reduct(a: MullerAutomaton, sigma: SignatureMorphism) -> MullerAutomaton:
     """Alphabet reduct along ``sigma: A -> A'`` of an automaton over A'.
 
     A letter over A enables a reduct transition iff it is the sigma-preimage
-    of some letter over A' enabling the original transition.
+    of some letter over A' enabling the original transition.  The preimages
+    of a cube's letters are the letters that hold, or lack, all of each
+    fibre: the fibre of an action the cube holds is in, that of one it
+    lacks out, and a free fibre of two or more actions splits the cube in
+    two, one with it all in and one with it all out.
     """
     if a.signature != sigma.target:
         raise ValueError("automaton signature must be the morphism target")
     src_sig = sigma.source
-    src_actions = ordered_actions(src_sig)
-    tgt_pos = {x: j for j, x in enumerate(ordered_actions(sigma.target))}
-    bit_of = [(1 << i, 1 << tgt_pos[sigma(x)]) for i, x in enumerate(src_actions)]
-    # preimage of each target letter, as a source letter index
-    pre = []
-    for idx in range(1 << len(tgt_pos)):
-        letter = 0
-        for src_bit, tgt_bit in bit_of:
-            if idx & tgt_bit:
-                letter |= src_bit
-        pre.append(letter)
+    tgt_bit = {x: 1 << j for j, x in enumerate(ordered_actions(sigma.target))}
+    fibres: dict[int, int] = {}  # target action bit -> its preimage, as a mask
+    for i, x in enumerate(ordered_actions(src_sig)):
+        b = tgt_bit[sigma(x)]
+        fibres[b] = fibres.get(b, 0) | 1 << i
+
+    def preimage(p, n):
+        out = [(0, 0)]
+        for b, f in fibres.items():
+            if p & b:
+                out = [(q | f, m) for q, m in out]
+            elif n & b:
+                out = [(q, m | f) for q, m in out]
+            elif f & (f - 1):
+                out = [c for q, m in out for c in ((q | f, m), (q, m | f))]
+        return out
+
     transitions = []
-    for (src, dst), m in sorted(a.edge_masks().items(), key=lambda e: _key(e[0])):
-        proj = 0
-        for b in bit_positions(m):
-            proj |= 1 << pre[b]
-        transitions.append((src, mask_to_guard(proj, src_sig), dst))
+    for (src, dst), cubes in sorted(a.edge_masks().items(), key=lambda e: _key(e[0])):
+        pre = dict.fromkeys(c for p, n in cubes for c in preimage(p, n))
+        transitions.append((src, mask_to_guard(pre, src_sig), dst))
     return MullerAutomaton(src_sig, a.states, tuple(transitions), a.initial, a.final)
 
 
@@ -729,96 +720,15 @@ def product(automata, signature: ActionSignature | None = None) -> MullerAutomat
     ]
     transitions = []
     for combo in itertools.product(*annotated):
-        m = full_mask(sig)
-        for _, _, _, em in combo:
-            m &= em
-            if not m:
+        cubes = ((0, 0),)
+        for *_, c in combo:
+            cubes = _meet(cubes, c)
+            if not cubes:
                 break
-        if not m:
+        if not cubes:
             continue
         src = tuple(e[0] for e in combo)
         dst = tuple(e[2] for e in combo)
         transitions.append((src, land(*(e[1] for e in combo)), dst))
     final = ProductFamily(tuple((i, a.final) for i, a in enumerate(automata)))
     return MullerAutomaton(sig, states, tuple(transitions), initial, final)
-
-
-def check_homomorphism(h: dict, a1: MullerAutomaton, a2: MullerAutomaton) -> bool:
-    """Is the state map a homomorphism a1 -> a2 over the common signature?
-
-    Transitions are compared semantically: every letter enabling a source
-    transition must enable some target transition between the image states.
-    Final families are compared by enumerating subsets of a1's states.
-    """
-    if a1.signature != a2.signature:
-        raise ValueError("homomorphism requires a common signature")
-    if set(h) != set(a1.states):
-        raise ValueError("state map must be total on the source states")
-    if any(v not in a2.states for v in h.values()):
-        return False
-    if not frozenset(h[q] for q in a1.initial) <= a2.initial:
-        return False
-    m2 = a2.edge_masks()
-    for (src, dst), m in a1.edge_masks().items():
-        if m & ~m2.get((h[src], h[dst]), 0):
-            return False
-    for s in explicit_members(a1.final, a1.states):
-        if not a2.final.contains(frozenset(h[q] for q in s)):
-            return False
-    return True
-
-
-def automaton_isomorphism(a1: MullerAutomaton, a2: MullerAutomaton):
-    """A state bijection that is a semantic isomorphism, or None.
-
-    Backtracking over bijections, pruned by initial-state membership and
-    edge-mask profiles; guards and families are compared semantically.
-    """
-    if a1.signature != a2.signature or len(a1.states) != len(a2.states):
-        return None
-    if len(a1.initial) != len(a2.initial):
-        return None
-    m1, m2 = a1.edge_masks(), a2.edge_masks()
-
-    def profile(a, masks, q):
-        outs = sorted(m for (s, _), m in masks.items() if s == q)
-        ins = sorted(m for (_, d), m in masks.items() if d == q)
-        return (q in a.initial, outs, ins)
-
-    p1 = {q: profile(a1, m1, q) for q in a1.states}
-    p2 = {q: profile(a2, m2, q) for q in a2.states}
-    order = sorted(a1.states, key=_key)
-
-    def compatible(assign):
-        for (s, d), m in m1.items():
-            if s in assign and d in assign:
-                if m != m2.get((assign[s], assign[d]), 0):
-                    return False
-        return True
-
-    def extend(i, assign, used):
-        if i == len(order):
-            image_edges = {(assign[s], assign[d]) for (s, d) in m1}
-            if set(m2) != image_edges:
-                return None
-            back = {v: k for k, v in assign.items()}
-            for s in explicit_members(a1.final, a1.states):
-                if not a2.final.contains(frozenset(assign[q] for q in s)):
-                    return None
-            for s in explicit_members(a2.final, a2.states):
-                if not a1.final.contains(frozenset(back[q] for q in s)):
-                    return None
-            return dict(assign)
-        q = order[i]
-        for cand in sorted(a2.states - used, key=_key):
-            if p1[q] != p2[cand]:
-                continue
-            assign[q] = cand
-            if compatible(assign):
-                res = extend(i + 1, assign, used | {cand})
-                if res is not None:
-                    return res
-            del assign[q]
-        return None
-
-    return extend(0, {}, frozenset())

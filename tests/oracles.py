@@ -1,9 +1,8 @@
 """Independent oracles the tests check production code against.
 
 Everything here deliberately avoids the production algorithms: guards are
-evaluated by naive recursion on letters (no bitmasks), final-family
-membership by each family's own definition (no hit/within unfolding),
-acceptance is decided
+evaluated by naive recursion on letters, final-family membership by each
+family's own definition (no hit/within unfolding), acceptance is decided
 by explicit run search over the unrolled product graph (no SCC refinement),
 emptiness by bounded witness-lasso search per final set, and one more
 emptiness route goes through a textbook Muller-to-Buchi conversion.  The
@@ -12,6 +11,12 @@ of them, or from the initial ones by bitmask columns.
 The bounded pexpr oracles decide one enumerated state at a time, and run
 programs with a functional interpreter that copies the state on every
 assignment.
+
+Letter sets have a reference semantics here: a bitmask of 2^n bits over
+the letters of a signature of n actions, one bit per letter.  ``orcbind``
+holds a letter set as a tuple of cubes; the tests compare the cubes, and
+every semantic comparison of automata (homomorphisms, isomorphisms,
+on-the-nose equality of ARN labels, ARN morphisms), with these bitmasks.
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ from orcbind.muller import (
     LassoTrace,
     MullerAutomaton,
     ProductFamily,
-    atom_column,
-    bit_positions,
-    boolean_mask,
 )
 from orcbind.pexpr import (
     Assign,
@@ -49,7 +51,7 @@ from orcbind.pexpr import (
     subterm_at,
     term_idents,
 )
-from orcbind.sigcat import And, Atom, Next, Not, Or, Until, land, ordered_actions
+from orcbind.sigcat import FALSE, TRUE, And, Atom, Next, Not, Or, Until, land, lor, ordered_actions
 
 
 def eval_guard(g, letter: frozenset) -> bool:
@@ -62,6 +64,119 @@ def eval_guard(g, letter: frozenset) -> bool:
     if isinstance(g, Or):
         return any(eval_guard(s, letter) for s in g.subs)
     raise TypeError(g)
+
+
+# ---------------------------------------------------------------------------
+# Letter sets as bitmasks
+#
+# Letters of a signature with n actions are indexed 0 .. 2^n - 1; bit i of a
+# letter index says whether action number i (in ordered_actions order) is in
+# the letter.  A letter set is the bitmask over all letter indices.
+
+
+def atom_column(n_actions: int, i: int) -> int:
+    """Bitmask over 2^n letter indices whose i-th action bit is set."""
+    mask = ((1 << (1 << i)) - 1) << (1 << i)  # 2^i zeros then 2^i ones
+    for k in range(i + 1, n_actions):
+        mask |= mask << (1 << k)  # repeat the first 2^k letters once more
+    return mask
+
+
+def full_mask(sig) -> int:
+    return (1 << (1 << len(sig.actions))) - 1
+
+
+def boolean_mask(h, leaf, full: int) -> int:
+    """The bitmask of a ``Not``/``And``/``Or`` combination, given ``leaf(h)``,
+    the mask of every other subformula, and ``full``, the mask of true."""
+    if isinstance(h, Not):
+        return full ^ boolean_mask(h.sub, leaf, full)
+    if isinstance(h, And):
+        m = full
+        for s in h.subs:
+            m &= boolean_mask(s, leaf, full)
+        return m
+    if isinstance(h, Or):
+        m = 0
+        for s in h.subs:
+            m |= boolean_mask(s, leaf, full)
+        return m
+    return leaf(h)
+
+
+def guard_bitmask(g, sig) -> int:
+    """The letter set of a guard, one bit per letter of the signature."""
+    index = {a: i for i, a in enumerate(ordered_actions(sig))}
+
+    def atom(h):
+        if not isinstance(h, Atom):
+            raise TypeError(h)
+        return atom_column(len(index), index[h.action])
+
+    return boolean_mask(g, atom, full_mask(sig))
+
+
+def bit_positions(mask: int):
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def cubes_bitmask(cubes, sig) -> int:
+    """The bitmask of a tuple of ``(pos, neg)`` cubes, letter by letter."""
+    return sum(
+        1 << i
+        for i in range(1 << len(sig.actions))
+        if any(i & p == p and not i & n for p, n in cubes)
+    )
+
+
+def bitmask_to_guard(mask: int, sig):
+    """A guard with the given letter set, by Shannon expansion on the highest
+    action: the mask's lower half is the letters without that action and its
+    upper half the letters with it; equal halves drop the action.  The empty
+    mask is ``false`` and the full one ``true``."""
+    actions = ordered_actions(sig)
+
+    def expand(m: int, n: int):
+        if m == 0:
+            return FALSE
+        if m == (1 << (1 << n)) - 1:
+            return TRUE
+        half = 1 << (n - 1)
+        low, high = m & ((1 << half) - 1), m >> half
+        if low == high:
+            return expand(low, n - 1)
+        x = Atom(actions[n - 1])
+        return lor(land(Not(x), expand(low, n - 1)), land(x, expand(high, n - 1)))
+
+    return expand(mask, len(actions))
+
+
+def edge_bitmasks(a: MullerAutomaton) -> dict:
+    """Satisfiable edges of an automaton: (src, dst) -> the bitmask of every
+    letter enabling some transition between them."""
+    masks = {}
+    for src, g, dst in a.transitions:
+        m = guard_bitmask(g, a.signature)
+        if m:
+            masks[src, dst] = masks.get((src, dst), 0) | m
+    return masks
+
+
+def reduct_bitmasks(a: MullerAutomaton, sigma) -> dict:
+    """``edge_bitmasks`` of the reduct of ``a`` along ``sigma: A -> A'``: a
+    letter over A is enabled on an edge iff it is the sigma-preimage of some
+    letter over A' enabled there."""
+    src_actions = ordered_actions(sigma.source)
+    tgt_pos = {x: j for j, x in enumerate(ordered_actions(sigma.target))}
+    bit_of = [(1 << i, 1 << tgt_pos[sigma(x)]) for i, x in enumerate(src_actions)]
+    pre = [sum(s for s, t in bit_of if idx & t) for idx in range(1 << len(tgt_pos))]
+    return {
+        edge: sum({1 << pre[b] for b in bit_positions(m)}) for edge, m in edge_bitmasks(a).items()
+    }
 
 
 def all_letters(sig):
@@ -324,6 +439,212 @@ def buchi_is_empty(buchi) -> bool:
 
 def is_empty_by_buchi(a: MullerAutomaton) -> bool:
     return buchi_is_empty(muller_to_buchi(a))
+
+
+# ---------------------------------------------------------------------------
+# Semantic comparisons of automata and networks
+
+
+def explicit_members(family, states: frozenset) -> frozenset[frozenset]:
+    """Enumerate the family over subsets of `states` (cross-check conversion)."""
+    if len(states) > 16:
+        raise ValueError("explicit enumeration limited to small state sets")
+    members = []
+    items = sorted(states, key=repr)
+    for r in range(1, len(items) + 1):
+        for combo in itertools.combinations(items, r):
+            s = frozenset(combo)
+            if family.contains(s):
+                members.append(s)
+    return frozenset(members)
+
+
+def check_homomorphism(h: dict, a1: MullerAutomaton, a2: MullerAutomaton) -> bool:
+    """Is the state map a homomorphism a1 -> a2 over the common signature?
+
+    Transitions are compared semantically: every letter enabling a source
+    transition must enable some target transition between the image states.
+    Final families are compared by enumerating subsets of a1's states.
+    """
+    if a1.signature != a2.signature:
+        raise ValueError("homomorphism requires a common signature")
+    if set(h) != set(a1.states):
+        raise ValueError("state map must be total on the source states")
+    if any(v not in a2.states for v in h.values()):
+        return False
+    if not frozenset(h[q] for q in a1.initial) <= a2.initial:
+        return False
+    m2 = edge_bitmasks(a2)
+    for (src, dst), m in edge_bitmasks(a1).items():
+        if m & ~m2.get((h[src], h[dst]), 0):
+            return False
+    for s in explicit_members(a1.final, a1.states):
+        if not a2.final.contains(frozenset(h[q] for q in s)):
+            return False
+    return True
+
+
+def automaton_isomorphism(a1: MullerAutomaton, a2: MullerAutomaton):
+    """A state bijection that is a semantic isomorphism, or None.
+
+    Backtracking over bijections, pruned by initial-state membership and
+    edge-mask profiles; guards and families are compared semantically.
+    """
+    if a1.signature != a2.signature or len(a1.states) != len(a2.states):
+        return None
+    if len(a1.initial) != len(a2.initial):
+        return None
+    m1, m2 = edge_bitmasks(a1), edge_bitmasks(a2)
+
+    def profile(a, masks, q):
+        outs = sorted(m for (s, _), m in masks.items() if s == q)
+        ins = sorted(m for (_, d), m in masks.items() if d == q)
+        return (q in a.initial, outs, ins)
+
+    p1 = {q: profile(a1, m1, q) for q in a1.states}
+    p2 = {q: profile(a2, m2, q) for q in a2.states}
+    order = sorted(a1.states, key=repr)
+
+    def compatible(assign):
+        for (s, d), m in m1.items():
+            if s in assign and d in assign:
+                if m != m2.get((assign[s], assign[d]), 0):
+                    return False
+        return True
+
+    def extend(i, assign, used):
+        if i == len(order):
+            image_edges = {(assign[s], assign[d]) for (s, d) in m1}
+            if set(m2) != image_edges:
+                return None
+            back = {v: k for k, v in assign.items()}
+            for s in explicit_members(a1.final, a1.states):
+                if not a2.final.contains(frozenset(assign[q] for q in s)):
+                    return None
+            for s in explicit_members(a2.final, a2.states):
+                if not a1.final.contains(frozenset(back[q] for q in s)):
+                    return None
+            return dict(assign)
+        q = order[i]
+        for cand in sorted(a2.states - used, key=repr):
+            if p1[q] != p2[cand]:
+                continue
+            assign[q] = cand
+            if compatible(assign):
+                res = extend(i + 1, assign, used | {cand})
+                if res is not None:
+                    return res
+            del assign[q]
+        return None
+
+    return extend(0, {}, frozenset())
+
+
+def automata_equal(a1: MullerAutomaton, a2: MullerAutomaton) -> bool:
+    """On-the-nose equality with semantic guard comparison."""
+    return (
+        a1.signature == a2.signature
+        and a1.states == a2.states
+        and a1.initial == a2.initial
+        and a1.final == a2.final
+        and edge_bitmasks(a1) == edge_bitmasks(a2)
+    )
+
+
+def check_morphism(theta) -> tuple[str, ...]:
+    """Every violated condition of an ``arn.ArnMorphism``, with its location."""
+    issues = []
+    n1, n2 = theta.source, theta.target
+    pm, em, mm = theta.point_map, theta.edge_map, theta.msg_map
+    inc1, inc2 = n1.incidence_of, n2.incidence_of
+
+    if set(pm) != set(n1.points):
+        issues.append("point map must be total on the source points")
+    if set(em) != set(inc1):
+        issues.append("edge map must be total on the source hyperedges")
+    if any(y not in n2.points for y in pm.values()):
+        issues.append("point map image outside target points")
+    if any(f not in inc2 for f in em.values()):
+        issues.append("edge map image outside target hyperedges")
+    if issues:
+        return tuple(issues)
+
+    if len(set(pm.values())) != len(pm):
+        issues.append("point map is not injective")
+    if len(set(em.values())) != len(em):
+        issues.append("edge map is not injective")
+
+    procs1, procs2 = n1.process_of, n2.process_of
+    conns1, conns2 = n1.connection_of, n2.connection_of
+    for p in sorted(procs1):
+        if em[p] not in procs2:
+            issues.append(f"edge {p}: computation hyperedge mapped to a non-process edge")
+    for c in sorted(conns1):
+        if em[c] not in conns2:
+            issues.append(f"edge {c}: communication hyperedge mapped to a non-connection edge")
+
+    for e, xs in sorted(inc1.items()):
+        image = frozenset(pm[x] for x in xs)
+        if image != inc2[em[e]] & frozenset(pm.values()) or not image <= inc2[em[e]]:
+            # homomorphism condition: x in gamma_e iff theta(x) in gamma_theta(e)
+            for x in sorted(n1.points):
+                if (x in xs) != (pm[x] in inc2[em[e]]):
+                    issues.append(f"incidence not preserved at point {x}, edge {e}")
+
+    comp_incident = {x for p in procs1 for x in inc1.get(p, frozenset())}
+    for x in sorted(n1.points):
+        port1 = n1.port_of[x]
+        port2 = n2.port_of.get(pm[x])
+        mu = mm.get(x)
+        if mu is None or set(mu) != set(port1.messages):
+            issues.append(f"point {x}: message injection must be total on the port messages")
+            continue
+        if len(set(mu.values())) != len(mu):
+            issues.append(f"point {x}: message injection is not injective")
+        if port2 is None:
+            continue
+        for m in sorted(port1.published):
+            if mu[m] not in port2.published:
+                issues.append(f"point {x}: published message {m} not mapped to a published message")
+        for m in sorted(port1.delivered):
+            if mu[m] not in port2.delivered:
+                issues.append(f"point {x}: delivered message {m} not mapped to a delivered message")
+        if x in comp_incident:
+            if any(m != v for m, v in mu.items()):
+                issues.append(f"point {x}: computation-incident point must carry the identity injection")
+
+    for p, proc in sorted(procs1.items()):
+        target_proc = procs2.get(em[p])
+        if target_proc is None:
+            continue
+        if proc.port_of != target_proc.port_of:
+            issues.append(f"process {p}: labels not preserved on the nose")
+        elif not automata_equal(proc.automaton, target_proc.automaton):
+            issues.append(f"process {p}: automaton not preserved on the nose")
+
+    for c, conn in sorted(conns1.items()):
+        target_conn = conns2.get(em[c])
+        if target_conn is None:
+            continue
+        if conn.messages != target_conn.messages:
+            issues.append(f"connection {c}: channel messages not preserved")
+            continue
+        if not automata_equal(conn.automaton, target_conn.automaton):
+            issues.append(f"connection {c}: channel automaton not preserved")
+        att1 = conn.attachment_of
+        att2 = target_conn.attachment_of
+        for x in sorted(inc1.get(c, frozenset())):
+            mu1 = att1.get(x, {})
+            mu2 = att2.get(pm[x], {})
+            mux = mm.get(x, {})
+            if set(mu1) != set(mu2):
+                issues.append(f"connection {c} at {x}: attachment domains differ after mapping")
+                continue
+            for m in sorted(mu1):
+                if mux.get(mu1[m]) != mu2[m]:
+                    issues.append(f"connection {c} at {x}: attachment triangle does not commute on {m}")
+
+    return tuple(issues)
 
 
 # ---------------------------------------------------------------------------

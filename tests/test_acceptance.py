@@ -18,7 +18,6 @@ from orcbind.arn import (
     ArnSpec,
     Port,
     Process,
-    check_morphism,
     classify_points,
     compose_morphisms,
     is_property,
@@ -33,11 +32,8 @@ from orcbind.muller import (
     LassoTrace,
     MullerAutomaton,
     accepts,
-    check_homomorphism,
     cofree_expansion,
-    explicit_members,
     is_empty,
-    mask_to_guard,
     product,
     reduct,
 )
@@ -57,7 +53,16 @@ from orcbind.pexpr import (
 )
 from orcbind.sigcat import TRUE, SignatureMorphism, signature
 
-from oracles import accepts_by_run_search, all_letters, is_empty_by_lasso_search
+from oracles import (
+    accepts_by_run_search,
+    all_letters,
+    bitmask_to_guard,
+    check_homomorphism,
+    check_morphism,
+    edge_bitmasks,
+    explicit_members,
+    is_empty_by_lasso_search,
+)
 
 
 def report(number, description):
@@ -207,7 +212,7 @@ def _random_automaton(rnd, n_states, n_actions):
             if rnd.random() < 0.45:
                 mask = rnd.getrandbits(1 << n_actions)
                 if mask:
-                    transitions.append((src, mask_to_guard(mask, sig), dst))
+                    transitions.append((src, bitmask_to_guard(mask, sig), dst))
     subsets = [
         frozenset(c) for r in range(1, n_states + 1) for c in itertools.combinations(states, r)
     ]
@@ -321,14 +326,14 @@ def test_criterion_5_institution_laws():
         a2 = _random_automaton(rnd, rnd.randint(1, 3), 2)
         states = sorted(a2.states)
         h = {s: rnd.choice(states) for s in states}
-        m2 = a2.edge_masks()
+        m2 = edge_bitmasks(a2)
         transitions = []
         for src in states:
             for dst in states:
                 allowed = m2.get((h[src], h[dst]), 0)
                 sub = allowed & rnd.getrandbits(4)
                 if sub:
-                    transitions.append((src, mask_to_guard(sub, sig), dst))
+                    transitions.append((src, bitmask_to_guard(sub, sig), dst))
         family = Explicit(
             frozenset(
                 s
@@ -412,7 +417,7 @@ def _enumerate_automata(sig, states, per_edge_masks):
     pairs = list(itertools.product(states, repeat=2))
     for combo in itertools.product(per_edge_masks, repeat=len(pairs)):
         transitions = tuple(
-            (src, mask_to_guard(mask, sig), dst)
+            (src, bitmask_to_guard(mask, sig), dst)
             for (src, dst), mask in zip(pairs, combo)
             if mask
         )
@@ -453,12 +458,12 @@ def test_criterion_6_universal_properties():
     checked = 0
     failures = 0
     for a, expanded in expansions:
-        m_a = a.edge_masks()
-        m_exp = expanded.edge_masks()
+        m_a = edge_bitmasks(a)
+        m_exp = edge_bitmasks(expanded)
         a_states = sorted(a.states)
         for b, reducted in reducts:
-            m_red = reducted.edge_masks()
-            m_b = b.edge_masks()
+            m_red = edge_bitmasks(reducted)
+            m_b = edge_bitmasks(b)
             for images in itertools.product(a_states, repeat=len(b.states)):
                 h = dict(zip(sorted(b.states), images))
                 if not _hom_ok(h, m_red, m_a):
@@ -474,11 +479,11 @@ def test_criterion_6_universal_properties():
     pool2 = list(_enumerate_automata(small, ("s0", "s1"), (0b00, 0b01, 0b10, 0b11)))
     prod_checked = 0
     for a1 in pool2[::4]:
-        m1 = a1.edge_masks()
+        m1 = edge_bitmasks(a1)
         for a2 in pool2[::4]:
-            m2 = a2.edge_masks()
+            m2 = edge_bitmasks(a2)
             p = product([a1, a2])
-            mp = p.edge_masks()
+            mp = edge_bitmasks(p)
             for s1, d1 in itertools.product(sorted(a1.states), repeat=2):
                 for s2, d2 in itertools.product(sorted(a2.states), repeat=2):
                     want = m1.get((s1, d1), 0) & m2.get((s2, d2), 0)
@@ -493,13 +498,13 @@ def test_criterion_6_universal_properties():
     third_pool = pool2[::16] + list(_enumerate_automata(small, ("s0",), (0b00, 0b01, 0b10, 0b11)))
     mediated = 0
     for a1 in pool2[::16]:
-        m1 = a1.edge_masks()
+        m1 = edge_bitmasks(a1)
         for a2 in pool2[::16]:
-            m2 = a2.edge_masks()
+            m2 = edge_bitmasks(a2)
             p = product([a1, a2])
-            mp = p.edge_masks()
+            mp = edge_bitmasks(p)
             for c in third_pool:
-                mc = c.edge_masks()
+                mc = edge_bitmasks(c)
                 c_states = sorted(c.states)
                 homs1 = [
                     dict(zip(c_states, images))

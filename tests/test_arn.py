@@ -15,8 +15,6 @@ from orcbind.arn import (
     Connection,
     Port,
     Process,
-    automata_equal,
-    check_morphism,
     classify_points,
     compose_morphisms,
     counterexample,
@@ -40,14 +38,19 @@ from orcbind.muller import (
     LassoTrace,
     MullerAutomaton,
     accepts,
-    automaton_isomorphism,
     cofree_expansion,
     find_accepted_lasso,
     reduct,
 )
 from orcbind.sigcat import TRUE, SignatureMorphism, signature
 
-from oracles import all_letters, colimit_classes_by_closure, colimit_classes_of_cocone
+from oracles import (
+    all_letters,
+    automaton_isomorphism,
+    check_morphism,
+    colimit_classes_by_closure,
+    colimit_classes_of_cocone,
+)
 
 
 # ---------------------------------------------------------------------------

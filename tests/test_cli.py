@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orcbind import arn, cli, ltl, travel
+from orcbind import arn, cli, ltl, muller, travel
 from orcbind.arn import validate
-from orcbind.muller import AllNonempty, GenBuchi, ImpliesFamily, ProductFamily
+from orcbind.muller import AllNonempty, GenBuchi, ImpliesFamily, MullerAutomaton, ProductFamily
+from orcbind.sigcat import Atom, land, lor
 from orcbind.pexpr import parse_program, render_program
+
+from oracles import edge_bitmasks
 
 
 DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
@@ -43,7 +46,7 @@ def test_automaton_round_trip_with_predicate_families():
         again = cli.automaton_from_json(data)
         assert again.states == aut.states
         assert again.initial == aut.initial
-        assert again.edge_masks() == aut.edge_masks()
+        assert edge_bitmasks(again) == edge_bitmasks(aut)
         assert again.final == aut.final
 
 
@@ -272,13 +275,26 @@ def test_solve_without_needed_clause_exits_1(tmp_path, capsys):
     # network paths are relative to the repo file
     for name in ["journeyplanner.net.json", "mapservices.net.json"]:
         (tmp_path / name).write_text((DATA / name).read_text())
-    code = run(["solve", str(DATA / "traveller.query.json"), str(trimmed)])
+    output = tmp_path / "trace.json"
+    code = run(["solve", str(DATA / "traveller.query.json"), str(trimmed), "--output", str(output)])
     assert code == 1
     out = capsys.readouterr().out
-    assert "no answer" in out
+    # nothing was cut: the search explored its whole tree
+    assert out.endswith("\nno answer within limits (search exhausted)\n")
+    assert json.loads(output.read_text())["search"] == {"status": "exhausted", "cut": 0, "max_depth": 8}
     # the partial trace stops at the unresolved timetable requirement
     assert "partial derivation" in out
     assert "unresolved: <R2" in out
+
+
+def test_solve_says_how_many_derivations_it_cut(tmp_path, capsys):
+    output = tmp_path / "trace.json"
+    argv = ["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json")]
+    assert run([*argv, "--max-depth", "2", "--output", str(output)]) == 1
+    assert capsys.readouterr().out.endswith("\nno answer within limits (1 derivation cut at depth 2)\n")
+    assert json.loads(output.read_text())["search"] == {"status": "cut", "cut": 1, "max_depth": 2}
+    assert run([*argv, "--max-answers", "1", "--output", str(output)]) == 0
+    assert json.loads(output.read_text())["search"] == {"status": "stopped", "cut": 0, "max_depth": 8}
 
 
 def test_pexpr_derive(capsys):
@@ -590,7 +606,10 @@ def test_solve_script_replays_the_search_answer(tmp_path, capsys):
     replayed = tmp_path / "replayed.json"
     assert run(replay + ["--output", str(replayed)]) == 0
     assert capsys.readouterr().out == search_out
-    assert replayed.read_text() == searched.read_text()
+    # the same trace, less the search block, which only a search has
+    trace = json.loads(searched.read_text())
+    assert trace.pop("search") == {"status": "exhausted", "cut": 0, "max_depth": 8}
+    assert json.loads(replayed.read_text()) == trace
 
 
 def test_pexpr_check(capsys):
@@ -627,6 +646,42 @@ def test_an_empty_bounds_range_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("the range is empty") == 3
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json"), "--max-answers", "0"],
+         "argument --max-answers: must be at least 1, got 0"),
+        (["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json"), "--max-depth", "-1"],
+         "argument --max-depth: must be at least 0, got -1"),
+        (["pexpr", "check", str(DATA / "division.pgm"), "([1 <= y], [x = q * y])", "--fuel", "-3"],
+         "argument --fuel: must be at least 0, got -3"),
+    ],
+    ids=["max-answers", "max-depth", "fuel"],
+)
+def test_a_limit_that_makes_the_verdict_vacuous_exits_2(argv, message, capsys):
+    # no answer sought, or no derivation step or loop iteration allowed
+    with pytest.raises(SystemExit) as exit:
+        run(argv)
+    assert exit.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith(message)
+
+
+def test_a_guard_past_the_cube_limit_exits_2(tmp_path, capsys):
+    # (a1 | b1) & ... & (a13 | b13) has 2^13 cubes in disjunctive normal form
+    port = arn.Port(frozenset({"r"}), frozenset(f"{c}{i}" for i in range(1, 14) for c in "ab"))
+    ports = {"P1": port}
+    wide = land(*(lor(Atom(f"P1.a{i}?"), Atom(f"P1.b{i}?")) for i in range(1, 14)))
+    aut = MullerAutomaton(arn.qualified_signature(ports), {"q"}, (("q", wide, "q"),), {"q"}, AllNonempty())
+    net = arn.Arn.make(ports, {"P": arn.Process.make(ports, aut)}, {}, {"P": {"P1"}})
+    path = _write(tmp_path / "wide.net.json", cli.network_to_json(net))
+    assert run(["arn", "check", path, "P1", "G F a1?"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: guard has more than {muller.MAX_CUBES} cubes in disjunctive normal form\n"
 
 
 def test_a_negative_lower_bound_is_written_with_an_equals_sign(capsys):

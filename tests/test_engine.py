@@ -21,6 +21,7 @@ from orcbind.engine import (
     NoCounterexample,
     Query,
     Repository,
+    SearchEnd,
     check_clause_correctness,
     check_solution,
     resolve,
@@ -208,8 +209,21 @@ def test_solve_empty_query_answers_immediately():
 
 def test_solve_without_transport_system_finds_nothing():
     repo = Repository((travel.journey_planner_clause(), travel.map_services_clause()))
-    answers, _ = solve(ARN, travel.traveller_query(), repo)
+    answers, end = solve(ARN, travel.traveller_query(), repo)
     assert answers == []
+    assert (end.status, end.cut) == ("exhausted", 0)
+
+
+def test_solve_says_how_the_search_ended():
+    query, repo = travel.traveller_query(), travel.repository()
+    _, end = solve(ARN, query, repo)
+    assert isinstance(end, SearchEnd) and (end.status, end.cut, end.max_depth) == ("exhausted", 0, 8)
+    answers, end = solve(ARN, query, repo, max_depth=2)
+    assert answers == [] and (end.status, end.max_depth) == ("cut", 2) and end.cut > 0
+    # the deepest derivation explored stops at the cut
+    assert len(end.steps) == 2
+    answers, end = solve(ARN, query, repo, max_answers=1)
+    assert len(answers) == 1 and end.status == "stopped"
 
 
 def test_solve_is_deterministic():

@@ -32,15 +32,20 @@ from orcbind.muller import (
     Explicit,
     LassoTrace,
     accepts,
-    check_homomorphism,
     find_accepted_lasso,
-    mask_to_guard,
     MullerAutomaton,
     AllNonempty,
 )
 from orcbind.sigcat import SignatureMorphism, signature, translate
 
-from oracles import all_letters, assignment_tableau, dense_tableau
+from oracles import (
+    all_letters,
+    assignment_tableau,
+    bitmask_to_guard,
+    check_homomorphism,
+    dense_tableau,
+    edge_bitmasks,
+)
 
 
 def lasso(sig, prefix, cycle):
@@ -382,7 +387,7 @@ def test_holds_is_antitone_under_homomorphisms():
     rnd = random.Random(67)
     a2 = _channel()
     sig = a2.signature
-    m2 = a2.edge_masks()
+    m2 = edge_bitmasks(a2)
     states = sorted(a2.states)
     checked = 0
     for _ in range(60):
@@ -393,7 +398,7 @@ def test_holds_is_antitone_under_homomorphisms():
                 allowed = m2.get((h[src], h[dst]), 0)
                 sub = allowed & rnd.getrandbits(4)
                 if sub:
-                    transitions.append((src, mask_to_guard(sub, sig), dst))
+                    transitions.append((src, bitmask_to_guard(sub, sig), dst))
         a1 = MullerAutomaton(
             sig,
             frozenset(states),

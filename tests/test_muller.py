@@ -13,10 +13,7 @@ from orcbind.muller import (
     MullerAutomaton,
     ProductFamily,
     accepts,
-    automaton_isomorphism,
-    check_homomorphism,
     cofree_expansion,
-    explicit_members,
     find_accepted_lasso,
     g_and,
     g_atom,
@@ -32,8 +29,15 @@ from orcbind.sigcat import FALSE, TRUE, ActionSignature, SignatureMorphism, lor,
 from oracles import (
     accepts_by_run_search,
     all_letters,
+    automaton_isomorphism,
+    bitmask_to_guard,
+    check_homomorphism,
+    cubes_bitmask,
+    edge_bitmasks,
     eval_guard,
+    explicit_members,
     family_member,
+    guard_bitmask,
     is_empty_by_buchi,
     is_empty_by_lasso_search,
 )
@@ -75,7 +79,7 @@ def test_guard_mask_matches_naive_evaluation():
     ]
     for sig in [signature("a", "b", "c"), signature("a", "b", "c", "d", "e", "f")]:
         for g in guards:
-            mask = guard_mask(g, sig)
+            mask = cubes_bitmask(guard_mask(g, sig), sig)
             for letter in all_letters(sig):
                 idx = sum(1 << i for i, a in enumerate(sorted(sig.actions)) if a in letter)
                 assert bool(mask & (1 << idx)) == eval_guard(g, letter)
@@ -92,7 +96,7 @@ def test_equal_guards_are_masked_once(monkeypatch):
     monkeypatch.setattr(muller, "guard_mask", lambda g, s: calls.append(g) or guard_mask(g, s))
     masks = a.moves
     assert len(calls) == 2 and set(calls) == {g_atom("a"), g_not(g_atom("b"))}
-    assert masks["p"] == [(d, guard_mask(g, sig)) for _, g, d in transitions[:3]]
+    assert masks["p"] == [(d, p, n) for _, g, d in transitions[:3] for p, n in guard_mask(g, sig)]
 
 
 def test_mask_to_guard_round_trips_semantics():
@@ -100,10 +104,14 @@ def test_mask_to_guard_round_trips_semantics():
     for n in range(6):
         sig = signature(*"abcde"[:n])
         full = (1 << (1 << n)) - 1
-        assert mask_to_guard(0, sig) == FALSE and mask_to_guard(full, sig) == TRUE
+        assert mask_to_guard((), sig) == FALSE and mask_to_guard(((0, 0),), sig) == TRUE
+        assert bitmask_to_guard(0, sig) == FALSE and bitmask_to_guard(full, sig) == TRUE
         masks = range(full + 1) if n <= 3 else [rnd.getrandbits(1 << n) for _ in range(200)]
         for mask in masks:
-            assert guard_mask(mask_to_guard(mask, sig), sig) == mask
+            # every letter set, written by the reference's Shannon expansion
+            g = bitmask_to_guard(mask, sig)
+            assert guard_bitmask(g, sig) == mask
+            assert guard_bitmask(mask_to_guard(guard_mask(g, sig), sig), sig) == mask
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +148,7 @@ def _semantic_automata(sig, states, edge_masks_pool, initial, family):
         transitions = []
         for (src, dst), mask in zip(pairs, combo):
             if mask:
-                transitions.append((src, mask_to_guard(mask, sig), dst))
+                transitions.append((src, bitmask_to_guard(mask, sig), dst))
         yield MullerAutomaton(sig, frozenset(states), tuple(transitions), initial, family)
 
 
@@ -181,7 +189,7 @@ def test_accepts_agrees_with_run_search_random_three_state():
             for dst in states:
                 mask = rnd.getrandbits(4)
                 if mask:
-                    transitions.append((src, mask_to_guard(mask, sig), dst))
+                    transitions.append((src, bitmask_to_guard(mask, sig), dst))
         subsets = [frozenset(c) for r in range(1, 4) for c in itertools.combinations(states, r)]
         family = Explicit(frozenset(rnd.sample(subsets, rnd.randint(0, 4))))
         a = MullerAutomaton(
@@ -219,7 +227,7 @@ def test_emptiness_agrees_with_oracles_on_random_automata():
                 if rnd.random() < 0.35:
                     mask = rnd.getrandbits(4)
                     if mask:
-                        transitions.append((src, mask_to_guard(mask, sig), dst))
+                        transitions.append((src, bitmask_to_guard(mask, sig), dst))
         subsets = [frozenset(c) for r in range(1, 5) for c in itertools.combinations(states, r)]
         family = Explicit(frozenset(rnd.sample(subsets, rnd.randint(0, 5))))
         a = MullerAutomaton(
@@ -243,7 +251,7 @@ def test_found_witnesses_are_accepted():
                 if rnd.random() < 0.4:
                     mask = rnd.getrandbits(2)
                     if mask:
-                        transitions.append((src, mask_to_guard(mask, sig), dst))
+                        transitions.append((src, bitmask_to_guard(mask, sig), dst))
         subsets = [frozenset(c) for r in range(1, 4) for c in itertools.combinations(states, r)]
         family = Explicit(frozenset(rnd.sample(subsets, rnd.randint(1, 4))))
         a = MullerAutomaton(sig, frozenset(states), tuple(transitions), frozenset({"s0"}), family)
@@ -299,9 +307,9 @@ def test_reduct_along_inclusion_projects_guards():
     inclusion = SignatureMorphism(small, a.signature, {"m!": "m!"})
     r = reduct(a, inclusion)
     # set-level definition: a reduct letter is enabled iff some extension is
-    masks = r.edge_masks()
-    assert masks[("q1", "q1")] == guard_mask(g_atom("m!"), small)
-    assert masks[("q1", "q0")] == guard_mask(g_not(g_atom("m!")), small)
+    masks = edge_bitmasks(r)
+    assert masks[("q1", "q1")] == guard_bitmask(g_atom("m!"), small)
+    assert masks[("q1", "q0")] == guard_bitmask(g_not(g_atom("m!")), small)
     for (src, dst), m in masks.items():
         for letter in all_letters(small):
             enabled = any(
@@ -321,12 +329,13 @@ def test_reduct_along_empty_signature_keeps_satisfiable_transitions():
     r = reduct(a, SignatureMorphism(empty, a.signature, {}))
     # one letter; an edge exists iff the original guard was satisfiable
     assert set(r.edge_masks()) == set(a.edge_masks())
-    assert all(m == 1 for m in r.edge_masks().values())
+    assert all(m == 1 for m in edge_bitmasks(r).values())
 
 
 def test_reduct_from_a_large_signature():
-    # a true guard over 14 actions has a mask of 2^14 bits, whose decimal
-    # form is longer than Python's default int-to-str limit
+    # a true guard over 14 actions is one cube; as a bitmask over letters it
+    # has 2^14 bits, whose decimal form is longer than Python's default
+    # int-to-str limit
     big = signature(*(f"a{i:02}" for i in range(14)))
     a = MullerAutomaton(big, frozenset({"q"}), (("q", TRUE, "q"),), frozenset({"q"}), AllNonempty())
     small = signature("a00", "a13")
@@ -486,14 +495,14 @@ def test_homomorphism_implies_language_inclusion_on_samples():
         a2 = rnd.choice(pool)
         h = {s: rnd.choice(states) for s in states}
         # build a1 under h so the transition condition holds by construction
-        m2 = a2.edge_masks()
+        m2 = edge_bitmasks(a2)
         transitions = []
         for src in states:
             for dst in states:
                 allowed = m2.get((h[src], h[dst]), 0)
                 sub = allowed & rnd.getrandbits(2)
                 if sub:
-                    transitions.append((src, mask_to_guard(sub, sig), dst))
+                    transitions.append((src, bitmask_to_guard(sub, sig), dst))
         a1 = MullerAutomaton(sig, frozenset(states), tuple(transitions), frozenset({"s0"}), AllNonempty())
         if not check_homomorphism(h, a1, a2):
             continue

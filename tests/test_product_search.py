@@ -17,12 +17,11 @@ from orcbind.muller import (
     _first_live_set,
     accepts,
     find_accepted_lasso,
-    mask_to_guard,
     product,
 )
 from orcbind.sigcat import TRUE, signature
 
-from oracles import accepts_by_run_search, is_empty_by_buchi, is_empty_by_lasso_search
+from oracles import accepts_by_run_search, bitmask_to_guard, is_empty_by_buchi, is_empty_by_lasso_search
 
 SIG = signature("a", "b")
 
@@ -34,7 +33,7 @@ def automata(draw, sizes=st.integers(1, 3)):
     state = st.sampled_from(states)
     transitions = draw(
         st.lists(
-            st.tuples(state, st.integers(0, 15).map(lambda m: mask_to_guard(m, SIG)), state),
+            st.tuples(state, st.integers(0, 15).map(lambda m: bitmask_to_guard(m, SIG)), state),
             max_size=8,
         )
     )
