@@ -16,7 +16,10 @@ Library layers:
 
 Two primitives are shared by every layer: ``FrozenMap``, the one type in
 which a frozen value holds a finite map, and ``InputError``, the root of
-every error about unusable input.
+every error about unusable input.  Two more serve the parsers and renderers
+of the surface syntaxes (formulas in ``ltl``, programs in ``pexpr``):
+``Tokens``, the one scanner and cursor, and ``Operator``, an entry of a
+syntax's precedence table.
 """
 
 __version__ = "0.1.0"
@@ -48,3 +51,89 @@ class FrozenMap(dict):
 class InputError(ValueError):
     """Input a command cannot act on: unparsable text, or a network, point or
     formula unfit for the check asked of it.  The CLI maps it to exit code 2."""
+
+
+class Operator:
+    """A binary operator of a surface syntax, as its parser reads it and its
+    renderer writes it: a ``precedence`` (higher binds tighter), an
+    ``associativity``, ``"left"``, ``"right"`` or ``"flat"`` (a run of the
+    operator is one n-ary node), and the ``build`` of its node, called with
+    the operands.  An operand slot admits, unbracketed, the operators of
+    precedence at least ``left`` or ``right``."""
+
+    __slots__ = ("precedence", "associativity", "build", "left", "right")
+
+    def __init__(self, precedence: int, associativity: str, build):
+        self.precedence, self.associativity, self.build = precedence, associativity, build
+        self.left = precedence + (associativity != "left")
+        self.right = precedence + (associativity != "right")
+
+    def bracket(self, text: str, lowest: int) -> str:
+        """The rendered ``text`` of this operator's node, in a slot that
+        admits precedence ``lowest`` and above."""
+        return f"({text})" if self.precedence < lowest else text
+
+
+class Tokens:
+    """The tokens of one text and a cursor over them.
+
+    ``pattern`` matches one token after optional white space, with one named
+    group per kind; a token is a pair ``(kind, text)``, and the last is
+    ``("end", "")``.  Every syntax error, from text the pattern does not
+    match on, is raised as ``error``."""
+
+    def __init__(self, pattern, text: str, error):
+        self.error = error
+        self.tokens = []
+        self.index = 0
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = pattern.match(text, pos)
+            if m is None:
+                raise error(f"cannot tokenize at: {text[pos:]!r}")
+            self.tokens.append((m.lastgroup, m.group(m.lastgroup)))
+            pos = m.end()
+        self.tokens.append(("end", ""))
+
+    def peek(self):
+        return self.tokens[self.index]
+
+    def take(self, kind=None, value=None):
+        """The next token, which must be of ``kind`` and ``value`` if given."""
+        token = self.tokens[self.index]
+        if kind and token[0] != kind:
+            raise self.error(f"expected {kind}, found {token[1]!r}")
+        if value and token[1] != value:
+            raise self.error(f"expected {value!r}, found {token[1]!r}")
+        self.index += 1
+        return token
+
+    def climb(self, table, operand, lowest=0):
+        """Operands joined by operators of precedence ``lowest`` and above,
+        read by precedence climbing.  ``table`` maps a token's text to its
+        ``Operator``; ``operand(self)`` reads one operand."""
+        left = operand(self)
+        op = table.get(self.tokens[self.index][1])
+        while op is not None and op.precedence >= lowest:
+            symbol = self.take()[1]
+            parts = [left, self.climb(table, operand, op.right)]
+            while op.associativity == "flat" and self.tokens[self.index][1] == symbol:
+                self.index += 1
+                parts.append(self.climb(table, operand, op.right))
+            left = op.build(*parts)
+            op = table.get(self.tokens[self.index][1])
+        return left
+
+    def first_of(self, *readers):
+        """What the first of ``readers`` that succeeds from here reads; when
+        all fail, the error of the one that read furthest, with the cursor
+        left where it failed."""
+        start, failures = self.index, []
+        for read in readers:
+            try:
+                return read(self)
+            except self.error as e:
+                failures.append((self.index, e))
+                self.index = start
+        self.index, error = max(failures, key=lambda failure: failure[0])
+        raise error

@@ -678,11 +678,11 @@ class ArnScheme(OrchestrationScheme):
         return ltl.valid(spec.formula, sig)
 
     def candidate_unifiers(self, q_orc, q_spec, c_orc, c_provides, hint):
-        """The one gluing along the hint's correspondence or, without a hint,
-        along the identity on the query port's message names."""
+        """The one gluing along the hint, a correspondence of message names,
+        or, without a hint, along the identity on the query port's names."""
         x1, x2 = q_spec.point, c_provides.point
         if x1 not in q_orc.points or x2 not in c_orc.points:
             return []
-        corr = hint["correspondence"] if hint is not None else {m: m for m in q_orc.port_of[x1].messages}
+        corr = hint if hint is not None else {m: m for m in q_orc.port_of[x1].messages}
         result = glue(q_orc, x1, c_orc, x2, corr)
         return [] if result is None else [result[1:]]

@@ -29,7 +29,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from . import InputError, arn, ltl, pexpr
+from . import FrozenMap, InputError, arn, engine, ltl, pexpr
 from .engine import Answer, Clause, DerivationFailed, Query, Repository, solve, solve_scripted
 from .muller import (
     AllNonempty,
@@ -295,7 +295,7 @@ def load_repository(path: Path) -> Repository:
                         _network_ref(cd, base),
                         spec_from_json(cd["provides"]),
                         tuple(spec_from_json(r) for r in cd.get("requires", ())),
-                        hints=tuple(map(_hint, cd.get("hints", ()))),
+                        hints=tuple(map(_repository_hint, cd.get("hints", ()))),
                     )
                 )
             except KeyError as e:
@@ -303,10 +303,15 @@ def load_repository(path: Path) -> Repository:
     return Repository(tuple(clauses))
 
 
-def _hint(data) -> dict:
-    """A clause hint, which has one shape: ``{"correspondence": {message: message}}``."""
+def _hint(data) -> FrozenMap:
+    """The correspondence ``{message: message}`` of a repository hint or a
+    script step, each a JSON object with a ``correspondence`` field."""
+    return FrozenMap({m: _name(pm) for m, pm in data["correspondence"].items()})
+
+
+def _repository_hint(data) -> FrozenMap:
     with _decoding(f"bad hint {data!r}"):
-        return {"correspondence": {m: _name(pm) for m, pm in data["correspondence"].items()}}
+        return _hint(data)
 
 
 def load_query(path: Path) -> Query:
@@ -415,9 +420,7 @@ def pexpr_step(step: dict):
 
 def arn_step(step: dict, repository: Repository):
     """A repository clause by name, with an optional correspondence hint."""
-    hint = None
-    if "correspondence" in step:
-        hint = {"correspondence": {m: _name(pm) for m, pm in dict(step["correspondence"]).items()}}
+    hint = _hint(step) if "correspondence" in step else None
     return repository.clause(step["clause"]), _integer(step.get("spec", 0)), hint
 
 
@@ -604,10 +607,7 @@ def cmd_pexpr(args) -> int:
 
     # check PROGRAM SPEC
     term = pexpr.parse_program(_read_text(Path(args.program)).strip())
-    pre_text, post_text = _split_spec_pair(args.spec)
-    spec = pexpr.PSpec(
-        (), pexpr.parse_condition(pre_text), pexpr.parse_condition(post_text)
-    )
+    spec = pexpr.parse_spec(args.spec)
     verdict = pexpr.check_ground_property(term, spec, bounds, args.fuel)
     if isinstance(verdict, pexpr.Holds):
         print(f"holds (bounded: {args.bounds}, {verdict.states_checked} pre-states)")
@@ -618,22 +618,6 @@ def cmd_pexpr(args) -> int:
         return 1
     print(f"inconclusive (bounded: {args.bounds}; {verdict.out_of_fuel_states} runs out of fuel)")
     return 1
-
-
-def _split_spec_pair(text: str):
-    text = text.strip()
-    if not (text.startswith("(") and text.endswith(")")):
-        raise InputError("spec must look like (PRE, POST)")
-    depth = 0
-    body = text[1:-1]
-    for i, ch in enumerate(body):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return body[:i].strip(), body[i + 1 :].strip()
-    raise InputError("spec must contain a top-level comma: (PRE, POST)")
 
 
 # ---------------------------------------------------------------------------
@@ -665,8 +649,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("query")
     p_solve.add_argument("repository")
     p_solve.add_argument("--script", default=None, help="scripted derivation steps (JSON)")
-    p_solve.add_argument("--max-depth", type=_at_least(0), default=8)
-    p_solve.add_argument("--max-answers", type=_at_least(1), default=10)
+    p_solve.add_argument("--max-depth", type=_at_least(0), default=engine.MAX_DEPTH)
+    p_solve.add_argument("--max-answers", type=_at_least(1), default=engine.MAX_ANSWERS)
     p_solve.add_argument("--output", default=None, help="write machine-readable trace JSON")
 
     p_pex = sub.add_parser("pexpr", help="program derivation and bounded checking")

@@ -72,7 +72,7 @@ class Clause:
     orc: object
     provides: object
     requires: tuple
-    hints: tuple = ()
+    hints: tuple = ()  # scheme-specific, hashable; an ARN hint is a correspondence FrozenMap
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,17 @@ class SearchEnd:
     query: Query
 
 
+# The limits of a search, unless the caller gives others.
+MAX_DEPTH = 8
+MAX_ANSWERS = 10
+
+
 def solve(
     scheme: OrchestrationScheme,
     query: Query,
     repository: Repository,
-    max_depth: int = 8,
-    max_answers: int = 10,
+    max_depth: int = MAX_DEPTH,
+    max_answers: int = MAX_ANSWERS,
 ):
     """Depth-first resolution until all requires-specs are trivial.
 

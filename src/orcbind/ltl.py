@@ -13,6 +13,11 @@ The surface grammar used throughout files and the command line:
     atoms        m!   m?   x.m!   bare names for opaque actions
     operators    !  &  |  ->  X  U  F  G      constants: true false
     precedence   unary  >  U  >  &  >  |  >  ->
+                 U and -> associate to the right; a run of & or of | is
+                 one conjunction or disjunction
+
+``_BINARY`` is the one precedence table: ``parse_formula`` reads by it and
+``render_formula`` brackets by it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import re
 from collections import deque
 
-from . import InputError
+from . import InputError, Operator, Tokens
 from .muller import GenBuchi, LassoTrace, MullerAutomaton, find_accepted_lasso
 from .sigcat import (
     FALSE,
@@ -314,111 +319,45 @@ _TOKEN = re.compile(
     r"|(?P<bang>!)|(?P<name>[A-Za-z_][A-Za-z0-9_.]*[!?]?))"
 )
 
-_UNARY = {"X", "F", "G"}
+# The precedence table, read by parse_formula and render_formula.  The unary
+# operators bind tighter than every binary one.
+_BINARY = {
+    "->": Operator(1, "right", implies),
+    "|": Operator(2, "flat", lor),
+    "&": Operator(3, "flat", land),
+    "U": Operator(4, "right", Until),
+}
+_UNARY = {"!": lnot, "X": Next, "F": eventually, "G": always}
+_UNARY_OPERAND = 1 + max(op.precedence for op in _BINARY.values())
+_CONSTANTS = {"true": TRUE, "false": FALSE}
 
 
 class FormulaSyntaxError(InputError):
     pass
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise FormulaSyntaxError(f"cannot tokenize formula at: {text[pos:]!r}")
-            break
-        pos = m.end()
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind)))
-    tokens.append(("end", ""))
-    return tokens
+def _operand(tokens: Tokens) -> Formula:
+    kind, value = tokens.take()
+    if value in _UNARY:
+        return _UNARY[value](_operand(tokens))
+    if kind == "name":
+        return _CONSTANTS[value] if value in _CONSTANTS else Atom(value)
+    if kind == "lpar":
+        inner = tokens.climb(_BINARY, _operand)
+        tokens.take("rpar")
+        return inner
+    raise FormulaSyntaxError(f"unexpected token {value!r}")
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = _tokenize(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx]
-
-    def take(kind=None):
-        nonlocal idx
-        tok = tokens[idx]
-        if kind and tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind}, found {tok[1]!r}")
-        idx += 1
-        return tok
-
-    def parse_imp():
-        left = parse_or()
-        if peek()[0] == "arrow":
-            take()
-            return implies(left, parse_imp())
-        return left
-
-    def parse_or():
-        parts = [parse_and()]
-        while peek()[0] == "bar":
-            take()
-            parts.append(parse_and())
-        return lor(*parts) if len(parts) > 1 else parts[0]
-
-    def parse_and():
-        parts = [parse_until()]
-        while peek()[0] == "amp":
-            take()
-            parts.append(parse_until())
-        return land(*parts) if len(parts) > 1 else parts[0]
-
-    def parse_until():
-        left = parse_unary()
-        if peek() == ("name", "U"):
-            take()
-            return Until(left, parse_until())
-        return left
-
-    def parse_unary():
-        kind, value = peek()
-        if kind == "bang":
-            take()
-            return lnot(parse_unary())
-        if kind == "name" and value in _UNARY:
-            take()
-            sub = parse_unary()
-            if value == "X":
-                return Next(sub)
-            if value == "F":
-                return eventually(sub)
-            return always(sub)
-        if kind == "name" and value == "true":
-            take()
-            return TRUE
-        if kind == "name" and value == "false":
-            take()
-            return FALSE
-        if kind == "name":
-            take()
-            return Atom(value)
-        if kind == "lpar":
-            take()
-            inner = parse_imp()
-            take("rpar")
-            return inner
-        raise FormulaSyntaxError(f"unexpected token {value!r}")
-
-    result = parse_imp()
-    take("end")
+    tokens = Tokens(_TOKEN, text, FormulaSyntaxError)
+    result = tokens.climb(_BINARY, _operand)
+    tokens.take("end")
     return result
 
 
-_PREC_OR, _PREC_AND, _PREC_UNTIL, _PREC_UNARY = 1, 2, 3, 4
-
-
 def render_formula(f: Formula) -> str:
-    def render(h, prec):
+    def render(h, lowest):
         if isinstance(h, Atom):
             return h.action
         if h == TRUE:
@@ -428,23 +367,19 @@ def render_formula(f: Formula) -> str:
         if isinstance(h, Not):
             inner = h.sub
             if isinstance(inner, Until) and inner.lhs == TRUE and isinstance(inner.rhs, Not):
-                return "G " + render(inner.rhs.sub, _PREC_UNARY)
-            return "!" + render(inner, _PREC_UNARY)
+                return "G " + render(inner.rhs.sub, _UNARY_OPERAND)
+            return "!" + render(inner, _UNARY_OPERAND)
         if isinstance(h, Next):
-            return "X " + render(h.sub, _PREC_UNARY)
+            return "X " + render(h.sub, _UNARY_OPERAND)
         if isinstance(h, Until):
             if h.lhs == TRUE:
-                return "F " + render(h.rhs, _PREC_UNARY)
-            body = render(h.lhs, _PREC_UNARY) + " U " + render(h.rhs, _PREC_UNTIL - 1)
-            return "(" + body + ")" if prec >= _PREC_UNTIL else body
-        if isinstance(h, And):
-            parts = sorted(render(s, _PREC_AND) for s in h.subs)
-            body = " & ".join(parts)
-            return "(" + body + ")" if prec >= _PREC_AND else body
-        if isinstance(h, Or):
-            parts = sorted(render(s, _PREC_OR) for s in h.subs)
-            body = " | ".join(parts)
-            return "(" + body + ")" if prec >= _PREC_OR else body
+                return "F " + render(h.rhs, _UNARY_OPERAND)
+            op = _BINARY["U"]
+            return op.bracket(render(h.lhs, op.left) + " U " + render(h.rhs, op.right), lowest)
+        if isinstance(h, (And, Or)):
+            symbol = "&" if isinstance(h, And) else "|"
+            op = _BINARY[symbol]
+            return op.bracket(f" {symbol} ".join(sorted(render(s, op.left) for s in h.subs)), lowest)
         raise TypeError(h)
 
     return render(f, 0)

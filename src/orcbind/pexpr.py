@@ -8,13 +8,24 @@ oracle over integer states with an explicit fuel budget, so verdicts about
 loops are three-valued.  The states form a box: every identifier ranges
 over one ``lo..hi`` range (``BOUNDS`` unless the caller gives another).
 
-Surface syntax:
+Surface syntax, operators loosest first:
 
-    programs     skip    x := e    p ; p
-                 if C then p else p endif    while C do p done
-    conditions   comparisons  =  <=  <  joined by  !  &  |  with optional
-                 Iverson brackets around comparisons: [x = q * y + r]
-    expressions  integer literals, identifiers, +  -  *
+    programs     p ; p   over   skip   x := e   if C then p else p endif
+                 while C do p done
+    conditions   C | C   C & C   !C   over   e = e   e <= e   e < e   true
+                 false; Iverson brackets around a comparison are optional,
+                 [x = q * y + r], and parentheses may enclose any condition
+    expressions  e + e   e - e   e * e   over   identifiers and integers;
+                 a minus right before an integer makes a negative literal
+    specs        (PRE, POST), two conditions, read by ``parse_spec``
+
+``+`` and ``-`` share one level.  ``;``, ``+``, ``-`` and ``*`` associate
+to the left.  Programs have no brackets, so a right-nested sequence reads
+back left-nested: the same program.  A ``(`` that opens a comparison, as in
+``(q + 1) * y <= r``, is read as one when it does not close a condition.
+One table per category (``_AEXP_OPERATORS``, ``_CONDITION_OPERATORS``,
+``_PROGRAM_OPERATORS``) gives the binary operators' precedence to the
+parsers and, for expressions and conditions, to the renderers.
 
 Positions are 0-indexed sequences of program-child indices; the empty
 position is the root.  Conditions never count as children.
@@ -26,8 +37,9 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 
-from . import FrozenMap, InputError
+from . import FrozenMap, InputError, Operator, Tokens
 from .engine import Clause, OrchestrationScheme
 
 # ---------------------------------------------------------------------------
@@ -707,8 +719,8 @@ class PexprScheme(OrchestrationScheme):
 # ---------------------------------------------------------------------------
 # Surface syntax
 
-_PGM_TOKEN = re.compile(
-    r"\s*(?:(?P<assign>:=)|(?P<le><=)|(?P<lt><)|(?P<eq>=)|(?P<semi>;)"
+_TOKEN = re.compile(
+    r"\s*(?:(?P<assign>:=)|(?P<compare><=|<|=)|(?P<semi>;)|(?P<comma>,)"
     r"|(?P<lbrack>\[)|(?P<rbrack>\])|(?P<lpar>\()|(?P<rpar>\))"
     r"|(?P<plus>\+)|(?P<minus>-)|(?P<star>\*)|(?P<amp>&)|(?P<bar>\|)|(?P<bang>!)"
     r"|(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*))"
@@ -716,221 +728,175 @@ _PGM_TOKEN = re.compile(
 
 _KEYWORDS = {"skip", "if", "then", "else", "endif", "while", "do", "done", "true", "false"}
 
+# The precedence tables; negation binds tighter than every condition operator.
+_AEXP_OPERATORS = {
+    "+": Operator(1, "left", partial(BinOp, "+")),
+    "-": Operator(1, "left", partial(BinOp, "-")),
+    "*": Operator(2, "left", partial(BinOp, "*")),
+}
+_CONDITION_OPERATORS = {"|": Operator(1, "flat", c_or), "&": Operator(2, "flat", c_and)}
+_NEGATED = 1 + max(op.precedence for op in _CONDITION_OPERATORS.values())
+_PROGRAM_OPERATORS = {";": Operator(1, "left", Seq)}
+_CONDITION_CONSTANTS = {"true": C_TRUE, "false": C_FALSE}
+
 
 class ProgramSyntaxError(InputError):
     pass
 
 
-def _pgm_tokens(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _PGM_TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ProgramSyntaxError(f"cannot tokenize at: {text[pos:]!r}")
-            break
-        pos = m.end()
-        tokens.append((m.lastgroup, m.group(m.lastgroup)))
-    tokens.append(("end", ""))
-    return tokens
+def _aexp(tokens: Tokens) -> AExp:
+    return tokens.climb(_AEXP_OPERATORS, _aexp_operand)
 
 
-class _Parser:
-    def __init__(self, text: str, pvar_names=()):
-        self.tokens = _pgm_tokens(text)
-        self.idx = 0
-        self.pvar_names = frozenset(pvar_names)
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.idx]
-        if kind and tok[0] != kind:
-            raise ProgramSyntaxError(f"expected {kind}, found {tok[1]!r}")
-        if value and tok[1] != value:
-            raise ProgramSyntaxError(f"expected {value!r}, found {tok[1]!r}")
-        self.idx += 1
-        return tok
-
-    # arithmetic
-
-    def aexp(self):
-        node = self.aterm()
-        while self.peek()[0] in ("plus", "minus"):
-            op = "+" if self.take()[0] == "plus" else "-"
-            node = BinOp(op, node, self.aterm())
+def _aexp_operand(tokens: Tokens) -> AExp:
+    kind, value = tokens.take()
+    if kind == "minus" and tokens.peek()[0] == "int":
+        return Lit(-int(tokens.take()[1]))
+    if kind == "int":
+        return Lit(int(value))
+    if kind == "name" and value not in _KEYWORDS:
+        return Ident(value)
+    if kind == "lpar":
+        node = _aexp(tokens)
+        tokens.take("rpar")
         return node
+    raise ProgramSyntaxError(f"expected expression, found {value!r}")
 
-    def aterm(self):
-        node = self.afactor()
-        while self.peek()[0] == "star":
-            self.take()
-            node = BinOp("*", node, self.afactor())
-        return node
 
-    def afactor(self):
-        kind, value = self.peek()
-        if kind == "minus" and self.tokens[self.idx + 1][0] == "int":
-            self.take()
-            return Lit(-int(self.take()[1]))
-        if kind == "int":
-            self.take()
-            return Lit(int(value))
-        if kind == "name" and value not in _KEYWORDS:
-            self.take()
-            return Ident(value)
-        if kind == "lpar":
-            self.take()
-            node = self.aexp()
-            self.take("rpar")
-            return node
-        raise ProgramSyntaxError(f"expected expression, found {value!r}")
-
-    # conditions
-
-    def condition(self):
-        node = self.cond_and()
-        while self.peek()[0] == "bar":
-            self.take()
-            node = c_or(node, self.cond_and())
-        return node
-
-    def cond_and(self):
-        node = self.cond_unary()
-        while self.peek()[0] == "amp":
-            self.take()
-            node = c_and(node, self.cond_unary())
-        return node
-
-    def cond_unary(self):
-        kind, value = self.peek()
-        if kind == "bang":
-            self.take()
-            return c_not(self.cond_unary())
-        if kind == "lbrack":
-            self.take()
-            node = self.comparison()
-            self.take("rbrack")
-            return node
-        if kind == "lpar":
-            self.take()
-            node = self.condition()
-            self.take("rpar")
-            return node
-        if kind == "name" and value == "true":
-            self.take()
-            return C_TRUE
-        if kind == "name" and value == "false":
-            self.take()
-            return C_FALSE
-        return self.comparison()
-
-    def comparison(self):
-        lhs = self.aexp()
-        kind, value = self.peek()
-        if kind in ("eq", "le", "lt"):
-            self.take()
-            op = {"eq": "=", "le": "<=", "lt": "<"}[kind]
-            return Compare(op, lhs, self.aexp())
+def _comparison(tokens: Tokens) -> Compare:
+    lhs = _aexp(tokens)
+    kind, value = tokens.take()
+    if kind != "compare":
         raise ProgramSyntaxError(f"expected comparison operator, found {value!r}")
+    return Compare(value, lhs, _aexp(tokens))
 
-    # programs
 
-    def program(self):
-        node = self.statement()
-        while self.peek()[0] == "semi":
-            self.take()
-            node = Seq(node, self.statement())
+def _condition(tokens: Tokens) -> Condition:
+    return tokens.climb(_CONDITION_OPERATORS, _condition_operand)
+
+
+def _bracketed_condition(tokens: Tokens) -> Condition:
+    tokens.take("lpar")
+    node = _condition(tokens)
+    tokens.take("rpar")
+    return node
+
+
+def _condition_operand(tokens: Tokens) -> Condition:
+    kind, value = tokens.peek()
+    if kind == "lpar":  # a bracketed condition, else a comparison
+        return tokens.first_of(_bracketed_condition, _comparison)
+    if kind == "lbrack":
+        tokens.take()
+        node = _comparison(tokens)
+        tokens.take("rbrack")
         return node
+    if kind == "bang":
+        tokens.take()
+        return c_not(_condition_operand(tokens))
+    if value in _CONDITION_CONSTANTS:
+        tokens.take()
+        return _CONDITION_CONSTANTS[value]
+    return _comparison(tokens)
 
-    def statement(self):
-        kind, value = self.peek()
-        if kind == "name" and value == "skip":
-            self.take()
-            return SKIP
-        if kind == "name" and value == "if":
-            self.take()
-            cond = self.condition()
-            self.take("name", "then")
-            then = self.program()
-            self.take("name", "else")
-            orelse = self.program()
-            self.take("name", "endif")
-            return If(cond, then, orelse)
-        if kind == "name" and value == "while":
-            self.take()
-            cond = self.condition()
-            self.take("name", "do")
-            body = self.program()
-            self.take("name", "done")
-            return While(cond, body)
-        if kind == "name" and value not in _KEYWORDS:
-            if value in self.pvar_names and self.tokens[self.idx + 1][0] != "assign":
-                self.take()
-                return PVar(value)
-            name = self.take()[1]
-            self.take("assign")
-            return Assign(name, self.aexp())
-        raise ProgramSyntaxError(f"expected statement, found {value!r}")
+
+def _parse(text: str, read):
+    tokens = Tokens(_TOKEN, text, ProgramSyntaxError)
+    node = read(tokens)
+    tokens.take("end")
+    return node
 
 
 def parse_program(text: str, pvar_names=()) -> PTerm:
-    p = _Parser(text, pvar_names)
-    node = p.program()
-    p.take("end")
-    return node
+    """A program; a name in ``pvar_names`` that is not assigned to is a
+    program variable."""
+    pvar_names = frozenset(pvar_names)
+
+    def program(tokens: Tokens) -> PTerm:
+        return tokens.climb(_PROGRAM_OPERATORS, statement)
+
+    def statement(tokens: Tokens) -> PTerm:
+        kind, value = tokens.take()
+        if value == "skip":
+            return SKIP
+        if value == "if":
+            cond = _condition(tokens)
+            tokens.take("name", "then")
+            then = program(tokens)
+            tokens.take("name", "else")
+            orelse = program(tokens)
+            tokens.take("name", "endif")
+            return If(cond, then, orelse)
+        if value == "while":
+            cond = _condition(tokens)
+            tokens.take("name", "do")
+            body = program(tokens)
+            tokens.take("name", "done")
+            return While(cond, body)
+        if kind != "name" or value in _KEYWORDS:
+            raise ProgramSyntaxError(f"expected statement, found {value!r}")
+        if value in pvar_names and tokens.peek()[0] != "assign":
+            return PVar(value)
+        tokens.take("assign")
+        return Assign(value, _aexp(tokens))
+
+    return _parse(text, program)
 
 
 def parse_condition(text: str) -> Condition:
-    p = _Parser(text)
-    node = p.condition()
-    p.take("end")
-    return node
+    return _parse(text, _condition)
 
 
 def parse_aexp(text: str) -> AExp:
-    p = _Parser(text)
-    node = p.aexp()
-    p.take("end")
-    return node
+    return _parse(text, _aexp)
+
+
+def parse_spec(text: str) -> PSpec:
+    """The spec ``(PRE, POST)`` at the root."""
+
+    def pair(tokens: Tokens) -> PSpec:
+        tokens.take("lpar")
+        pre = _condition(tokens)
+        tokens.take("comma")
+        post = _condition(tokens)
+        tokens.take("rpar")
+        return PSpec(ROOT, pre, post)
+
+    return _parse(text, pair)
 
 
 def render_aexp(e: AExp, prec: int = 0) -> str:
+    """``prec`` is the least precedence an operator may have to stand
+    unbracketed: 0 at the top."""
     if isinstance(e, Lit):
         return str(e.value)
     if isinstance(e, Ident):
         return e.name
     if isinstance(e, BinOp):
-        if e.op == "*":
-            body = render_aexp(e.lhs, 2) + " * " + render_aexp(e.rhs, 3)
-            return "(" + body + ")" if prec >= 3 else body
-        body = render_aexp(e.lhs, 1) + f" {e.op} " + render_aexp(e.rhs, 2)
-        return "(" + body + ")" if prec >= 2 else body
+        op = _AEXP_OPERATORS[e.op]
+        return op.bracket(f"{render_aexp(e.lhs, op.left)} {e.op} {render_aexp(e.rhs, op.right)}", prec)
     raise TypeError(e)
 
 
 def render_condition(c: Condition, prec: int = 0, plain: bool = False) -> str:
     """Comparisons in brackets; ``plain`` (program contexts) drops the
-    brackets and parenthesizes a negated comparison instead."""
+    brackets and parenthesizes a negated comparison instead.  ``prec`` is as
+    for ``render_aexp``."""
     if c == C_TRUE:
         return "true"
     if c == C_FALSE:
         return "false"
     if isinstance(c, Compare):
         body = f"{render_aexp(c.lhs)} {c.op} {render_aexp(c.rhs)}"
-        if not plain:
-            return f"[{body}]"
-        return "(" + body + ")" if prec >= 3 else body
+        return body if plain else f"[{body}]"
     if isinstance(c, CNot):
-        return "!" + render_condition(c.sub, 3, plain)
-    if isinstance(c, CAnd):
-        body = " & ".join(render_condition(s, 2, plain) for s in c.subs)
-        return "(" + body + ")" if prec >= 2 else body
-    if isinstance(c, COr):
-        body = " | ".join(render_condition(s, 1, plain) for s in c.subs)
-        return "(" + body + ")" if prec >= 1 else body
+        if plain and isinstance(c.sub, Compare):
+            return f"!({render_condition(c.sub, plain=True)})"
+        return "!" + render_condition(c.sub, _NEGATED, plain)
+    if isinstance(c, (CAnd, COr)):
+        symbol = "&" if isinstance(c, CAnd) else "|"
+        op = _CONDITION_OPERATORS[symbol]
+        return op.bracket(f" {symbol} ".join(render_condition(s, op.left, plain) for s in c.subs), prec)
     raise TypeError(c)
 
 

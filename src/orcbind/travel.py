@@ -8,7 +8,7 @@ query and Transport System delivers timetables for every route it hears.
 
 from __future__ import annotations
 
-from . import ltl
+from . import FrozenMap, ltl
 from .arn import Arn, ArnSpec, Connection, Port, Process, qualified_signature
 from .engine import Clause, Query, Repository
 from .muller import AllNonempty, ImpliesFamily, MullerAutomaton, cofree_expansion, product
@@ -229,7 +229,7 @@ def journey_planner_clause() -> Clause:
         journey_planner_net(),
         ArnSpec("JP1", RHO_JP),
         (ArnSpec("R1", RHO_JP1), ArnSpec("R2", RHO_JP2)),
-        hints=({"correspondence": {"getRoute": "planJourney", "route": "directions"}},),
+        hints=(FrozenMap({"getRoute": "planJourney", "route": "directions"}),),
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orcbind import arn, cli, ltl, muller, travel
+from orcbind import FrozenMap, arn, cli, ltl, muller, travel
 from orcbind.arn import validate
 from orcbind.muller import AllNonempty, GenBuchi, ImpliesFamily, MullerAutomaton, ProductFamily
 from orcbind.sigcat import Atom, land, lor
@@ -100,6 +100,15 @@ def test_repository_and_query_files_load():
     assert [c.name for c in repo.clauses] == ["journey-planner", "map-services", "transport-system"]
     query = cli.load_query(DATA / "traveller.query.json")
     assert len(query.requires) == 1
+
+
+def test_every_clause_of_a_loaded_repository_hashes():
+    repo = cli.load_repository(DATA / "services.repo.json")
+    assert [hint for c in repo.clauses for hint in c.hints] == [
+        FrozenMap({"getRoute": "planJourney", "route": "directions"})
+    ]
+    assert all(isinstance(hash(c), int) for c in repo.clauses)
+    assert repo == travel.repository()
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +442,14 @@ def test_unwritable_output_exits_2_before_any_search(command, output, tmp_path, 
         (
             lambda tmp: _traveller_script(tmp, [{"clause": "journey-planner", "correspondence": 5}]),
             "error: bad step {'clause': 'journey-planner', 'correspondence': 5}: "
-            "'int' object is not iterable\n",
+            "'int' object has no attribute 'items'\n",
+        ),
+        (
+            lambda tmp: _traveller_script(
+                tmp, [{"clause": "journey-planner", "correspondence": [["getRoute", "planJourney"]]}]
+            ),
+            "error: bad step {'clause': 'journey-planner', 'correspondence': [['getRoute', 'planJourney']]}: "
+            "'list' object has no attribute 'items'\n",
         ),
         (
             lambda tmp: _traveller_script(tmp, 5),
@@ -456,7 +472,8 @@ def test_unwritable_output_exits_2_before_any_search(command, output, tmp_path, 
     ],
     ids=[
         "unknown-module", "spec-out-of-range", "unknown-clause",
-        "step-not-an-object", "correspondence-not-a-mapping", "steps-not-a-list",
+        "step-not-an-object", "correspondence-not-a-mapping", "correspondence-a-list-of-pairs",
+        "steps-not-a-list",
         "correspondence-to-a-non-name", "spec-a-string", "spec-a-bool", "spec-a-fraction",
     ],
 )
@@ -625,6 +642,29 @@ def test_pexpr_check(capsys):
     assert code == 0
     assert "holds (bounded" in capsys.readouterr().out
     assert run(["pexpr", "check", str(DATA / "division.pgm"), "(true, [x = q * y + r] & [r < y])"]) == 1
+
+
+def test_pexpr_check_reads_a_bracket_that_opens_a_comparison(tmp_path, capsys):
+    assert run(["pexpr", "check", str(DATA / "division.pgm"), "((x + 1) <= y, true)"]) == 0
+    assert capsys.readouterr().out == "holds (bounded: 0..8, 2916 pre-states)\n"
+    program = tmp_path / "p.pgm"
+    program.write_text("while (q + 1) * y <= r do skip done\n")
+    assert run(["pexpr", "check", str(program), "([r < y], true)"]) == 0
+    assert capsys.readouterr().out == "holds (bounded: 0..8, 324 pre-states)\n"
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("[1 <= y], true", "expected lpar, found '['"),
+        ("([1 <= y])", "expected comma, found ')'"),
+        ("([1 <= y], true, true)", "expected rpar, found ','"),
+        ("([1 <= y], true) x", "expected end, found 'x'"),
+    ],
+)
+def test_a_spec_that_is_not_a_pair_exits_2(spec, message, capsys):
+    assert run(["pexpr", "check", str(DATA / "skip.pgm"), spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_pexpr_check_enumerates_the_given_bounds(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from orcbind import InputError, ltl, travel
+from orcbind import FrozenMap, InputError, ltl, travel
 from orcbind.arn import (
     Arn,
     ArnScheme,
@@ -84,7 +84,7 @@ def test_identity_cospan_unifies_identical_specs():
 
 def test_publication_to_publication_correspondence_is_rejected():
     clause = travel.journey_planner_clause()
-    bad_hint = {"correspondence": {"getRoute": "directions", "route": "planJourney"}}
+    bad_hint = FrozenMap({"getRoute": "directions", "route": "planJourney"})
     assert (
         unify(ARN, travel.traveller_net(), ArnSpec("R1", travel.RHO_T1), clause, bad_hint) == []
     )
@@ -104,7 +104,7 @@ def test_unifier_requires_the_entailment():
         ArnSpec("JP1", ltl.parse_formula("F directions!")),
         (),
     )
-    hint = {"correspondence": {"getRoute": "planJourney", "route": "directions"}}
+    hint = FrozenMap({"getRoute": "planJourney", "route": "directions"})
     assert unify(ARN, travel.traveller_net(), ArnSpec("R1", travel.RHO_T1), weak, hint) == []
 
 
@@ -151,7 +151,7 @@ def test_derived_requires_are_deduplicated():
         net,
         ArnSpec("JP1", travel.RHO_JP),
         (ArnSpec("R1", travel.RHO_JP1), ArnSpec("R1", travel.RHO_JP1)),
-        hints=({"correspondence": {"getRoute": "planJourney", "route": "directions"}},),
+        hints=(FrozenMap({"getRoute": "planJourney", "route": "directions"}),),
     )
     query = travel.traveller_query()
     [u] = unify(ARN, query.orc, query.requires[0], clause, clause.hints[0])

@@ -34,6 +34,7 @@ from orcbind.pexpr import (
     apply_subst,
     c_and,
     c_not,
+    c_or,
     check_ground_property,
     compose_pmorphisms,
     entails_conditions,
@@ -97,6 +98,23 @@ def test_a_minus_before_an_integer_is_a_negative_literal():
 
 def test_condition_brackets_are_optional():
     assert parse_condition("x = 1 & y < 2") == parse_condition("[x = 1] & [y < 2]")
+
+
+def test_a_bracket_may_open_the_left_side_of_a_comparison():
+    q, y, r = Ident("q"), Ident("y"), Ident("r")
+    guard = Compare("<=", BinOp("*", BinOp("+", q, Lit(1)), y), r)
+    t = parse_program("while (q + 1) * y <= r do skip done")
+    assert t == While(guard, SKIP)
+    assert render_program(t) == "while (q + 1) * y <= r do skip done"
+    assert parse_condition("((q + 1) * y <= r)") == parse_condition("[(q + 1) * y <= r]") == guard
+    assert parse_condition("!((q + 1) * y <= r) | (r = 0)") == c_or(c_not(guard), Compare("=", r, Lit(0)))
+
+
+def test_a_bracket_that_fails_both_readings_reports_the_further_failure():
+    with pytest.raises(ProgramSyntaxError, match=r"^expected rpar, found ''$"):
+        parse_condition("(x = 1")
+    with pytest.raises(ProgramSyntaxError, match=r"^expected comparison operator, found 'r'$"):
+        parse_condition("(x + 1) * y r")
 
 
 def test_pvar_parsing_requires_declaration():
@@ -401,6 +419,17 @@ def test_parsed_conditions_round_trip_in_written_order(c):
     if "true" not in text and "false" not in text:
         comparisons = re.compile(r"\[[^]]*\]").findall
         assert comparisons(render_condition(parsed)) == comparisons(text)
+
+
+@given(programs(NAMES))
+def test_rendered_programs_read_back(t):
+    # a right-nested sequence reads back left-nested, and nested conjunctions
+    # and disjunctions flatten, so one parse may change the tree but not its
+    # meaning; after it, rendering and parsing are inverse
+    parsed = parse_program(render_program(t))
+    assert parse_program(render_program(parsed)) == parsed
+    state = dict(zip(NAMES, (1, 2, 0)))
+    assert interpret(parsed, state, 3) == interpret(t, state, 3)
 
 
 @settings(max_examples=200)
