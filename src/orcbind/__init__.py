@@ -11,15 +11,17 @@ Library layers:
                   a bounded correctness oracle
 * ``engine``   -- scheme-generic clauses, queries, unification, resolution
 * ``cli``      -- file formats and the ``orcbind`` command-line front end
-* ``travel``   -- the journey-planning worked example (networks, clauses and a
-                  query) that the tests and the benchmark build on
+* ``travel``   -- the networks and automata of the journey-planning worked
+                  example, which the tests and the benchmark build on; its
+                  clauses and query are read from ``examples/data``
 
 Two primitives are shared by every layer: ``FrozenMap``, the one type in
 which a frozen value holds a finite map, and ``InputError``, the root of
 every error about unusable input.  Two more serve the parsers and renderers
 of the surface syntaxes (formulas in ``ltl``, programs in ``pexpr``):
-``Tokens``, the one scanner and cursor, and ``Operator``, an entry of a
-syntax's precedence table.
+``Tokens``, the one scanner and cursor, which words every syntax error and
+refuses text nested deeper than ``MAX_NESTING``, and ``Operator``, an entry
+of a syntax's precedence table.
 """
 
 __version__ = "0.1.0"
@@ -74,52 +76,98 @@ class Operator:
         return f"({text})" if self.precedence < lowest else text
 
 
+# The deepest nesting the parsers read: brackets, the bodies of ``if`` and
+# ``while``, unary operators and the operands after a binary operator each
+# read one level deeper, so a right-associative chain nests once per
+# operator and a left-associative one once.  Nesting within this limit keeps
+# the later walkers of the tree (renderers, hashing, ``repr``, the tableau,
+# the oracles) inside the interpreter's default recursion limit; a
+# left-associative chain, read in a loop, still makes a tree as deep as it
+# is long.
+MAX_NESTING = 100
+
+
 class Tokens:
     """The tokens of one text and a cursor over them.
 
     ``pattern`` matches one token after optional white space, with one named
     group per kind; a token is a pair ``(kind, text)``, and the last is
-    ``("end", "")``.  Every syntax error, from text the pattern does not
-    match on, is raised as ``error``."""
+    ``("end", "")``.  Every syntax error is an ``error`` whose text comes
+    from ``expected``.  Readers go one level deeper through ``nested``;
+    past ``MAX_NESTING`` levels the text is a syntax error."""
 
     def __init__(self, pattern, text: str, error):
-        self.error = error
+        self.pattern, self.text, self.error = pattern, text, error
         self.tokens = []
-        self.index = 0
+        self.index = self.depth = 0
         pos, end = 0, len(text.rstrip())
         while pos < end:
             m = pattern.match(text, pos)
             if m is None:
-                raise error(f"cannot tokenize at: {text[pos:]!r}")
+                raise self.expected("a token", len(text) - len(text[pos:].lstrip()))
             self.tokens.append((m.lastgroup, m.group(m.lastgroup)))
             pos = m.end()
         self.tokens.append(("end", ""))
 
-    def peek(self):
-        return self.tokens[self.index]
+    def expected(self, what: str, offset: int | None = None):
+        """The syntax error for ``what`` missing at the cursor, or at
+        ``offset`` in the text: where (column, and line in a text of several
+        lines), what was expected and what was found."""
+        text = self.text
+        if offset is not None:
+            found = repr(text[offset])
+        elif self.tokens[self.index][0] == "end":
+            offset, found = len(text.rstrip()), "end of input"
+        else:  # scan again to the cursor: tokens keep no offsets
+            offset = 0
+            for _ in range(self.index + 1):
+                m = self.pattern.match(text, offset)
+                offset = m.end()
+            offset, found = m.start(m.lastgroup), repr(m.group(m.lastgroup))
+        line, column = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+        where = f"line {line}, column {column}" if "\n" in text.strip() else f"column {column}"
+        return self.error(f"expected {what} at {where}, found {found}")
 
-    def take(self, kind=None, value=None):
-        """The next token, which must be of ``kind`` and ``value`` if given."""
+    def peek(self, ahead=0):
+        return self.tokens[self.index + ahead]
+
+    def take(self, text=None):
+        """The next token, which must read ``text`` if given."""
         token = self.tokens[self.index]
-        if kind and token[0] != kind:
-            raise self.error(f"expected {kind}, found {token[1]!r}")
-        if value and token[1] != value:
-            raise self.error(f"expected {value!r}, found {token[1]!r}")
+        if text is not None and token[1] != text:
+            raise self.expected(repr(text))
         self.index += 1
         return token
+
+    def whole(self, read, *args):
+        """What ``read(self, *args)`` reads, which must be the whole text."""
+        node = read(self, *args)
+        if self.tokens[self.index][0] != "end":
+            raise self.expected("end of input")
+        return node
+
+    def nested(self, read, *args):
+        """What ``read(self, *args)`` reads one level deeper."""
+        if self.depth == MAX_NESTING:
+            raise self.expected(f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
+        node = read(self, *args)
+        self.depth -= 1
+        return node
 
     def climb(self, table, operand, lowest=0):
         """Operands joined by operators of precedence ``lowest`` and above,
         read by precedence climbing.  ``table`` maps a token's text to its
-        ``Operator``; ``operand(self)`` reads one operand."""
+        ``Operator``; ``operand(self)`` reads one operand.  The operands
+        after an operator are read one level deeper."""
         left = operand(self)
         op = table.get(self.tokens[self.index][1])
         while op is not None and op.precedence >= lowest:
             symbol = self.take()[1]
-            parts = [left, self.climb(table, operand, op.right)]
+            parts = [left, self.nested(Tokens.climb, table, operand, op.right)]
             while op.associativity == "flat" and self.tokens[self.index][1] == symbol:
                 self.index += 1
-                parts.append(self.climb(table, operand, op.right))
+                parts.append(self.nested(Tokens.climb, table, operand, op.right))
             left = op.build(*parts)
             op = table.get(self.tokens[self.index][1])
         return left
@@ -128,12 +176,12 @@ class Tokens:
         """What the first of ``readers`` that succeeds from here reads; when
         all fail, the error of the one that read furthest, with the cursor
         left where it failed."""
-        start, failures = self.index, []
+        start, failures = (self.index, self.depth), []
         for read in readers:
             try:
                 return read(self)
             except self.error as e:
                 failures.append((self.index, e))
-                self.index = start
+                self.index, self.depth = start
         self.index, error = max(failures, key=lambda failure: failure[0])
         raise error

@@ -4,11 +4,13 @@ Exit codes are a stable contract: 0 for success or a positive verdict, 1 for
 a negative verdict or no answer, 2 for unusable input.  A scripted
 derivation step that no unifier binds is a negative answer (exit 1).  Input
 is unusable when the library raises ``orcbind.InputError``: the parsers
-raise it for unparsable text, ``arn`` for a network, point or formula unfit
+raise it for unparsable text and for text nested deeper than
+``orcbind.MAX_NESTING``, ``arn`` for a network, point or formula unfit
 for a check, ``muller`` for a guard whose disjunctive normal form has more
 than ``muller.MAX_CUBES`` cubes, ``engine`` for a step naming a missing
 clause or spec and for repeated clause names, and this module for broken
-files, for an ``--output`` path it cannot write (``_json_writer``) and for
+files (JSON nested too deeply for the decoder among them), for an
+``--output`` path it cannot write (``_json_writer``) and for
 JSON shapes it cannot decode, from a whole file down to one name
 (``_decoding``); ``main`` maps it to exit code 2.  A limit that would make
 a verdict vacuous (``--max-answers`` below 1, ``--max-depth`` or ``--fuel``
@@ -58,8 +60,8 @@ def _decoding(what: str, prefixed=()):
         raise InputError(f"{what}: {e}") from e
     except InputError:
         raise
-    except (AttributeError, LookupError, TypeError, ValueError) as e:
-        raise InputError(f"{what}: {e}") from e
+    except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as e:
+        raise InputError(f"{what}: {e}") from e  # RecursionError: a state nested too deeply
 
 
 def _name(value) -> str:
@@ -146,13 +148,9 @@ def automaton_to_json(a: MullerAutomaton):
     }
 
 
-def automaton_from_json(data, signature: ActionSignature | None = None) -> MullerAutomaton:
+def automaton_from_json(data) -> MullerAutomaton:
     with _decoding("bad automaton", ltl.FormulaSyntaxError):
-        sig = (
-            signature
-            if signature is not None
-            else ActionSignature(frozenset(data["actions"]))
-        )
+        sig = ActionSignature(frozenset(data["actions"]))
         states = frozenset(map(_state_from_json, data["states"]))
         initial = frozenset(map(_state_from_json, data["initial"]))
         transitions = tuple(
@@ -265,6 +263,8 @@ def _load_json(path: Path) -> dict:
         data = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: {e}") from e
+    except RecursionError as e:  # the decoder recurses once per bracket
+        raise InputError(f"{path}: JSON nested too deeply") from e
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object")
     return data
@@ -376,7 +376,7 @@ def load_pexpr_script(path: Path):
             for s in data["requires"]
         )
         steps = data["steps"]
-    return term, requires, decode_steps(steps, pexpr_step), data
+    return term, requires, decode_steps(steps, pexpr_step)
 
 
 def _position(value, term) -> pexpr.Position:
@@ -586,10 +586,7 @@ def cmd_pexpr(args) -> int:
     bounds = parse_bounds(args.bounds)
     if args.subcommand == "derive":
         write_output = _json_writer(args.output)
-        term, requires, steps, data = load_pexpr_script(Path(args.script))
-        if "bounds" in data:
-            with _decoding("bad derivation script"):
-                bounds = parse_bounds(data["bounds"])
+        term, requires, steps = load_pexpr_script(Path(args.script))
         scheme = pexpr.PexprScheme(bounds, args.fuel)
         query = Query(term, requires)
         try:

@@ -339,21 +339,19 @@ class FormulaSyntaxError(InputError):
 def _operand(tokens: Tokens) -> Formula:
     kind, value = tokens.take()
     if value in _UNARY:
-        return _UNARY[value](_operand(tokens))
+        return _UNARY[value](tokens.nested(_operand))
     if kind == "name":
         return _CONSTANTS[value] if value in _CONSTANTS else Atom(value)
     if kind == "lpar":
-        inner = tokens.climb(_BINARY, _operand)
-        tokens.take("rpar")
+        inner = tokens.nested(Tokens.climb, _BINARY, _operand)
+        tokens.take(")")
         return inner
-    raise FormulaSyntaxError(f"unexpected token {value!r}")
+    tokens.index -= 1  # the error is at the token just taken
+    raise tokens.expected("formula")
 
 
 def parse_formula(text: str) -> Formula:
-    tokens = Tokens(_TOKEN, text, FormulaSyntaxError)
-    result = tokens.climb(_BINARY, _operand)
-    tokens.take("end")
-    return result
+    return Tokens(_TOKEN, text, FormulaSyntaxError).whole(Tokens.climb, _BINARY, _operand)
 
 
 def render_formula(f: Formula) -> str:

@@ -21,9 +21,14 @@ guard read from a file can have an exponential normal form (``(a1 | b1) &
 actions, so the lowest letter of a cube is its ``pos``, and the lowest of a
 union its least ``pos``.  ``guard_mask``, ``mask_to_guard`` and
 ``edge_masks`` keep the names they had when a letter set was a bitmask over
-all 2^n letters: the benchmark's tracer wraps them by name.  That bitmask
-semantics is now the reference in ``tests/oracles.py``, which the tests
-check the cubes against.
+all 2^n letters.  That bitmask semantics is now the reference in
+``tests/oracles.py``, which the tests check the cubes against.
+
+Some names stay only because the benchmark binds them: its tracer wraps
+``reduct``, ``mask_to_guard``, ``edge_masks`` and ``is_empty`` by name, and
+its network families build guards with ``g_atom``, ``g_not`` and ``g_and``.
+No command calls the first four; ``reduct`` serves ``arn.observed_automaton``,
+the tests' semantics of a point.
 
 ``MullerAutomaton.moves`` puts each distinct guard of an automaton in normal
 form once and flattens its transitions into ``(dst, pos, neg)`` triples; the
@@ -39,8 +44,6 @@ family, and tests every other SCC when it completes; it stops at the first
 live set.  The witness prefix keeps to nodes the search has expanded (its
 DFS path and that SCC), and the edge cache keeps one letter per edge (the
 lowest enabling one), not its letter set.
-``accepts`` runs the same search on the automaton and the lasso's own
-one-run automaton.
 
 Final-state families come in several closed forms; each unfolds itself into
 a disjunction of "hit these state sets / stay within this state set"
@@ -382,17 +385,6 @@ class LassoTrace:
             return pos + 1
         return len(self.prefix)
 
-    def rename(self, sigma: SignatureMorphism) -> "LassoTrace":
-        """Image trace under a signature morphism (letters mapped forward)."""
-        if sigma.source != self.signature:
-            raise ValueError("signature mismatch")
-        m = sigma.mapping
-        return LassoTrace(
-            sigma.target,
-            tuple(frozenset(m[a] for a in l) for l in self.prefix),
-            tuple(frozenset(m[a] for a in l) for l in self.cycle),
-        )
-
     def reduct(self, sigma: SignatureMorphism) -> "LassoTrace":
         """Reduct along ``sigma: A -> A'`` of a trace over A': each letter
         mapped back to its preimage."""
@@ -564,24 +556,6 @@ def _lasso_nodes(roots, path, scc, live, hits, succ):
 
 # ---------------------------------------------------------------------------
 # Operations
-
-
-def accepts(a: MullerAutomaton, t: LassoTrace) -> bool:
-    """Does the automaton accept the ultimately periodic trace?
-
-    The trace is an automaton too: one state per lasso position, whose one
-    transition reads that position's letter, as a full cube, to the next
-    position.  It accepts the trace alone, so ``a`` accepts the trace
-    exactly when the two accept a common lasso."""
-    if t.signature != a.signature:
-        raise ValueError("trace signature differs from automaton signature")
-    actions = ordered_actions(t.signature)
-    steps = [
-        (i, land(*(Atom(x) if x in t.letter(i) else Not(Atom(x)) for x in actions)), t.next_pos(i))
-        for i in range(len(t))
-    ]
-    run = MullerAutomaton(t.signature, frozenset(range(len(t))), steps, frozenset({0}), AllNonempty())
-    return find_accepted_lasso(a, run) is not None
 
 
 def is_empty(a: MullerAutomaton) -> bool:

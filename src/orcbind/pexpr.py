@@ -300,14 +300,6 @@ def replace_at(t: PTerm, pos: Position, repl: PTerm) -> PTerm:
     raise TypeError(t)
 
 
-def positions(t: PTerm):
-    """All program positions of a term, in preorder."""
-    out = [ROOT]
-    for i, kid in enumerate(children(t)):
-        out.extend((i,) + p for p in positions(kid))
-    return out
-
-
 def pvars(t: PTerm) -> frozenset[str]:
     if isinstance(t, PVar):
         return frozenset({t.name})
@@ -598,7 +590,9 @@ P0, P1 = PVar("p0"), PVar("p1")
 
 def hoare_module(kind: str, params: dict) -> Clause:
     """The clause schema of one Hoare rule, instantiated with the caller's
-    conditions and (for assignments) the hole-shaped predicate.
+    conditions and (for assignments) the ``shape`` predicate, whose hole is
+    the identifier ``v``: ``x := e`` has pre ``shape[e/v]`` and post
+    ``shape[x/v]``.
 
     Program variables are always ``p0`` and ``p1``, so equal calls give equal
     clauses; binding renames them apart from the query's variables.
@@ -608,9 +602,8 @@ def hoare_module(kind: str, params: dict) -> Clause:
         return Clause("skip", SKIP, PSpec(ROOT, rho, rho), ())
     if kind == "assign":
         target, expr, shape = params["target"], params["expr"], params["shape"]
-        hole = params.get("hole", "v")
-        pre = subst_condition(shape, hole, expr)
-        post = subst_condition(shape, hole, Ident(target))
+        pre = subst_condition(shape, "v", expr)
+        post = subst_condition(shape, "v", Ident(target))
         return Clause("assign", Assign(target, expr), PSpec(ROOT, pre, post), ())
     if kind == "seq":
         rho, mid, rho2 = params["pre"], params["mid"], params["post"]
@@ -749,25 +742,28 @@ def _aexp(tokens: Tokens) -> AExp:
 
 
 def _aexp_operand(tokens: Tokens) -> AExp:
-    kind, value = tokens.take()
-    if kind == "minus" and tokens.peek()[0] == "int":
+    kind, value = tokens.peek()
+    if kind == "minus" and tokens.peek(1)[0] == "int":
+        tokens.take()
         return Lit(-int(tokens.take()[1]))
+    if kind not in ("int", "name", "lpar") or value in _KEYWORDS:
+        raise tokens.expected("expression")
+    tokens.take()
     if kind == "int":
         return Lit(int(value))
-    if kind == "name" and value not in _KEYWORDS:
+    if kind == "name":
         return Ident(value)
-    if kind == "lpar":
-        node = _aexp(tokens)
-        tokens.take("rpar")
-        return node
-    raise ProgramSyntaxError(f"expected expression, found {value!r}")
+    node = tokens.nested(_aexp)
+    tokens.take(")")
+    return node
 
 
 def _comparison(tokens: Tokens) -> Compare:
     lhs = _aexp(tokens)
-    kind, value = tokens.take()
+    kind, value = tokens.peek()
     if kind != "compare":
-        raise ProgramSyntaxError(f"expected comparison operator, found {value!r}")
+        raise tokens.expected("comparison operator")
+    tokens.take()
     return Compare(value, lhs, _aexp(tokens))
 
 
@@ -776,9 +772,9 @@ def _condition(tokens: Tokens) -> Condition:
 
 
 def _bracketed_condition(tokens: Tokens) -> Condition:
-    tokens.take("lpar")
-    node = _condition(tokens)
-    tokens.take("rpar")
+    tokens.take("(")
+    node = tokens.nested(_condition)
+    tokens.take(")")
     return node
 
 
@@ -788,12 +784,12 @@ def _condition_operand(tokens: Tokens) -> Condition:
         return tokens.first_of(_bracketed_condition, _comparison)
     if kind == "lbrack":
         tokens.take()
-        node = _comparison(tokens)
-        tokens.take("rbrack")
+        node = tokens.nested(_comparison)
+        tokens.take("]")
         return node
     if kind == "bang":
         tokens.take()
-        return c_not(_condition_operand(tokens))
+        return c_not(tokens.nested(_condition_operand))
     if value in _CONDITION_CONSTANTS:
         tokens.take()
         return _CONDITION_CONSTANTS[value]
@@ -801,10 +797,7 @@ def _condition_operand(tokens: Tokens) -> Condition:
 
 
 def _parse(text: str, read):
-    tokens = Tokens(_TOKEN, text, ProgramSyntaxError)
-    node = read(tokens)
-    tokens.take("end")
-    return node
+    return Tokens(_TOKEN, text, ProgramSyntaxError).whole(read)
 
 
 def parse_program(text: str, pvar_names=()) -> PTerm:
@@ -816,28 +809,29 @@ def parse_program(text: str, pvar_names=()) -> PTerm:
         return tokens.climb(_PROGRAM_OPERATORS, statement)
 
     def statement(tokens: Tokens) -> PTerm:
-        kind, value = tokens.take()
+        kind, value = tokens.peek()
+        if kind != "name" or value in _KEYWORDS - {"skip", "if", "while"}:
+            raise tokens.expected("statement")
+        tokens.take()
         if value == "skip":
             return SKIP
         if value == "if":
             cond = _condition(tokens)
-            tokens.take("name", "then")
-            then = program(tokens)
-            tokens.take("name", "else")
-            orelse = program(tokens)
-            tokens.take("name", "endif")
+            tokens.take("then")
+            then = tokens.nested(program)
+            tokens.take("else")
+            orelse = tokens.nested(program)
+            tokens.take("endif")
             return If(cond, then, orelse)
         if value == "while":
             cond = _condition(tokens)
-            tokens.take("name", "do")
-            body = program(tokens)
-            tokens.take("name", "done")
+            tokens.take("do")
+            body = tokens.nested(program)
+            tokens.take("done")
             return While(cond, body)
-        if kind != "name" or value in _KEYWORDS:
-            raise ProgramSyntaxError(f"expected statement, found {value!r}")
         if value in pvar_names and tokens.peek()[0] != "assign":
             return PVar(value)
-        tokens.take("assign")
+        tokens.take(":=")
         return Assign(value, _aexp(tokens))
 
     return _parse(text, program)
@@ -855,11 +849,11 @@ def parse_spec(text: str) -> PSpec:
     """The spec ``(PRE, POST)`` at the root."""
 
     def pair(tokens: Tokens) -> PSpec:
-        tokens.take("lpar")
+        tokens.take("(")
         pre = _condition(tokens)
-        tokens.take("comma")
+        tokens.take(",")
         post = _condition(tokens)
-        tokens.take("rpar")
+        tokens.take(")")
         return PSpec(ROOT, pre, post)
 
     return _parse(text, pair)

@@ -5,7 +5,10 @@ An action signature is a finite set of action symbols.  Symbols may be opaque,
 or carry the structure ``[qualifier.]message{!|?}`` where ``!`` marks a
 publication and ``?`` a delivery.  Colimits are computed by union-find
 quotienting of the disjoint union of node actions.  Morphisms, diagrams and
-cocones hold their maps as ``FrozenMap``s, which iterate in key order.
+cocones hold their maps as ``FrozenMap``s, which iterate in key order.  No
+command composes morphisms, so composition, identities and the search for
+mediating morphisms are in ``tests/oracles.py``, where the tests check the
+colimit's universal property with them.
 
 Sentences are formulas over a signature's actions, built from atoms, ``!``,
 ``&``, ``|``, ``X`` and ``U``, and translated along signature morphisms by
@@ -19,7 +22,6 @@ neither their ``repr`` nor anything ordered by it depends on string hashing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -41,10 +43,6 @@ class ActionSignature:
 
     def __len__(self) -> int:
         return len(self.actions)
-
-
-def signature(*actions: str) -> ActionSignature:
-    return ActionSignature(frozenset(actions))
 
 
 @lru_cache(maxsize=None)
@@ -75,17 +73,6 @@ class SignatureMorphism:
     def inverse_image(self, letter: frozenset[str]) -> frozenset[str]:
         """Preimage of a subset of target actions."""
         return frozenset(a for a, b in self.mapping.items() if b in letter)
-
-
-def identity(sig: ActionSignature) -> SignatureMorphism:
-    return SignatureMorphism(sig, sig, {a: a for a in sig.actions})
-
-
-def compose(f: SignatureMorphism, g: SignatureMorphism) -> SignatureMorphism:
-    """Pointwise composition ``f ; g`` (first f, then g)."""
-    if f.target != g.source:
-        raise ValueError("endpoint mismatch: target of first != source of second")
-    return SignatureMorphism(f.source, g.target, {a: g.mapping[b] for a, b in f.mapping.items()})
 
 
 @dataclass(frozen=True)
@@ -149,10 +136,6 @@ class Cocone:
     def leg(self, node_id: str) -> SignatureMorphism:
         return self.legs[node_id]
 
-    def commutes_over(self, diagram: FiniteDiagram) -> bool:
-        """True iff for every arrow f: i -> j, leg_i = f ; leg_j."""
-        return all(self.leg(i) == compose(f, self.leg(j)) for (i, j), f in diagram.arrows.items())
-
 
 class _UnionFind:
     def __init__(self, items):
@@ -206,23 +189,6 @@ def colimit(diagram: FiniteDiagram) -> Cocone:
     for i, sig in diagram.nodes.items():
         legs[i] = SignatureMorphism(sig, apex, {a: symbol_of[uf.find((i, a))] for a in sig.actions})
     return Cocone(apex, legs)
-
-
-def mediating_morphisms(diagram: FiniteDiagram, colim: Cocone, other: Cocone):
-    """All morphisms ``colim.apex -> other.apex`` commuting with every leg.
-
-    Exhaustive search over all functions; intended for small instances, where
-    it witnesses the universal property (exactly one result for a colimit and
-    a commuting cocone).
-    """
-    dom = ordered_actions(colim.apex)
-    cod = ordered_actions(other.apex)
-    found = []
-    for images in itertools.product(cod, repeat=len(dom)):
-        cand = SignatureMorphism(colim.apex, other.apex, dict(zip(dom, images)))
-        if all(compose(colim.leg(i), cand) == other.leg(i) for i in diagram.nodes):
-            found.append(cand)
-    return found
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""The journey-planning worked example: networks, modules, and a client query.
+"""The journey-planning worked example: its networks, automata and specs.
+
+This module builds the networks and automata that the benchmark and the
+tests share.  The example's clauses and its client query are not built
+here: they are read from ``examples/data/services.repo.json`` and
+``traveller.query.json``, the files users run.
 
 The JP process automaton and the channel automata follow the published
 drawings; the MS, TS and T process automata are engineered fixtures (the
@@ -8,9 +13,8 @@ query and Transport System delivers timetables for every route it hears.
 
 from __future__ import annotations
 
-from . import FrozenMap, ltl
-from .arn import Arn, ArnSpec, Connection, Port, Process, qualified_signature
-from .engine import Clause, Query, Repository
+from . import ltl
+from .arn import Arn, Connection, Port, Process, qualified_signature
 from .muller import AllNonempty, ImpliesFamily, MullerAutomaton, cofree_expansion, product
 from .sigcat import TRUE, ActionSignature, Atom, SignatureMorphism, land, lnot, lor
 
@@ -221,29 +225,3 @@ RHO_JP1 = ltl.parse_formula("G(getRoutes? -> F routes!)")
 RHO_JP2 = ltl.parse_formula("G(routes? -> F timetables!)")
 RHO_MS = RHO_JP1
 RHO_TS = RHO_JP2
-
-
-def journey_planner_clause() -> Clause:
-    return Clause(
-        "journey-planner",
-        journey_planner_net(),
-        ArnSpec("JP1", RHO_JP),
-        (ArnSpec("R1", RHO_JP1), ArnSpec("R2", RHO_JP2)),
-        hints=(FrozenMap({"getRoute": "planJourney", "route": "directions"}),),
-    )
-
-
-def map_services_clause() -> Clause:
-    return Clause("map-services", ms_net(), ArnSpec("MS1", RHO_MS), ())
-
-
-def transport_system_clause() -> Clause:
-    return Clause("transport-system", ts_net(), ArnSpec("TS1", RHO_TS), ())
-
-
-def repository() -> Repository:
-    return Repository((journey_planner_clause(), map_services_clause(), transport_system_clause()))
-
-
-def traveller_query() -> Query:
-    return Query(traveller_net(), (ArnSpec("R1", RHO_T1),))

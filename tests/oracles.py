@@ -17,13 +17,22 @@ the letters of a signature of n actions, one bit per letter.  ``orcbind``
 holds a letter set as a tuple of cubes; the tests compare the cubes, and
 every semantic comparison of automata (homomorphisms, isomorphisms,
 on-the-nose equality of ARN labels, ARN morphisms), with these bitmasks.
+
+The last sections hold what only the tests need of the library's own
+algorithms: signature and morphism shorthands, the universal property of
+colimits, program positions, acceptance of one lasso by the product search,
+and the worked example's clauses and query, read once from
+``examples/data``.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import cache
+from pathlib import Path
 
+from orcbind import cli
 from orcbind.muller import (
     AllNonempty,
     Explicit,
@@ -32,6 +41,7 @@ from orcbind.muller import (
     LassoTrace,
     MullerAutomaton,
     ProductFamily,
+    find_accepted_lasso,
 )
 from orcbind.pexpr import (
     Assign,
@@ -44,6 +54,7 @@ from orcbind.pexpr import (
     Skip,
     Terminated,
     While,
+    children,
     condition_idents,
     enumerate_states,
     eval_aexp,
@@ -51,7 +62,21 @@ from orcbind.pexpr import (
     subterm_at,
     term_idents,
 )
-from orcbind.sigcat import FALSE, TRUE, And, Atom, Next, Not, Or, Until, land, lor, ordered_actions
+from orcbind.sigcat import (
+    FALSE,
+    TRUE,
+    ActionSignature,
+    And,
+    Atom,
+    Next,
+    Not,
+    Or,
+    SignatureMorphism,
+    Until,
+    land,
+    lor,
+    ordered_actions,
+)
 
 
 def eval_guard(g, letter: frozenset) -> bool:
@@ -883,3 +908,101 @@ def entails_by_enumeration(c1, c2, bounds) -> bool:
         for state in enumerate_states(idents, bounds)
         if eval_condition(c1, state)
     )
+
+
+# ---------------------------------------------------------------------------
+# Signatures and morphisms
+
+
+def signature(*actions: str) -> ActionSignature:
+    return ActionSignature(frozenset(actions))
+
+
+def identity(sig: ActionSignature) -> SignatureMorphism:
+    return SignatureMorphism(sig, sig, {a: a for a in sig.actions})
+
+
+def compose(f: SignatureMorphism, g: SignatureMorphism) -> SignatureMorphism:
+    """Pointwise composition ``f ; g`` (first f, then g)."""
+    if f.target != g.source:
+        raise ValueError("endpoint mismatch: target of first != source of second")
+    return SignatureMorphism(f.source, g.target, {a: g.mapping[b] for a, b in f.mapping.items()})
+
+
+def commutes_over(cocone, diagram) -> bool:
+    """True iff for every arrow f: i -> j, leg_i = f ; leg_j."""
+    return all(cocone.leg(i) == compose(f, cocone.leg(j)) for (i, j), f in diagram.arrows.items())
+
+
+def mediating_morphisms(diagram, colim, other):
+    """All morphisms ``colim.apex -> other.apex`` commuting with every leg.
+
+    Exhaustive search over all functions; intended for small instances, where
+    it witnesses the universal property (exactly one result for a colimit and
+    a commuting cocone).
+    """
+    dom = ordered_actions(colim.apex)
+    cod = ordered_actions(other.apex)
+    found = []
+    for images in itertools.product(cod, repeat=len(dom)):
+        cand = SignatureMorphism(colim.apex, other.apex, dict(zip(dom, images)))
+        if all(compose(colim.leg(i), cand) == other.leg(i) for i in diagram.nodes):
+            found.append(cand)
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Program positions
+
+
+def positions(t):
+    """All program positions of a term, in preorder."""
+    out = [()]
+    for i, kid in enumerate(children(t)):
+        out.extend((i,) + p for p in positions(kid))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Acceptance of one lasso
+
+
+def accepts(a: MullerAutomaton, t: LassoTrace) -> bool:
+    """Does the automaton accept the ultimately periodic trace?
+
+    The trace is an automaton too: one state per lasso position, whose one
+    transition reads that position's letter, as a full cube, to the next
+    position.  It accepts the trace alone, so ``a`` accepts the trace
+    exactly when the two accept a common lasso."""
+    if t.signature != a.signature:
+        raise ValueError("trace signature differs from automaton signature")
+    actions = ordered_actions(t.signature)
+    steps = [
+        (i, land(*(Atom(x) if x in t.letter(i) else Not(Atom(x)) for x in actions)), t.next_pos(i))
+        for i in range(len(t))
+    ]
+    run = MullerAutomaton(t.signature, frozenset(range(len(t))), steps, frozenset({0}), AllNonempty())
+    return find_accepted_lasso(a, run) is not None
+
+
+# ---------------------------------------------------------------------------
+# The worked example, read with the CLI's loaders once: the repository and
+# the query are frozen values, so every test may share them.
+
+DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
+
+
+@cache
+def repository():
+    """The journey-planning repository of ``examples/data``."""
+    return cli.load_repository(DATA / "services.repo.json")
+
+
+@cache
+def traveller_query():
+    """The traveller query of ``examples/data``."""
+    return cli.load_query(DATA / "traveller.query.json")
+
+
+def example_clause(name: str):
+    return repository().clause(name)

@@ -31,7 +31,6 @@ from orcbind.muller import (
     Explicit,
     LassoTrace,
     MullerAutomaton,
-    accepts,
     cofree_expansion,
     is_empty,
     product,
@@ -51,9 +50,10 @@ from orcbind.pexpr import (
     parse_program,
     render_program,
 )
-from orcbind.sigcat import TRUE, SignatureMorphism, signature
+from orcbind.sigcat import TRUE, SignatureMorphism
 
 from oracles import (
+    accepts,
     accepts_by_run_search,
     all_letters,
     bitmask_to_guard,
@@ -62,6 +62,9 @@ from oracles import (
     edge_bitmasks,
     explicit_members,
     is_empty_by_lasso_search,
+    repository,
+    signature,
+    traveller_query,
 )
 
 
@@ -79,8 +82,8 @@ BOUNDS = (0, 8)
 def test_criterion_1_service_pipeline_replay():
     started = time.monotonic()
     scheme = ArnScheme()
-    query = travel.traveller_query()
-    repo = travel.repository()
+    query = traveller_query()
+    repo = repository()
 
     answers, _ = solve(scheme, query, repo)
     assert len(answers) == 1, "expected exactly one answer"
@@ -292,8 +295,8 @@ def test_criterion_4_formula_automata_match_lasso_semantics():
 def _corpus_pipeline():
     """The worked example's derivation morphisms: theta then delta."""
     scheme = ArnScheme()
-    query = travel.traveller_query()
-    [answer], _ = solve(scheme, query, travel.repository())
+    query = traveller_query()
+    [answer], _ = solve(scheme, query, repository())
     thetas = [s.unifier.theta1 for s in answer.steps]
     return scheme, query, answer, thetas
 
@@ -678,10 +681,10 @@ def test_criterion_7_soundness_of_solve():
     answers_seen = 0
 
     # the worked-example corpus first
-    answers, _ = solve(scheme, travel.traveller_query(), travel.repository())
+    answers, _ = solve(scheme, traveller_query(), repository())
     for answer in answers:
         answers_seen += 1
-        if not _answer_is_solution(scheme, travel.traveller_query(), answer):
+        if not _answer_is_solution(scheme, traveller_query(), answer):
             violations += 1
 
     repos = 0

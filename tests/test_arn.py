@@ -37,19 +37,20 @@ from orcbind.muller import (
     Explicit,
     LassoTrace,
     MullerAutomaton,
-    accepts,
     cofree_expansion,
     find_accepted_lasso,
     reduct,
 )
-from orcbind.sigcat import TRUE, SignatureMorphism, signature
+from orcbind.sigcat import TRUE, SignatureMorphism
 
 from oracles import (
+    accepts,
     all_letters,
     automaton_isomorphism,
     check_morphism,
     colimit_classes_by_closure,
     colimit_classes_of_cocone,
+    commutes_over,
 )
 
 
@@ -263,7 +264,7 @@ def test_signature_of_single_process_net_matches_port():
 def test_network_colimit_matches_closure_oracle():
     d = diagram_of(travel.journey_planner_ground_net())
     cocone = signature_of(travel.journey_planner_ground_net())
-    assert cocone.commutes_over(d)
+    assert commutes_over(cocone, d)
     assert colimit_classes_of_cocone(d, cocone) == colimit_classes_by_closure(d)
 
 

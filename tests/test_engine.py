@@ -45,6 +45,8 @@ from orcbind.pexpr import (
 )
 from orcbind.sigcat import TRUE, SignatureMorphism
 
+from oracles import example_clause, repository, traveller_query
+
 
 ARN = ArnScheme()
 
@@ -54,7 +56,7 @@ ARN = ArnScheme()
 
 
 def test_traveller_unifies_with_the_journey_planner_clause():
-    clause = travel.journey_planner_clause()
+    clause = example_clause("journey-planner")
     unifiers = unify(
         ARN,
         travel.traveller_net(),
@@ -83,7 +85,7 @@ def test_identity_cospan_unifies_identical_specs():
 
 
 def test_publication_to_publication_correspondence_is_rejected():
-    clause = travel.journey_planner_clause()
+    clause = example_clause("journey-planner")
     bad_hint = FrozenMap({"getRoute": "directions", "route": "planJourney"})
     assert (
         unify(ARN, travel.traveller_net(), ArnSpec("R1", travel.RHO_T1), clause, bad_hint) == []
@@ -92,7 +94,7 @@ def test_publication_to_publication_correspondence_is_rejected():
 
 def test_no_unifier_without_matching_messages():
     # heuristic name matching fails between getRoute/planJourney ports
-    clause = travel.journey_planner_clause()
+    clause = example_clause("journey-planner")
     assert unify(ARN, travel.traveller_net(), ArnSpec("R1", travel.RHO_T1), clause, None) == []
 
 
@@ -113,8 +115,8 @@ def test_unifier_requires_the_entailment():
 
 
 def test_resolution_produces_the_derived_query():
-    clause = travel.journey_planner_clause()
-    query = travel.traveller_query()
+    clause = example_clause("journey-planner")
+    query = traveller_query()
     [u] = unify(ARN, query.orc, query.requires[0], clause, clause.hints[0])
     derived = resolve(ARN, query, clause, query.requires[0], u)
     assert derived.requires == (
@@ -124,11 +126,11 @@ def test_resolution_produces_the_derived_query():
 
 
 def test_resolution_with_empty_clause_requires_shrinks_the_query():
-    query = travel.traveller_query()
-    clause = travel.journey_planner_clause()
+    query = traveller_query()
+    clause = example_clause("journey-planner")
     [u] = unify(ARN, query.orc, query.requires[0], clause, clause.hints[0])
     q2 = resolve(ARN, query, clause, query.requires[0], u)
-    ms = travel.map_services_clause()
+    ms = example_clause("map-services")
     [u2] = unify(ARN, q2.orc, q2.requires[0], ms, None)
     q3 = resolve(ARN, q2, ms, q2.requires[0], u2)
     assert len(q3.requires) == 1
@@ -136,8 +138,8 @@ def test_resolution_with_empty_clause_requires_shrinks_the_query():
 
 
 def test_resolution_requires_membership():
-    query = travel.traveller_query()
-    clause = travel.journey_planner_clause()
+    query = traveller_query()
+    clause = example_clause("journey-planner")
     [u] = unify(ARN, query.orc, query.requires[0], clause, clause.hints[0])
     with pytest.raises(ValueError):
         resolve(ARN, query, clause, ArnSpec("R1", ltl.TRUE), u)
@@ -153,7 +155,7 @@ def test_derived_requires_are_deduplicated():
         (ArnSpec("R1", travel.RHO_JP1), ArnSpec("R1", travel.RHO_JP1)),
         hints=(FrozenMap({"getRoute": "planJourney", "route": "directions"}),),
     )
-    query = travel.traveller_query()
+    query = traveller_query()
     [u] = unify(ARN, query.orc, query.requires[0], clause, clause.hints[0])
     derived = resolve(ARN, query, clause, query.requires[0], u)
     assert len(derived.requires) == 1
@@ -185,7 +187,7 @@ def test_pexpr_trivial_specs_are_conservative():
 
 
 def test_solve_the_traveller_query():
-    answers, _ = solve(ARN, travel.traveller_query(), travel.repository())
+    answers, _ = solve(ARN, traveller_query(), repository())
     assert len(answers) == 1
     [answer] = answers
     assert [s.clause_name for s in answer.steps] == [
@@ -208,14 +210,14 @@ def test_solve_empty_query_answers_immediately():
 
 
 def test_solve_without_transport_system_finds_nothing():
-    repo = Repository((travel.journey_planner_clause(), travel.map_services_clause()))
-    answers, end = solve(ARN, travel.traveller_query(), repo)
+    repo = Repository((example_clause("journey-planner"), example_clause("map-services")))
+    answers, end = solve(ARN, traveller_query(), repo)
     assert answers == []
     assert (end.status, end.cut) == ("exhausted", 0)
 
 
 def test_solve_says_how_the_search_ended():
-    query, repo = travel.traveller_query(), travel.repository()
+    query, repo = traveller_query(), repository()
     _, end = solve(ARN, query, repo)
     assert isinstance(end, SearchEnd) and (end.status, end.cut, end.max_depth) == ("exhausted", 0, 8)
     answers, end = solve(ARN, query, repo, max_depth=2)
@@ -227,8 +229,8 @@ def test_solve_says_how_the_search_ended():
 
 
 def test_solve_is_deterministic():
-    a1, _ = solve(ARN, travel.traveller_query(), travel.repository())
-    a2, _ = solve(ARN, travel.traveller_query(), travel.repository())
+    a1, _ = solve(ARN, traveller_query(), repository())
+    a2, _ = solve(ARN, traveller_query(), repository())
     assert a1 == a2
 
 
@@ -256,7 +258,7 @@ def test_scripted_solve_types_its_two_failures():
 
 def test_repository_lookup_of_a_missing_clause_is_an_input_error():
     with pytest.raises(InputError, match="^no such clause: 'nosuch'$"):
-        travel.repository().clause("nosuch")
+        repository().clause("nosuch")
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +266,8 @@ def test_repository_lookup_of_a_missing_clause_is_an_input_error():
 
 
 def test_answer_is_a_solution():
-    [answer], _ = solve(ARN, travel.traveller_query(), travel.repository())
-    assert check_solution(ARN, travel.traveller_query(), answer.composed)
+    [answer], _ = solve(ARN, traveller_query(), repository())
+    assert check_solution(ARN, traveller_query(), answer.composed)
 
 
 def test_identity_solution_on_satisfied_ground_query():
@@ -281,7 +283,7 @@ def test_solution_fails_on_violated_specs():
 
 
 def test_non_ground_targets_need_a_model_pool():
-    query = travel.traveller_query()
+    query = traveller_query()
     assert not check_solution(ARN, query, identity_morphism(query.orc), model_pool=None)
 
 
@@ -343,6 +345,6 @@ def test_journey_planner_clause_has_no_counterexample_over_the_fixture_pool():
         {"JP": "JP", "C": "C"},
         {x: {m: m for m in src.port_of[x].messages} for x in src.points},
     )
-    verdict = check_clause_correctness(ARN, travel.journey_planner_clause(), [theta])
+    verdict = check_clause_correctness(ARN, example_clause("journey-planner"), [theta])
     assert isinstance(verdict, NoCounterexample)
     assert verdict.checked == 1

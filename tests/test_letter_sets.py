@@ -38,10 +38,17 @@ from orcbind.sigcat import (
     land,
     lor,
     ordered_actions,
-    signature,
 )
 
-from oracles import all_letters, cubes_bitmask, edge_bitmasks, eval_guard, guard_bitmask, reduct_bitmasks
+from oracles import (
+    all_letters,
+    cubes_bitmask,
+    edge_bitmasks,
+    eval_guard,
+    guard_bitmask,
+    reduct_bitmasks,
+    signature,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from orcbind import InputError
+from orcbind import MAX_NESTING, InputError
 from orcbind.ltl import (
     FALSE,
     TRUE,
@@ -31,20 +31,21 @@ from orcbind.ltl import (
 from orcbind.muller import (
     Explicit,
     LassoTrace,
-    accepts,
     find_accepted_lasso,
     MullerAutomaton,
     AllNonempty,
 )
-from orcbind.sigcat import SignatureMorphism, signature, translate
+from orcbind.sigcat import SignatureMorphism, translate
 
 from oracles import (
+    accepts,
     all_letters,
     assignment_tableau,
     bitmask_to_guard,
     check_homomorphism,
     dense_tableau,
     edge_bitmasks,
+    signature,
 )
 
 
@@ -110,6 +111,43 @@ def test_syntax_errors_are_input_errors():
     with pytest.raises(InputError) as e:
         parse_formula("a &")
     assert isinstance(e.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a", "expected ')' at column 3, found end of input"),
+        ("a & & b", "expected formula at column 5, found '&'"),
+        ("a b", "expected end of input at column 3, found 'b'"),
+        ("a # b", "expected a token at column 3, found '#'"),
+    ],
+)
+def test_syntax_errors_say_where_and_what_was_expected(text, message):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "nest",
+    [
+        lambda n: "(" * n + "a" + ")" * n,
+        lambda n: "X " * n + "a",
+        lambda n: "! X " * (n // 2) + "! " * (n % 2) + "a",
+        lambda n: "a U " * n + "b",
+        lambda n: "a -> " * n + "b",
+    ],
+    ids=["brackets", "next", "negated-next", "until-chain", "implication-chain"],
+)
+def test_a_formula_at_the_nesting_limit_decides_and_one_past_it_is_refused(nest):
+    f = parse_formula(nest(MAX_NESTING))
+    witness = satisfiable(f)
+    assert witness is not None and sat_lasso(witness, f)
+    assert parse_formula(render_formula(f)) == f
+    sigma = SignatureMorphism(witness.signature, witness.signature, {x: x for x in witness.signature.actions})
+    assert translate(f, sigma) == f
+    with pytest.raises(FormulaSyntaxError, match=f"^expected at most {MAX_NESTING} levels of nesting at column"):
+        parse_formula(nest(MAX_NESTING + 1))
 
 
 def test_connective_sets_flatten_and_dedupe():
@@ -199,7 +237,8 @@ def test_translate_commutes_with_satisfaction_for_bijections():
     for _ in range(50):
         f = rand_formula(rnd, 3)
         t = rand_lasso(rnd, src, 2, 3)
-        assert sat_lasso(t, f) == sat_lasso(t.rename(sigma), translate(f, sigma))
+        image = LassoTrace(dst, *(tuple(frozenset(map(sigma, l)) for l in part) for part in (t.prefix, t.cycle)))
+        assert sat_lasso(t, f) == sat_lasso(image, translate(f, sigma))
 
 
 # ---------------------------------------------------------------------------

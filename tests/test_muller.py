@@ -12,7 +12,6 @@ from orcbind.muller import (
     LassoTrace,
     MullerAutomaton,
     ProductFamily,
-    accepts,
     cofree_expansion,
     find_accepted_lasso,
     g_and,
@@ -24,9 +23,10 @@ from orcbind.muller import (
     product,
     reduct,
 )
-from orcbind.sigcat import FALSE, TRUE, ActionSignature, SignatureMorphism, lor, signature
+from orcbind.sigcat import FALSE, TRUE, ActionSignature, SignatureMorphism, lor
 
 from oracles import (
+    accepts,
     accepts_by_run_search,
     all_letters,
     automaton_isomorphism,
@@ -40,6 +40,7 @@ from oracles import (
     guard_bitmask,
     is_empty_by_buchi,
     is_empty_by_lasso_search,
+    signature,
 )
 
 

@@ -5,7 +5,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_by_interpretation, entails_by_enumeration, interpret_functionally
+from oracles import check_by_interpretation, entails_by_enumeration, interpret_functionally, positions
+from orcbind import MAX_NESTING
 from orcbind.engine import Query, solve_scripted
 from orcbind.pexpr import (
     C_TRUE,
@@ -44,7 +45,7 @@ from orcbind.pexpr import (
     parse_aexp,
     parse_condition,
     parse_program,
-    positions,
+    render_aexp,
     render_condition,
     render_program,
     replace_at,
@@ -111,9 +112,9 @@ def test_a_bracket_may_open_the_left_side_of_a_comparison():
 
 
 def test_a_bracket_that_fails_both_readings_reports_the_further_failure():
-    with pytest.raises(ProgramSyntaxError, match=r"^expected rpar, found ''$"):
+    with pytest.raises(ProgramSyntaxError, match=r"^expected '\)' at column 7, found end of input$"):
         parse_condition("(x = 1")
-    with pytest.raises(ProgramSyntaxError, match=r"^expected comparison operator, found 'r'$"):
+    with pytest.raises(ProgramSyntaxError, match=r"^expected comparison operator at column 13, found 'r'$"):
         parse_condition("(x + 1) * y r")
 
 
@@ -128,6 +129,50 @@ def test_parse_rejects_junk():
     for text in ["x :=", "while do done", "if x = 1 then skip endif"]:
         with pytest.raises(ProgramSyntaxError):
             parse_program(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_condition, "[x = ]", "expected expression at column 6, found ']'"),
+        (parse_program, "x = 1", "expected ':=' at column 3, found '='"),
+        (parse_program, "while x < 1 do skip", "expected 'done' at column 20, found end of input"),
+        (parse_program, "skip ;\n  := 1", "expected statement at line 2, column 3, found ':='"),
+    ],
+)
+def test_syntax_errors_say_where_and_what_was_expected(parse, text, message):
+    with pytest.raises(ProgramSyntaxError) as e:
+        parse(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, nest",
+    [
+        (parse_condition, lambda n: "(" * n + "x = 0" + ")" * n),
+        (parse_condition, lambda n: "!" * n + "x = 0"),
+        (parse_aexp, lambda n: "(" * n + "x" + ")" * n),
+        (parse_program, lambda n: "while x < 0 do " * n + "skip" + " done" * n),
+        (parse_program, lambda n: "if x < 0 then skip else " * n + "skip" + " endif" * n),
+    ],
+    ids=["condition-brackets", "negations", "expression-brackets", "loops", "branches"],
+)
+def test_text_at_the_nesting_limit_reads_and_one_past_it_is_refused(parse, nest):
+    node = parse(nest(MAX_NESTING))
+    render = {parse_condition: render_condition, parse_aexp: render_aexp, parse_program: render_program}[parse]
+    assert parse(render(node)) == node
+    if parse is parse_program:
+        assert isinstance(check_ground_property(node, PSpec((), C_TRUE, C_TRUE), (0, 2), 10), Holds)
+    with pytest.raises(ProgramSyntaxError, match=f"^expected at most {MAX_NESTING} levels of nesting at"):
+        parse(nest(MAX_NESTING + 1))
+
+
+def test_a_left_associative_chain_nests_one_level():
+    # read in a loop, as long programs and sums have always been read
+    long = " ; ".join(["x := x + 1 - 1"] * (3 * MAX_NESTING))
+    term = parse_program(long)
+    assert parse_program(render_program(term)) == term
+    assert isinstance(check_ground_property(term, PSpec((), C_TRUE, C_TRUE), (0, 2), 10), Holds)
 
 
 # ---------------------------------------------------------------------------

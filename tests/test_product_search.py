@@ -15,13 +15,19 @@ from orcbind.muller import (
     MullerAutomaton,
     ProductFamily,
     _first_live_set,
-    accepts,
     find_accepted_lasso,
     product,
 )
-from orcbind.sigcat import TRUE, signature
+from orcbind.sigcat import TRUE
 
-from oracles import accepts_by_run_search, bitmask_to_guard, is_empty_by_buchi, is_empty_by_lasso_search
+from oracles import (
+    accepts,
+    accepts_by_run_search,
+    bitmask_to_guard,
+    is_empty_by_buchi,
+    is_empty_by_lasso_search,
+    signature,
+)
 
 SIG = signature("a", "b")
 

@@ -13,13 +13,17 @@ from orcbind.sigcat import (
     PartialSignatureMorphism,
     SignatureMorphism,
     colimit,
+)
+
+from oracles import (
+    colimit_classes_by_closure,
+    colimit_classes_of_cocone,
+    commutes_over,
     compose,
     identity,
     mediating_morphisms,
     signature,
 )
-
-from oracles import colimit_classes_by_closure, colimit_classes_of_cocone
 
 
 def morph(src, dst, **mapping):
@@ -118,7 +122,7 @@ def _connection_diagram():
 def test_connection_colimit_matches_closure_oracle():
     d = _connection_diagram()
     cocone = colimit(d)
-    assert cocone.commutes_over(d)
+    assert commutes_over(cocone, d)
     assert colimit_classes_of_cocone(d, cocone) == colimit_classes_by_closure(d)
 
 
@@ -181,7 +185,7 @@ def test_random_colimits_agree_with_closure_oracle():
     for _ in range(60):
         d = _random_diagram(rnd)
         cocone = colimit(d)
-        assert cocone.commutes_over(d)
+        assert commutes_over(cocone, d)
         assert colimit_classes_of_cocone(d, cocone) == colimit_classes_by_closure(d)
 
 
@@ -199,7 +203,7 @@ def test_universal_property_unique_mediating_map():
             colim.apex, target, {a: rnd.choice(tgt_actions) for a in sorted(colim.apex.actions)}
         )
         other = Cocone(target, {i: compose(colim.leg(i), post) for i, _ in d.nodes.items()})
-        assert other.commutes_over(d)
+        assert commutes_over(other, d)
         found = mediating_morphisms(d, colim, other)
         assert found == [post]
 
