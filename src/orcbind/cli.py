@@ -547,11 +547,7 @@ def cmd_solve(args) -> int:
     if args.script:
         steps = _load_json(Path(args.script)).get("steps", [])
         steps = decode_steps(steps, lambda step: arn_step(step, repository))
-        try:
-            answer, _ = solve_scripted(scheme, query, steps)
-        except DerivationFailed as e:
-            print(str(e))
-            return 1
+        answer, _ = solve_scripted(scheme, query, steps)
         answers, end = [answer], None
     else:
         answers, end = solve(
@@ -587,13 +583,7 @@ def cmd_pexpr(args) -> int:
     if args.subcommand == "derive":
         write_output = _json_writer(args.output)
         term, requires, steps = load_pexpr_script(Path(args.script))
-        scheme = pexpr.PexprScheme(bounds, args.fuel)
-        query = Query(term, requires)
-        try:
-            answer, _ = solve_scripted(scheme, query, steps)
-        except DerivationFailed as e:
-            print(str(e))
-            return 1
+        answer, _ = solve_scripted(pexpr.PexprScheme(bounds), Query(term, requires), steps)
         print(render_answer(answer))
         print(f"final program: {pexpr.render_program(answer.final)}")
         lo, hi = bounds
@@ -655,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
     d = pex_sub.add_parser("derive")
     d.add_argument("script")
     d.add_argument("--bounds", default=_DEFAULT_BOUNDS, help=_BOUNDS_HELP)
-    d.add_argument("--fuel", type=_at_least(0), default=pexpr.FUEL)
     d.add_argument("--output", default=None)
     k = pex_sub.add_parser("check")
     k.add_argument("program")
@@ -678,6 +667,9 @@ def main(argv=None) -> int:
             return cmd_solve(args)
         if args.command == "pexpr":
             return cmd_pexpr(args)
+    except DerivationFailed as e:
+        print(e)
+        return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

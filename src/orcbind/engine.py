@@ -8,6 +8,11 @@ translated specs, a triviality test for specs, and a binder that proposes
 candidate unifier cospans.  Everything here is parametric in the scheme; the
 two concrete schemes live with their domain modules.
 
+``solve`` uses six of the eight operations, ``solve_scripted`` the same six
+but ``is_trivial``.  ``is_ground`` and ``check_property`` serve only
+``check_solution`` and ``check_clause_correctness``, and so does the fuel
+of ``PexprScheme``'s bounded property check.
+
 Morphism objects are scheme-specific but must expose ``source`` and
 ``target`` orchestrations.  Orchestrations, morphisms and specs render
 themselves (``render()``); no scheme operation is needed for that.

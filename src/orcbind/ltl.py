@@ -226,7 +226,7 @@ def to_automaton(f: Formula, sig: ActionSignature | None = None) -> MullerAutoma
             for adds, ahead, later in alternatives:
                 pending = rest
                 for j, nj in adds:
-                    if nj in now or nj in pending:
+                    if nj in now or nj in pending or formula[j] == FALSE:
                         break
                     pending += (j,)
                 else:

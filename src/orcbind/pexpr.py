@@ -37,7 +37,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 from . import FrozenMap, InputError, Operator, Tokens
 from .engine import Clause, OrchestrationScheme
@@ -78,26 +78,6 @@ def eval_aexp(e: AExp, state: dict[str, int]) -> int:
         return state[e.name]
     if isinstance(e, BinOp):
         return _AEXP_OPS[e.op](eval_aexp(e.lhs, state), eval_aexp(e.rhs, state))
-    raise TypeError(e)
-
-
-def aexp_idents(e: AExp) -> frozenset[str]:
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, Ident):
-        return frozenset({e.name})
-    if isinstance(e, BinOp):
-        return aexp_idents(e.lhs) | aexp_idents(e.rhs)
-    raise TypeError(e)
-
-
-def subst_aexp(e: AExp, name: str, repl: AExp) -> AExp:
-    if isinstance(e, Lit):
-        return e
-    if isinstance(e, Ident):
-        return repl if e.name == name else e
-    if isinstance(e, BinOp):
-        return BinOp(e.op, subst_aexp(e.lhs, name, repl), subst_aexp(e.rhs, name, repl))
     raise TypeError(e)
 
 
@@ -182,32 +162,6 @@ def eval_condition(c: Condition, state: dict[str, int]) -> bool:
         return all(eval_condition(s, state) for s in c.subs)
     if isinstance(c, COr):
         return any(eval_condition(s, state) for s in c.subs)
-    raise TypeError(c)
-
-
-def condition_idents(c: Condition) -> frozenset[str]:
-    if isinstance(c, Compare):
-        return aexp_idents(c.lhs) | aexp_idents(c.rhs)
-    if isinstance(c, CNot):
-        return condition_idents(c.sub)
-    if isinstance(c, (CAnd, COr)):
-        out = frozenset()
-        for s in c.subs:
-            out |= condition_idents(s)
-        return out
-    raise TypeError(c)
-
-
-def subst_condition(c: Condition, name: str, repl: AExp) -> Condition:
-    """Replace an identifier (e.g. the hole of an assignment-schema shape)."""
-    if isinstance(c, Compare):
-        return Compare(c.op, subst_aexp(c.lhs, name, repl), subst_aexp(c.rhs, name, repl))
-    if isinstance(c, CNot):
-        return CNot(subst_condition(c.sub, name, repl))
-    if isinstance(c, CAnd):
-        return CAnd(tuple(subst_condition(s, name, repl) for s in c.subs))
-    if isinstance(c, COr):
-        return COr(tuple(subst_condition(s, name, repl) for s in c.subs))
     raise TypeError(c)
 
 
@@ -313,32 +267,62 @@ def is_ground_term(t: PTerm) -> bool:
     return not pvars(t)
 
 
-def term_idents(t: PTerm) -> frozenset[str]:
-    if isinstance(t, Assign):
-        return frozenset({t.target}) | aexp_idents(t.expr)
-    if isinstance(t, If):
-        return condition_idents(t.cond) | term_idents(t.then) | term_idents(t.orelse)
-    if isinstance(t, While):
-        return condition_idents(t.cond) | term_idents(t.body)
-    out = frozenset()
-    for kid in children(t):
-        out |= term_idents(kid)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# Substitutions and morphisms
+# Identifiers, substitutions and morphisms
 
 
-def apply_subst(t: PTerm, subst: dict[str, PTerm]) -> PTerm:
+def idents(x) -> frozenset[str]:
+    """The identifiers of an expression, a condition or a program."""
+    if isinstance(x, (Lit, Skip, PVar)):
+        return frozenset()
+    if isinstance(x, Ident):
+        return frozenset({x.name})
+    if isinstance(x, (BinOp, Compare)):
+        return idents(x.lhs) | idents(x.rhs)
+    if isinstance(x, CNot):
+        return idents(x.sub)
+    if isinstance(x, (CAnd, COr)):
+        return frozenset().union(*map(idents, x.subs))
+    if isinstance(x, Assign):
+        return idents(x.expr) | {x.target}
+    if isinstance(x, Seq):
+        return idents(x.first) | idents(x.second)
+    if isinstance(x, If):
+        return idents(x.cond) | idents(x.then) | idents(x.orelse)
+    if isinstance(x, While):
+        return idents(x.cond) | idents(x.body)
+    raise TypeError(x)
+
+
+def subst(x, name: str, repl: AExp):
+    """An expression or a condition with the identifier ``name`` replaced by
+    ``repl`` (e.g. the hole of an assignment-schema shape)."""
+    if isinstance(x, Lit):
+        return x
+    if isinstance(x, Ident):
+        return repl if x.name == name else x
+    if isinstance(x, BinOp):
+        return BinOp(x.op, subst(x.lhs, name, repl), subst(x.rhs, name, repl))
+    if isinstance(x, Compare):
+        return Compare(x.op, subst(x.lhs, name, repl), subst(x.rhs, name, repl))
+    if isinstance(x, CNot):
+        return CNot(subst(x.sub, name, repl))
+    if isinstance(x, CAnd):
+        return CAnd(tuple(subst(s, name, repl) for s in x.subs))
+    if isinstance(x, COr):
+        return COr(tuple(subst(s, name, repl) for s in x.subs))
+    raise TypeError(x)
+
+
+def apply_subst(t: PTerm, sigma: dict[str, PTerm]) -> PTerm:
     if isinstance(t, PVar):
-        return subst.get(t.name, t)
+        return sigma.get(t.name, t)
     if isinstance(t, Seq):
-        return Seq(apply_subst(t.first, subst), apply_subst(t.second, subst))
+        return Seq(apply_subst(t.first, sigma), apply_subst(t.second, sigma))
     if isinstance(t, If):
-        return If(t.cond, apply_subst(t.then, subst), apply_subst(t.orelse, subst))
+        return If(t.cond, apply_subst(t.then, sigma), apply_subst(t.orelse, sigma))
     if isinstance(t, While):
-        return While(t.cond, apply_subst(t.body, subst))
+        return While(t.cond, apply_subst(t.body, sigma))
     return t
 
 
@@ -462,57 +446,49 @@ def interpret(t: PTerm, state: dict[str, int], fuel: int = FUEL):
     return Terminated(state)
 
 
-def enumerate_states(idents, bounds: tuple[int, int]):
+def enumerate_states(names, bounds: tuple[int, int]):
     """Every state of the box: each identifier ranges over ``lo..hi``, and
     states come in lexicographic order of the sorted identifiers."""
-    names = sorted(idents)
+    names = sorted(names)
     lo, hi = bounds
     for combo in itertools.product(range(lo, hi + 1), repeat=len(names)):
         yield dict(zip(names, combo))
 
 
-def _box(idents, bounds: tuple[int, int]):
+def _box(names, bounds: tuple[int, int]):
     """The box in ``enumerate_states`` order, without its states: per
     identifier, its range and how many consecutive states share each value;
     and the number of states."""
-    names = sorted(idents)
+    names = sorted(names)
     values = range(bounds[0], bounds[1] + 1)
     n = len(values)
     box = {name: (values, n**i) for i, name in enumerate(reversed(names))}
     return box, n ** len(names)
 
 
-def _aexp_column(e: AExp, box):
-    """The values of ``e`` over the box, as a lazy iterator."""
-    if isinstance(e, Lit):
-        return itertools.repeat(e.value)
-    if isinstance(e, Ident):
-        values, run = box[e.name]
+def _column(x, box):
+    """The values of an expression, or the truth values of a condition, over
+    the box, as a lazy iterator."""
+    if isinstance(x, Lit):
+        return itertools.repeat(x.value)
+    if isinstance(x, Ident):
+        values, run = box[x.name]
         if run == 1:
             return itertools.cycle(values)
         runs = map(itertools.repeat, itertools.cycle(values), itertools.repeat(run))
         return itertools.chain.from_iterable(runs)
-    if isinstance(e, BinOp):
-        return map(_AEXP_OPS[e.op], _aexp_column(e.lhs, box), _aexp_column(e.rhs, box))
-    raise TypeError(e)
-
-
-def _condition_column(c: Condition, box):
-    """The truth values of ``c`` over the box, as a lazy iterator."""
-    if isinstance(c, Compare):
-        return map(_COMPARE_OPS[c.op], _aexp_column(c.lhs, box), _aexp_column(c.rhs, box))
-    if isinstance(c, CNot):
-        return map(operator.not_, _condition_column(c.sub, box))
-    if isinstance(c, (CAnd, COr)):
-        if not c.subs:
-            return itertools.repeat(isinstance(c, CAnd))
-        combine = operator.and_ if isinstance(c, CAnd) else operator.or_
-        subs = [_condition_column(s, box) for s in c.subs]
-        column = subs[0]
-        for sub in subs[1:]:
-            column = map(combine, column, sub)
-        return column
-    raise TypeError(c)
+    if isinstance(x, BinOp):
+        return map(_AEXP_OPS[x.op], _column(x.lhs, box), _column(x.rhs, box))
+    if isinstance(x, Compare):
+        return map(_COMPARE_OPS[x.op], _column(x.lhs, box), _column(x.rhs, box))
+    if isinstance(x, CNot):
+        return map(operator.not_, _column(x.sub, box))
+    if isinstance(x, (CAnd, COr)):
+        if not x.subs:
+            return itertools.repeat(isinstance(x, CAnd))
+        combine = operator.and_ if isinstance(x, CAnd) else operator.or_
+        return reduce(partial(map, combine), [_column(s, box) for s in x.subs])
+    raise TypeError(x)
 
 
 def _conjuncts(c: Condition) -> frozenset[Condition]:
@@ -548,10 +524,10 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: tuple[int, int] = BOUNDS, 
     if not is_ground_term(t):
         raise ValueError("property checking needs a ground term")
     sub = subterm_at(t, s.position)
-    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post)
+    names = idents(t) | idents(s.pre) | idents(s.post)
     checked = 0
     fuel_outs = 0
-    for state in enumerate_states(idents, bounds):
+    for state in enumerate_states(names, bounds):
         if not eval_condition(s.pre, state):
             continue
         checked += 1
@@ -571,14 +547,13 @@ def entails_conditions(c1: Condition, c2: Condition, bounds: tuple[int, int] = B
     Decided without the box when c1 is false or every conjunct of c2 is a
     conjunct of c1, which entails under any box.  Otherwise both conditions
     are evaluated as lazy columns over the box, one entry per state of
-    ``enumerate_states`` (``_box``, ``_condition_column``), and the check
+    ``enumerate_states`` (``_box``, ``_column``), and the check
     stops at the first state satisfying c1 and not c2.
     """
     if c1 == C_FALSE or _conjuncts(c2) <= _conjuncts(c1):
         return True
-    idents = condition_idents(c1) | condition_idents(c2)
-    box, size = _box(idents, bounds)
-    counterexamples = map(operator.gt, _condition_column(c1, box), _condition_column(c2, box))
+    box, size = _box(idents(c1) | idents(c2), bounds)
+    counterexamples = map(operator.gt, _column(c1, box), _column(c2, box))
     return not any(itertools.islice(counterexamples, size))
 
 
@@ -602,8 +577,8 @@ def hoare_module(kind: str, params: dict) -> Clause:
         return Clause("skip", SKIP, PSpec(ROOT, rho, rho), ())
     if kind == "assign":
         target, expr, shape = params["target"], params["expr"], params["shape"]
-        pre = subst_condition(shape, "v", expr)
-        post = subst_condition(shape, "v", Ident(target))
+        pre = subst(shape, "v", expr)
+        post = subst(shape, "v", Ident(target))
         return Clause("assign", Assign(target, expr), PSpec(ROOT, pre, post), ())
     if kind == "seq":
         rho, mid, rho2 = params["pre"], params["mid"], params["post"]
@@ -674,11 +649,7 @@ class PexprScheme(OrchestrationScheme):
 
     def is_trivial(self, orc, spec):
         # conservative: only a skip-shaped residue with pre entailing post
-        try:
-            sub = subterm_at(orc, spec.position)
-        except IndexError:
-            return False
-        return sub == SKIP and entails_conditions(spec.pre, spec.post, self.bounds)
+        return subterm_at(orc, spec.position) == SKIP and entails_conditions(spec.pre, spec.post, self.bounds)
 
     def candidate_unifiers(self, q_orc, q_spec, c_orc, c_provides, hint):
         """Bind the clause term at the query spec's position.
@@ -686,10 +657,7 @@ class PexprScheme(OrchestrationScheme):
         The addressed subterm must be a program variable; the clause provides
         its triple at its own root.
         """
-        try:
-            sub = subterm_at(q_orc, q_spec.position)
-        except IndexError:
-            return []
+        sub = subterm_at(q_orc, q_spec.position)
         if not isinstance(sub, PVar) or c_provides.position != ROOT:
             return []
         # freshen clause variables that would clash with the query's

@@ -137,26 +137,6 @@ class Cocone:
         return self.legs[node_id]
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            # deterministic: smaller key becomes the root
-            lo, hi = (rx, ry) if rx <= ry else (ry, rx)
-            self.parent[hi] = lo
-
-
 def colimit(diagram: FiniteDiagram) -> Cocone:
     """Colimiting cocone of a finite diagram of signatures.
 
@@ -165,17 +145,25 @@ def colimit(diagram: FiniteDiagram) -> Cocone:
     Apex symbols are named after the lexicographically least (node-id, action)
     pair of each class, qualified by the node id only on name clashes.
     """
-    elements = [(i, a) for i, sig in diagram.nodes.items() for a in ordered_actions(sig)]
-    uf = _UnionFind(elements)
+    elements = sorted((i, a) for i, sig in diagram.nodes.items() for a in sig.actions)
+    linked = {e: [] for e in elements}
     for (i, j), f in diagram.arrows.items():
         for a, b in f.mapping.items():
-            uf.union((i, a), (j, b))
+            linked[i, a].append((j, b))
+            linked[j, b].append((i, a))
 
-    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    # walked in sorted order, each class is reached first at its least element
+    rep_of, reps = {}, []
     for e in elements:
-        classes.setdefault(uf.find(e), []).append(e)
+        if e not in rep_of:
+            rep_of[e], todo = e, [e]
+            reps.append(e)
+            while todo:
+                for other in linked[todo.pop()]:
+                    if other not in rep_of:
+                        rep_of[other] = e
+                        todo.append(other)
 
-    reps = sorted(classes)
     action_counts: dict[str, int] = {}
     for _, action in reps:
         action_counts[action] = action_counts.get(action, 0) + 1
@@ -187,7 +175,7 @@ def colimit(diagram: FiniteDiagram) -> Cocone:
     apex = ActionSignature(frozenset(symbol_of.values()))
     legs = {}
     for i, sig in diagram.nodes.items():
-        legs[i] = SignatureMorphism(sig, apex, {a: symbol_of[uf.find((i, a))] for a in sig.actions})
+        legs[i] = SignatureMorphism(sig, apex, {a: symbol_of[rep_of[i, a]] for a in sig.actions})
     return Cocone(apex, legs)
 
 

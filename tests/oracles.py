@@ -55,12 +55,11 @@ from orcbind.pexpr import (
     Terminated,
     While,
     children,
-    condition_idents,
     enumerate_states,
     eval_aexp,
     eval_condition,
+    idents,
     subterm_at,
-    term_idents,
 )
 from orcbind.sigcat import (
     FALSE,
@@ -886,9 +885,9 @@ def interpret_functionally(t, state, fuel: int = 10000):
 def check_by_interpretation(t, s, bounds, fuel: int = 10000):
     """Partial correctness over the box, one interpreter run per pre-state."""
     sub = subterm_at(t, s.position)
-    idents = term_idents(t) | condition_idents(s.pre) | condition_idents(s.post)
+    names = idents(t) | idents(s.pre) | idents(s.post)
     checked = fuel_outs = 0
-    for state in enumerate_states(idents, bounds):
+    for state in enumerate_states(names, bounds):
         if not eval_condition(s.pre, state):
             continue
         checked += 1
@@ -902,10 +901,9 @@ def check_by_interpretation(t, s, bounds, fuel: int = 10000):
 
 def entails_by_enumeration(c1, c2, bounds) -> bool:
     """Every in-bounds state satisfying c1 satisfies c2, state by state."""
-    idents = condition_idents(c1) | condition_idents(c2)
     return all(
         eval_condition(c2, state)
-        for state in enumerate_states(idents, bounds)
+        for state in enumerate_states(idents(c1) | idents(c2), bounds)
         if eval_condition(c1, state)
     )
 

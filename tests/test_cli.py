@@ -773,6 +773,17 @@ def test_a_limit_that_makes_the_verdict_vacuous_exits_2(argv, message, capsys):
     assert captured.err.rstrip().endswith(message)
 
 
+def test_only_pexpr_check_takes_fuel(capsys):
+    # derive runs no program, so no loop iteration of it needs bounding
+    with pytest.raises(SystemExit) as exit:
+        run(["pexpr", "derive", str(DATA / "division.script.json"), "--fuel", "5"])
+    assert exit.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith("unrecognized arguments: --fuel 5")
+    spec = "([1 <= y], [x = q * y + r] & [r < y])"
+    assert run(["pexpr", "check", str(DATA / "division.pgm"), spec, "--fuel", "5"]) == 1
+    assert capsys.readouterr().out == "inconclusive (bounded: 0..8; 243 runs out of fuel)\n"
+
+
 def test_a_guard_past_the_cube_limit_exits_2(tmp_path, capsys):
     # (a1 | b1) & ... & (a13 | b13) has 2^13 cubes in disjunctive normal form
     port = arn.Port(frozenset({"r"}), frozenset(f"{c}{i}" for i in range(1, 14) for c in "ab"))

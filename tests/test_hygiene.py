@@ -87,7 +87,7 @@ def references(tree) -> Counter:
     return found
 
 
-# ROADMAP item 11 puts these two checks on the CLI; until then only tests call them.
+# ROADMAP item 13 puts these two checks on the CLI; until then only tests call them.
 AWAITING_A_COMMAND = {"check_solution", "check_clause_correctness"}
 
 

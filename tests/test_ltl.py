@@ -150,6 +150,15 @@ def test_a_formula_at_the_nesting_limit_decides_and_one_past_it_is_refused(nest)
         parse_formula(nest(MAX_NESTING + 1))
 
 
+def test_always_nested_to_the_limit_builds_its_two_state_automaton():
+    # each G's expansion opens a branch that must hold false; the tableau
+    # drops it at once instead of expanding it, which doubled the work per G
+    f = parse_formula("G " * MAX_NESTING + "a")
+    a = to_automaton(f)
+    assert len(a.states) == 2
+    assert sat_lasso(satisfiable(f), f)
+
+
 def test_connective_sets_flatten_and_dedupe():
     f = parse_formula("a & b & a")
     assert f == land(Atom("a"), Atom("b"))

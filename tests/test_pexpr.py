@@ -39,8 +39,11 @@ from orcbind.pexpr import (
     check_ground_property,
     compose_pmorphisms,
     entails_conditions,
+    eval_aexp,
+    eval_condition,
     hoare_module,
     identity_pmorphism,
+    idents,
     interpret,
     parse_aexp,
     parse_condition,
@@ -49,6 +52,7 @@ from orcbind.pexpr import (
     render_condition,
     render_program,
     replace_at,
+    subst,
     subterm_at,
     translate_pspec,
 )
@@ -511,6 +515,20 @@ def test_interpret_agrees_with_the_functional_interpreter(t, values, fuel):
     state = dict(zip(NAMES, values))
     assert interpret(t, state, fuel) == interpret_functionally(t, state, fuel)
     assert state == dict(zip(NAMES, values))
+
+
+@settings(max_examples=200)
+@given(conditions(NAMES), st.sampled_from(NAMES), aexps(NAMES), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_substitution_is_evaluation_in_the_updated_state(c, v, e, values):
+    # the conditions use every node kind: ! & | true false, = <= <, + - * and
+    # negative literals; no command substitutes under ! & or | yet
+    state = dict(zip(NAMES, values))
+    replaced = subst(c, v, e)
+    assert eval_condition(replaced, state) == eval_condition(c, {**state, v: eval_aexp(e, state)})
+    if v in idents(c):
+        assert idents(replaced) == (idents(c) - {v}) | idents(e)
+    else:
+        assert replaced == c
 
 
 def test_fuel_outs_are_counted_per_pre_state():
