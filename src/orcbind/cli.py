@@ -151,6 +151,9 @@ def automaton_to_json(a: MullerAutomaton):
 def automaton_from_json(data) -> MullerAutomaton:
     with _decoding("bad automaton", ltl.FormulaSyntaxError):
         sig = ActionSignature(frozenset(data["actions"]))
+        keywords = sorted(sig.actions & ltl.KEYWORDS)
+        if keywords:  # a guard could not name it, and a rendered guard would not read back
+            raise ValueError(f"the action {keywords[0]!r} is a keyword of formulas")
         states = frozenset(map(_state_from_json, data["states"]))
         initial = frozenset(map(_state_from_json, data["initial"]))
         transitions = tuple(

@@ -330,6 +330,8 @@ _BINARY = {
 _UNARY = {"!": lnot, "X": Next, "F": eventually, "G": always}
 _UNARY_OPERAND = 1 + max(op.precedence for op in _BINARY.values())
 _CONSTANTS = {"true": TRUE, "false": FALSE}
+# The names that read as an operator or a constant, never as an action.
+KEYWORDS = frozenset(_UNARY.keys() - {"!"} | _CONSTANTS.keys())
 
 
 class FormulaSyntaxError(InputError):

@@ -7,6 +7,8 @@ rules become clause schemas; correctness checking is a bounded semantic
 oracle over integer states with an explicit fuel budget, so verdicts about
 loops are three-valued.  The states form a box: every identifier ranges
 over one ``lo..hi`` range (``BOUNDS`` unless the caller gives another).
+Each check compiles its conditions and program once into Python functions
+(``_compile``) and runs them on every state of the box.
 
 Surface syntax, operators loosest first:
 
@@ -33,11 +35,11 @@ position is the root.  Conditions never count as children.
 
 from __future__ import annotations
 
+import ast
 import itertools
-import operator
 import re
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 from . import FrozenMap, InputError, Operator, Tokens
 from .engine import Clause, OrchestrationScheme
@@ -66,19 +68,6 @@ class BinOp(AExp):
     op: str  # + - *
     lhs: AExp
     rhs: AExp
-
-
-_AEXP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def eval_aexp(e: AExp, state: dict[str, int]) -> int:
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Ident):
-        return state[e.name]
-    if isinstance(e, BinOp):
-        return _AEXP_OPS[e.op](eval_aexp(e.lhs, state), eval_aexp(e.rhs, state))
-    raise TypeError(e)
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +137,6 @@ def c_and(*cs):
 
 def c_or(*cs):
     return _connective(COr, C_FALSE, C_TRUE, cs)
-
-
-_COMPARE_OPS = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
-
-
-def eval_condition(c: Condition, state: dict[str, int]) -> bool:
-    if isinstance(c, Compare):
-        return _COMPARE_OPS[c.op](eval_aexp(c.lhs, state), eval_aexp(c.rhs, state))
-    if isinstance(c, CNot):
-        return not eval_condition(c.sub, state)
-    if isinstance(c, CAnd):
-        return all(eval_condition(s, state) for s in c.subs)
-    if isinstance(c, COr):
-        return any(eval_condition(s, state) for s in c.subs)
-    raise TypeError(c)
 
 
 # ---------------------------------------------------------------------------
@@ -254,13 +228,24 @@ def replace_at(t: PTerm, pos: Position, repl: PTerm) -> PTerm:
     raise TypeError(t)
 
 
+def _statements(t: PTerm) -> list[PTerm]:
+    """The statements of a ``Seq`` chain in order, none of them a ``Seq``,
+    read with a stack: a chain of any length costs no recursion."""
+    stack, out = [t], []
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Seq):
+            stack += (t.second, t.first)
+        else:
+            out.append(t)
+    return out
+
+
 def pvars(t: PTerm) -> frozenset[str]:
     if isinstance(t, PVar):
         return frozenset({t.name})
-    out = frozenset()
-    for kid in children(t):
-        out |= pvars(kid)
-    return out
+    kids = _statements(t) if isinstance(t, Seq) else children(t)
+    return frozenset().union(*map(pvars, kids))
 
 
 def is_ground_term(t: PTerm) -> bool:
@@ -286,7 +271,7 @@ def idents(x) -> frozenset[str]:
     if isinstance(x, Assign):
         return idents(x.expr) | {x.target}
     if isinstance(x, Seq):
-        return idents(x.first) | idents(x.second)
+        return frozenset().union(*map(idents, _statements(x)))
     if isinstance(x, If):
         return idents(x.cond) | idents(x.then) | idents(x.orelse)
     if isinstance(x, While):
@@ -307,10 +292,8 @@ def subst(x, name: str, repl: AExp):
         return Compare(x.op, subst(x.lhs, name, repl), subst(x.rhs, name, repl))
     if isinstance(x, CNot):
         return CNot(subst(x.sub, name, repl))
-    if isinstance(x, CAnd):
-        return CAnd(tuple(subst(s, name, repl) for s in x.subs))
-    if isinstance(x, COr):
-        return COr(tuple(subst(s, name, repl) for s in x.subs))
+    if isinstance(x, (CAnd, COr)):
+        return type(x)(tuple(subst(s, name, repl) for s in x.subs))
     raise TypeError(x)
 
 
@@ -362,9 +345,7 @@ def compose_pmorphisms(m1: PMorphism, m2: PMorphism) -> PMorphism:
     if m1.target != m2.source:
         raise ValueError("endpoint mismatch in morphism composition")
     s1, s2 = m1.subst, m2.subst
-    composed = {
-        v: apply_subst(apply_subst(PVar(v), s1), s2) for v in sorted(pvars(m1.source))
-    }
+    composed = {v: apply_subst(apply_subst(PVar(v), s1), s2) for v in sorted(pvars(m1.source))}
     return PMorphism(m1.source, m2.target, composed, m2.position + m1.position)
 
 
@@ -412,83 +393,121 @@ class OutOfFuel:
     pass
 
 
-def _run(term: PTerm, state: dict[str, int], fuel: int) -> int | None:
-    """Run a ground term, updating ``state`` in place; returns the fuel left,
-    or None when a loop runs out of it."""
-    if isinstance(term, Assign):
-        state[term.target] = eval_aexp(term.expr, state)
-    elif isinstance(term, Seq):
-        fuel = _run(term.first, state, fuel)
-        return None if fuel is None else _run(term.second, state, fuel)
-    elif isinstance(term, If):
-        return _run(term.then if eval_condition(term.cond, state) else term.orelse, state, fuel)
-    elif isinstance(term, While):
-        while eval_condition(term.cond, state):
-            if fuel <= 0:
-                return None
-            fuel = _run(term.body, state, fuel - 1)
-            if fuel is None:
-                return None
-    elif not isinstance(term, Skip):
-        raise TypeError(term)
-    return fuel
+# Python's nodes for the expression and comparison operators.
+_AST_OPERATORS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "=": ast.Eq, "<=": ast.LtE, "<": ast.Lt}
+
+
+def _node(kind, *fields, **named):
+    """A node of the ``ast`` class ``kind``, placed at line 1, column 0."""
+    return kind(*fields, **named, lineno=1, col_offset=0)
+
+
+def _compile(names, conditions=(), program=None, unbound=()):
+    """Conditions, and a ground program, as Python functions: one ``ast.Module``
+    over the identifiers ``names``, compiled in one call.  ``names[i]`` is the
+    parameter ``vi``.  A condition's function returns a bool; the program's,
+    ``run``, also takes the fuel and returns the final values, or None when a
+    loop runs out of fuel.  Each ``while`` is a function of its own that
+    spends one unit of fuel per iteration: CPython nests at most 20 loops in
+    one function.  The ``unbound`` identifiers start as None, and reading one
+    before it is assigned raises ``KeyError(i)``."""
+    state = [f"v{i}" for i in range(len(names))]
+    var, loops = dict(zip(names, state)), []
+
+    def name(id_, ctx=ast.Load):
+        return _node(ast.Name, id_, ctx())
+
+    def const(value):
+        return _node(ast.Constant, value)
+
+    def compare(lhs, op, rhs):
+        return _node(ast.Compare, lhs, [op()], [rhs])
+
+    def give_up_if(test):
+        return _node(ast.If, test, [_node(ast.Return, const(None))], [])
+
+    def function(id_, body, params):
+        args = [_node(ast.arg, p) for p in params]
+        arguments = ast.arguments(posonlyargs=[], args=args, kwonlyargs=[], kw_defaults=[], defaults=[])
+        return _node(ast.FunctionDef, name=id_, args=arguments, body=body, decorator_list=[], type_params=[])
+
+    def expression(x):
+        if isinstance(x, Lit):
+            return const(x.value)
+        if isinstance(x, Ident):
+            if x.name not in unbound:
+                return name(var[x.name])
+            missing = _node(ast.Subscript, _node(ast.Dict, [], []), const(names.index(x.name)), ast.Load())
+            return _node(ast.IfExp, compare(name(var[x.name]), ast.IsNot, const(None)), name(var[x.name]), missing)
+        if isinstance(x, BinOp):
+            return _node(ast.BinOp, expression(x.lhs), _AST_OPERATORS[x.op](), expression(x.rhs))
+        if isinstance(x, Compare):
+            return compare(expression(x.lhs), _AST_OPERATORS[x.op], expression(x.rhs))
+        if isinstance(x, CNot):
+            return _node(ast.UnaryOp, ast.Not(), expression(x.sub))
+        if isinstance(x, (CAnd, COr)):
+            if len(x.subs) < 2:
+                return expression(x.subs[0]) if x.subs else const(isinstance(x, CAnd))
+            return _node(ast.BoolOp, ast.And() if isinstance(x, CAnd) else ast.Or(), list(map(expression, x.subs)))
+        raise TypeError(x)
+
+    def values(ctx=ast.Load):  # the state and the fuel left
+        return _node(ast.Tuple, [name(v, ctx) for v in state + ["fuel"]], ctx())
+
+    def loop(w: While) -> list:  # if (r := loopK(v0, .., fuel)) is None: return None; v0, .., fuel = r
+        spend = [give_up_if(compare(name("fuel"), ast.LtE, const(0)))]
+        spend.append(_node(ast.AugAssign, name("fuel", ast.Store), ast.Sub(), const(1)))
+        body = [_node(ast.While, expression(w.cond), spend + block(w.body), []), _node(ast.Return, values())]
+        loops.append(function(f"loop{len(loops)}", body, state + ["fuel"]))
+        call = _node(ast.NamedExpr, name("r", ast.Store), _node(ast.Call, name(loops[-1].name), values().elts, []))
+        return [give_up_if(compare(call, ast.Is, const(None))), _node(ast.Assign, [values(ast.Store)], name("r"))]
+
+    def block(t: PTerm) -> list:
+        out = []
+        for s in _statements(t):
+            if isinstance(s, Assign):
+                out.append(_node(ast.Assign, [name(var[s.target], ast.Store)], expression(s.expr)))
+            elif isinstance(s, If):
+                out.append(_node(ast.If, expression(s.cond), block(s.then) or [_node(ast.Pass)], block(s.orelse)))
+            elif isinstance(s, While):
+                out += loop(s)
+            elif not isinstance(s, Skip):
+                raise TypeError(s)
+        return out
+
+    defs = [function(f"c{i}", [_node(ast.Return, expression(c))], state) for i, c in enumerate(conditions)]
+    if program is not None:
+        result = _node(ast.Return, _node(ast.Tuple, [name(v) for v in state], ast.Load()))
+        defs.append(function("run", block(program) + [result], state + ["fuel"]))
+    namespace = {"__builtins__": {}}
+    exec(compile(ast.Module(defs + loops, type_ignores=[]), "<pexpr>", "exec"), namespace)
+    return [namespace[f"c{i}"] for i in range(len(conditions))], namespace.get("run")
 
 
 def interpret(t: PTerm, state: dict[str, int], fuel: int = FUEL):
     """Big-step evaluation over integer states; fuel decrements per loop
-    iteration.  Groundness is checked once, then ``_run`` walks the term on
-    a copy of the state."""
+    iteration.  Groundness is checked once, then the compiled program runs
+    once.  An identifier the state lacks must be assigned before it is
+    read, or ``KeyError`` names it."""
     if not is_ground_term(t):
         raise ValueError("cannot interpret a term with program variables")
-    state = dict(state)
-    if _run(t, state, fuel) is None:
+    names = sorted(idents(t))
+    _, run = _compile(names, program=t, unbound=set(names) - state.keys())
+    try:
+        final = run(*map(state.get, names), fuel)
+    except KeyError as e:  # the index of an identifier read before it is bound
+        raise KeyError(names[e.args[0]]) from None
+    if final is None:
         return OutOfFuel()
-    return Terminated(state)
+    return Terminated({**state, **{k: v for k, v in zip(names, final) if v is not None}})
 
 
 def enumerate_states(names, bounds: tuple[int, int]):
-    """Every state of the box: each identifier ranges over ``lo..hi``, and
-    states come in lexicographic order of the sorted identifiers."""
-    names = sorted(names)
+    """Every state of the box, as the tuple of its values in the order of the
+    sorted identifiers: each identifier ranges over ``lo..hi``, and states
+    come in lexicographic order."""
     lo, hi = bounds
-    for combo in itertools.product(range(lo, hi + 1), repeat=len(names)):
-        yield dict(zip(names, combo))
-
-
-def _box(names, bounds: tuple[int, int]):
-    """The box in ``enumerate_states`` order, without its states: per
-    identifier, its range and how many consecutive states share each value;
-    and the number of states."""
-    names = sorted(names)
-    values = range(bounds[0], bounds[1] + 1)
-    n = len(values)
-    box = {name: (values, n**i) for i, name in enumerate(reversed(names))}
-    return box, n ** len(names)
-
-
-def _column(x, box):
-    """The values of an expression, or the truth values of a condition, over
-    the box, as a lazy iterator."""
-    if isinstance(x, Lit):
-        return itertools.repeat(x.value)
-    if isinstance(x, Ident):
-        values, run = box[x.name]
-        if run == 1:
-            return itertools.cycle(values)
-        runs = map(itertools.repeat, itertools.cycle(values), itertools.repeat(run))
-        return itertools.chain.from_iterable(runs)
-    if isinstance(x, BinOp):
-        return map(_AEXP_OPS[x.op], _column(x.lhs, box), _column(x.rhs, box))
-    if isinstance(x, Compare):
-        return map(_COMPARE_OPS[x.op], _column(x.lhs, box), _column(x.rhs, box))
-    if isinstance(x, CNot):
-        return map(operator.not_, _column(x.sub, box))
-    if isinstance(x, (CAnd, COr)):
-        if not x.subs:
-            return itertools.repeat(isinstance(x, CAnd))
-        combine = operator.and_ if isinstance(x, CAnd) else operator.or_
-        return reduce(partial(map, combine), [_column(s, box) for s in x.subs])
-    raise TypeError(x)
+    return itertools.product(range(lo, hi + 1), repeat=len(names))
 
 
 def _conjuncts(c: Condition) -> frozenset[Condition]:
@@ -518,24 +537,25 @@ def check_ground_property(t: PTerm, s: PSpec, bounds: tuple[int, int] = BOUNDS, 
 
     Terminated runs from pre-states must satisfy the post-condition; a run
     that exhausts fuel downgrades a would-be Holds to Inconclusive.  The
-    states are those of ``enumerate_states``; groundness is checked once,
-    and each pre-state costs one ``_run`` of the addressed subterm.
+    states are those of ``enumerate_states``, and the witness of a Fails is
+    the first failing one.  Groundness is checked once, the pre- and
+    post-condition and the addressed subterm are compiled once
+    (``_compile``), and the compiled code runs on every state.
     """
     if not is_ground_term(t):
         raise ValueError("property checking needs a ground term")
-    sub = subterm_at(t, s.position)
-    names = idents(t) | idents(s.pre) | idents(s.post)
-    checked = 0
-    fuel_outs = 0
+    names = sorted(idents(t) | idents(s.pre) | idents(s.post))
+    (pre, post), run = _compile(names, (s.pre, s.post), subterm_at(t, s.position))
+    checked = fuel_outs = 0
     for state in enumerate_states(names, bounds):
-        if not eval_condition(s.pre, state):
+        if not pre(*state):
             continue
         checked += 1
-        final = dict(state)
-        if _run(sub, final, fuel) is None:
+        final = run(*state, fuel)
+        if final is None:
             fuel_outs += 1
-        elif not eval_condition(s.post, final):
-            return Fails(state)
+        elif not post(*final):
+            return Fails(dict(zip(names, state)))
     if fuel_outs:
         return Inconclusive(fuel_outs)
     return Holds(checked)
@@ -545,16 +565,16 @@ def entails_conditions(c1: Condition, c2: Condition, bounds: tuple[int, int] = B
     """Bounded semantic consequence: every in-bounds state satisfying c1 satisfies c2.
 
     Decided without the box when c1 is false or every conjunct of c2 is a
-    conjunct of c1, which entails under any box.  Otherwise both conditions
-    are evaluated as lazy columns over the box, one entry per state of
-    ``enumerate_states`` (``_box``, ``_column``), and the check
-    stops at the first state satisfying c1 and not c2.
+    conjunct of c1, which entails under any box.  Otherwise ``c1 & !c2`` is
+    compiled once (``_compile``) and runs on the states of the box, in the
+    order of ``enumerate_states``, up to the first that satisfies it.
     """
     if c1 == C_FALSE or _conjuncts(c2) <= _conjuncts(c1):
         return True
-    box, size = _box(idents(c1) | idents(c2), bounds)
-    counterexamples = map(operator.gt, _column(c1, box), _column(c2, box))
-    return not any(itertools.islice(counterexamples, size))
+    names = sorted(idents(c1) | idents(c2))
+    (counterexample,), _ = _compile(names, [CAnd((c1, CNot(c2)))])
+    lo, hi = bounds
+    return not any(itertools.starmap(counterexample, itertools.product(range(lo, hi + 1), repeat=len(names))))
 
 
 # ---------------------------------------------------------------------------
@@ -582,31 +602,16 @@ def hoare_module(kind: str, params: dict) -> Clause:
         return Clause("assign", Assign(target, expr), PSpec(ROOT, pre, post), ())
     if kind == "seq":
         rho, mid, rho2 = params["pre"], params["mid"], params["post"]
-        orc = Seq(P0, P1)
-        return Clause(
-            "seq",
-            orc,
-            PSpec(ROOT, rho, rho2),
-            (PSpec((0,), rho, mid), PSpec((1,), mid, rho2)),
-        )
+        requires = (PSpec((0,), rho, mid), PSpec((1,), mid, rho2))
+        return Clause("seq", Seq(P0, P1), PSpec(ROOT, rho, rho2), requires)
     if kind == "if":
         cond, rho, rho2 = params["cond"], params["pre"], params["post"]
-        orc = If(cond, P0, P1)
-        return Clause(
-            "if",
-            orc,
-            PSpec(ROOT, rho, rho2),
-            (PSpec((0,), c_and(rho, cond), rho2), PSpec((1,), c_and(rho, c_not(cond)), rho2)),
-        )
+        requires = (PSpec((0,), c_and(rho, cond), rho2), PSpec((1,), c_and(rho, c_not(cond)), rho2))
+        return Clause("if", If(cond, P0, P1), PSpec(ROOT, rho, rho2), requires)
     if kind == "while":
         cond, rho = params["cond"], params["invariant"]
-        orc = While(cond, P0)
-        return Clause(
-            "while",
-            orc,
-            PSpec(ROOT, rho, c_and(rho, c_not(cond))),
-            (PSpec((0,), c_and(rho, cond), rho),),
-        )
+        provides = PSpec(ROOT, rho, c_and(rho, c_not(cond)))
+        return Clause("while", While(cond, P0), provides, (PSpec((0,), c_and(rho, cond), rho),))
     raise ValueError(f"unknown module kind {kind!r}")
 
 
@@ -620,9 +625,9 @@ class PexprScheme(OrchestrationScheme):
     Entailment and property checks are bounded semantic checks; verdicts are
     only as strong as the configured bounds and fuel.  ``spec_entails`` and
     ``is_trivial`` decide by ``entails_conditions`` (syntactic consequence,
-    else columns over the box), ``check_property`` by
-    ``check_ground_property`` (one run per pre-state).  ``bounds`` is the
-    box, one ``(lo, hi)`` range for every identifier.
+    else code compiled once per check, run over the box), ``check_property``
+    by ``check_ground_property`` (one compiled run per pre-state).
+    ``bounds`` is the box, one ``(lo, hi)`` range for every identifier.
     """
 
     compose_morphisms = staticmethod(compose_pmorphisms)
@@ -643,9 +648,8 @@ class PexprScheme(OrchestrationScheme):
     def spec_entails(self, orc, provided, required):
         if provided.position != required.position:
             return False
-        return entails_conditions(required.pre, provided.pre, self.bounds) and entails_conditions(
-            provided.post, required.post, self.bounds
-        )
+        pre, post = (required.pre, provided.pre), (provided.post, required.post)
+        return entails_conditions(*pre, self.bounds) and entails_conditions(*post, self.bounds)
 
     def is_trivial(self, orc, spec):
         # conservative: only a skip-shaped residue with pre entailing post
@@ -661,15 +665,11 @@ class PexprScheme(OrchestrationScheme):
         if not isinstance(sub, PVar) or c_provides.position != ROOT:
             return []
         # freshen clause variables that would clash with the query's
-        clash = pvars(c_orc) & pvars(q_orc)
-        rename = {}
-        taken = set(pvars(c_orc) | pvars(q_orc))
-        for v in sorted(clash):
-            i = 1
-            while f"{v}_{i}" in taken:
-                i += 1
-            rename[v] = PVar(f"{v}_{i}")
-            taken.add(f"{v}_{i}")
+        rename, taken = {}, set(pvars(c_orc) | pvars(q_orc))
+        for v in sorted(pvars(c_orc) & pvars(q_orc)):
+            fresh = next(f"{v}_{i}" for i in itertools.count(1) if f"{v}_{i}" not in taken)
+            rename[v] = PVar(fresh)
+            taken.add(fresh)
         variant = apply_subst(c_orc, rename)
         glued = replace_at(q_orc, q_spec.position, variant)
         theta1 = PMorphism(q_orc, glued, {sub.name: variant})

@@ -8,9 +8,10 @@ emptiness by bounded witness-lasso search per final set, and one more
 emptiness route goes through a textbook Muller-to-Buchi conversion.  The
 LTL tableau is built over truth assignments, densely by testing every pair
 of them, or from the initial ones by bitmask columns.
-The bounded pexpr oracles decide one enumerated state at a time, and run
-programs with a functional interpreter that copies the state on every
-assignment.
+The bounded pexpr oracles decide one enumerated state at a time, evaluate
+expressions and conditions by walking their trees (the reference for the
+code that ``pexpr`` compiles), and run programs with a functional
+interpreter that copies the state on every assignment.
 
 Letter sets have a reference semantics here: a bitmask of 2^n bits over
 the letters of a signature of n actions, one bit per letter.  ``orcbind``
@@ -45,10 +46,17 @@ from orcbind.muller import (
 )
 from orcbind.pexpr import (
     Assign,
+    BinOp,
+    CAnd,
+    CNot,
+    COr,
+    Compare,
     Fails,
     Holds,
+    Ident,
     If,
     Inconclusive,
+    Lit,
     OutOfFuel,
     Seq,
     Skip,
@@ -56,8 +64,6 @@ from orcbind.pexpr import (
     While,
     children,
     enumerate_states,
-    eval_aexp,
-    eval_condition,
     idents,
     subterm_at,
 )
@@ -854,6 +860,38 @@ def colimit_classes_of_cocone(diagram, cocone):
     return frozenset(frozenset(v) for v in by_symbol.values())
 
 
+def eval_aexp(e, state: dict[str, int]) -> int:
+    """The value of an expression in a state, by walking its tree."""
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Ident):
+        return state[e.name]
+    if isinstance(e, BinOp):
+        lhs, rhs = eval_aexp(e.lhs, state), eval_aexp(e.rhs, state)
+        return {"+": lhs + rhs, "-": lhs - rhs, "*": lhs * rhs}[e.op]
+    raise TypeError(e)
+
+
+def eval_condition(c, state: dict[str, int]) -> bool:
+    """The truth of a condition in a state, by walking its tree."""
+    if isinstance(c, Compare):
+        lhs, rhs = eval_aexp(c.lhs, state), eval_aexp(c.rhs, state)
+        return {"=": lhs == rhs, "<=": lhs <= rhs, "<": lhs < rhs}[c.op]
+    if isinstance(c, CNot):
+        return not eval_condition(c.sub, state)
+    if isinstance(c, CAnd):
+        return all(eval_condition(s, state) for s in c.subs)
+    if isinstance(c, COr):
+        return any(eval_condition(s, state) for s in c.subs)
+    raise TypeError(c)
+
+
+def states_of_box(names, bounds):
+    """The states of ``enumerate_states`` as dicts, in its order."""
+    names = sorted(names)
+    return (dict(zip(names, values)) for values in enumerate_states(names, bounds))
+
+
 def interpret_functionally(t, state, fuel: int = 10000):
     """Big-step evaluation of a ground term that never mutates a state."""
 
@@ -887,7 +925,7 @@ def check_by_interpretation(t, s, bounds, fuel: int = 10000):
     sub = subterm_at(t, s.position)
     names = idents(t) | idents(s.pre) | idents(s.post)
     checked = fuel_outs = 0
-    for state in enumerate_states(names, bounds):
+    for state in states_of_box(names, bounds):
         if not eval_condition(s.pre, state):
             continue
         checked += 1
@@ -903,7 +941,7 @@ def entails_by_enumeration(c1, c2, bounds) -> bool:
     """Every in-bounds state satisfying c1 satisfies c2, state by state."""
     return all(
         eval_condition(c2, state)
-        for state in enumerate_states(idents(c1) | idents(c2), bounds)
+        for state in states_of_box(idents(c1) | idents(c2), bounds)
         if eval_condition(c1, state)
     )
 

@@ -161,6 +161,15 @@ def test_a_guard_nested_past_the_limit_exits_2(tmp_path, capsys):
     assert f"expected at most {MAX_NESTING} levels of nesting" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keyword", ["X", "F", "G", "true", "false"])
+def test_an_action_named_as_a_formula_keyword_exits_2(keyword, tmp_path, capsys):
+    # a guard could not name the action, and a rendered guard would not read back
+    doc = json.loads((DATA / "mapservices.net.json").read_text())
+    doc["processes"]["MS"]["automaton"]["actions"].append(keyword)
+    assert run(["arn", "validate", _write(tmp_path / "keyword.net.json", doc)]) == 2
+    assert capsys.readouterr().err == f"error: bad automaton: the action {keyword!r} is a keyword of formulas\n"
+
+
 def test_json_nested_past_the_decoder_exits_2(tmp_path, capsys):
     deep = tmp_path / "deep.net.json"
     deep.write_text("[" * 100_000)
@@ -731,6 +740,25 @@ def test_pexpr_check_reads_a_bracket_that_opens_a_comparison(tmp_path, capsys):
 def test_a_spec_that_is_not_a_pair_exits_2(spec, message, capsys):
     assert run(["pexpr", "check", str(DATA / "skip.pgm"), spec]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pexpr_check_decides_a_long_sequence(tmp_path, capsys):
+    # a sequence is a left-nested chain of Seq nodes, one level per
+    # statement; the walkers and the compiler read it with a stack
+    program = tmp_path / "long.pgm"
+    program.write_text(" ; ".join(["x := x + 1"] * 1000) + "\n")
+    assert run(["pexpr", "check", str(program), "([x = 0], [x = 1000])"]) == 0
+    assert capsys.readouterr().out == "holds (bounded: 0..8, 1 pre-states)\n"
+    assert run(["pexpr", "check", str(program), "(true, [x = 1000])"]) == 1
+    assert capsys.readouterr().out == "fails (witness state: x=1)\n"
+
+
+def test_pexpr_check_decides_a_long_sum(capsys):
+    # 900 terms: CPython's own compiler refuses expressions nested about
+    # 1000 deep, so a sum of that length stays out of reach
+    spec = "([x = 1], [" + " + ".join(["x"] * 900) + " = 900])"
+    assert run(["pexpr", "check", str(DATA / "skip.pgm"), spec]) == 0
+    assert capsys.readouterr().out == "holds (bounded: 0..8, 1 pre-states)\n"
 
 
 def test_pexpr_check_enumerates_the_given_bounds(capsys):

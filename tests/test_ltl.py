@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from orcbind import MAX_NESTING, InputError
 from orcbind.ltl import (
     FALSE,
+    KEYWORDS,
     TRUE,
     Atom,
     FormulaSyntaxError,
@@ -291,12 +292,12 @@ def test_satisfiable_returns_genuine_witnesses():
     assert found > 20
 
 
-def formulas(depth):
-    """Formulas over {a, b} of at most the given depth."""
-    leaves = st.sampled_from([Atom("a"), Atom("b"), TRUE, FALSE])
+def formulas(depth, names=st.sampled_from(["a", "b"])):
+    """Formulas of at most the given depth over actions drawn from ``names``."""
+    leaves = st.one_of(names.map(Atom), st.sampled_from([TRUE, FALSE]))
     if depth == 0:
         return leaves
-    sub = formulas(depth - 1)
+    sub = formulas(depth - 1, names)
     return st.one_of(
         leaves,
         sub.map(lnot),
@@ -305,6 +306,20 @@ def formulas(depth):
         sub.map(Next),
         st.builds(Until, sub, sub),
     )
+
+
+# Names the formula syntax reads as one action: keywords are refused on
+# load, and names that start with one, or are the binary U, are not keywords.
+ACTION_NAMES = st.one_of(
+    st.sampled_from(["U", "Xa", "F_", "G.m!", "true?", "falsey", "x.m?"]),
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]*[!?]?", fullmatch=True).filter(lambda name: name not in KEYWORDS),
+)
+
+
+@settings(max_examples=300)
+@given(formulas(3, ACTION_NAMES))
+def test_formulas_over_accepted_action_names_read_back(f):
+    assert parse_formula(render_formula(f)) == f
 
 
 SIG_AB = signature("a", "b")

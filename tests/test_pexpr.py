@@ -5,7 +5,14 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import check_by_interpretation, entails_by_enumeration, interpret_functionally, positions
+from oracles import (
+    check_by_interpretation,
+    entails_by_enumeration,
+    eval_aexp,
+    eval_condition,
+    interpret_functionally,
+    positions,
+)
 from orcbind import MAX_NESTING
 from orcbind.engine import Query, solve_scripted
 from orcbind.pexpr import (
@@ -32,6 +39,7 @@ from orcbind.pexpr import (
     Seq,
     Terminated,
     While,
+    _compile,
     apply_subst,
     c_and,
     c_not,
@@ -39,8 +47,6 @@ from orcbind.pexpr import (
     check_ground_property,
     compose_pmorphisms,
     entails_conditions,
-    eval_aexp,
-    eval_condition,
     hoare_module,
     identity_pmorphism,
     idents,
@@ -48,6 +54,7 @@ from orcbind.pexpr import (
     parse_aexp,
     parse_condition,
     parse_program,
+    parse_spec,
     render_aexp,
     render_condition,
     render_program,
@@ -313,11 +320,27 @@ def test_interpret_runs_out_of_fuel_on_divergence():
     assert interpret(t, {}, fuel=50) == OutOfFuel()
 
 
+@pytest.mark.parametrize(
+    "program, iterations",
+    [
+        ("while x < 3 do x := x + 1 done ; while y < 2 do y := y + 1 done", 5),
+        ("while x < 2 do y := 0 ; while y < 2 do y := y + 1 done ; x := x + 1 done", 6),
+    ],
+    ids=["two-loops", "nested-loops"],
+)
+def test_fuel_is_one_unit_per_iteration_of_any_loop(program, iterations):
+    t, state = parse_program(program), {"x": 0, "y": 0}
+    for run in (interpret, interpret_functionally):
+        assert isinstance(run(t, state, iterations), Terminated)
+        assert run(t, state, iterations - 1) == OutOfFuel()
+
+
 def test_interpret_rejects_open_terms_and_unbound_identifiers():
     with pytest.raises(ValueError):
         interpret(PVar("t"), {})
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError) as unbound:
         interpret(parse_program("x := y"), {})
+    assert unbound.value.args == ("y",)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +552,48 @@ def test_substitution_is_evaluation_in_the_updated_state(c, v, e, values):
         assert idents(replaced) == (idents(c) - {v}) | idents(e)
     else:
         assert replaced == c
+
+
+@settings(max_examples=300)
+@given(conditions(NAMES), st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_compiled_conditions_agree_with_the_tree_walk(c, values):
+    # conditions() builds CAnd and COr directly, with 0 to 3 operands, and
+    # uses negative literals
+    (compiled,), _ = _compile(NAMES, [c])
+    assert compiled(*values) == eval_condition(c, dict(zip(NAMES, values)))
+
+
+def test_compiled_connectives_of_zero_one_and_three_operands():
+    x, y = parse_condition("[x = -1]"), parse_condition("[y < x]")
+    cases = [CAnd(()), COr(()), CAnd((x,)), COr((y,)), CAnd((x, y, CNot(y))), COr((x, y, CNot(x)))]
+    compiled, _ = _compile(NAMES, cases)
+    for values in itertools.product(range(-2, 2), repeat=3):
+        state = dict(zip(NAMES, values))
+        assert [f(*values) for f in compiled] == [eval_condition(c, state) for c in cases]
+
+
+@pytest.mark.parametrize(
+    "program, spec, verdict",
+    [
+        # identifiers that are Python keywords, builtins and the compiler's own names
+        (
+            "None := lambda + 1 ; fuel := v0 ; while __import__ < fuel do __import__ := __import__ + 1 done",
+            "([__import__ <= v0], [__import__ = fuel] & [None = lambda + 1])",
+            Holds,
+        ),
+        ("None := lambda ; v0 := fuel * 2", "(true, [v0 < 3] & [None = lambda])", Fails),
+        # CPython nests at most 20 loops in one function
+        (" ".join(["while x < 1 do"] * 60 + ["x := x + 1"] + ["done"] * 60), "([x = 0], [x = 1])", Holds),
+        (" ".join(["while x < 1 do"] * 60 + ["x := x - 1"] + ["done"] * 60), "(true, [1 <= x])", Inconclusive),
+        ("skip", "([x = 1], [" + " + ".join(["x"] * 900) + " = 900])", Holds),
+    ],
+    ids=["names-holds", "names-fails", "while-60-holds", "while-60-inconclusive", "sum-900"],
+)
+def test_fixed_checks_agree_with_interpretation(program, spec, verdict):
+    t, s = parse_program(program), parse_spec(spec)
+    found = check_ground_property(t, s, (0, 2), fuel=100)
+    assert found == check_by_interpretation(t, s, (0, 2), fuel=100)
+    assert isinstance(found, verdict)
 
 
 def test_fuel_outs_are_counted_per_pre_state():
