@@ -659,7 +659,15 @@ def glue(query_net: Arn, x1: str, clause_net: Arn, x2: str, corr: dict[str, str]
 
 
 class ArnScheme(OrchestrationScheme):
-    """Networks as orchestrations; specs are temporal sentences at points."""
+    """Networks as orchestrations; specs are temporal sentences at points.
+
+    An instance tables its LTL decisions, as in tabled resolution (Chen and
+    Warren, "Tabled evaluation with delaying for general logic programs",
+    JACM 1996): an entailment is decided once per provided formula, required
+    formula and port signature, a triviality once per formula and port
+    signature.  Both are pure functions of those arguments, so the table
+    changes no verdict; make one instance per search, so that a table lives
+    for one search only."""
 
     compose_morphisms = staticmethod(compose_morphisms)
     identity_morphism = staticmethod(identity_morphism)
@@ -667,15 +675,23 @@ class ArnScheme(OrchestrationScheme):
     is_ground = staticmethod(is_ground)
     check_property = staticmethod(is_property)
 
+    def __init__(self):
+        self._entails: dict = {}
+        self._valid: dict = {}
+
     def spec_entails(self, orc, provided, required):
         if provided.point != required.point:
             return False
-        sig = orc.port_of[provided.point].actions()
-        return ltl.entails(provided.formula, required.formula, sig)
+        key = (provided.formula, required.formula, orc.port_of[provided.point].actions())
+        if key not in self._entails:
+            self._entails[key] = ltl.entails(*key)
+        return self._entails[key]
 
     def is_trivial(self, orc, spec):
-        sig = orc.port_of[spec.point].actions()
-        return ltl.valid(spec.formula, sig)
+        key = (spec.formula, orc.port_of[spec.point].actions())
+        if key not in self._valid:
+            self._valid[key] = ltl.valid(*key)
+        return self._valid[key]
 
     def candidate_unifiers(self, q_orc, q_spec, c_orc, c_provides, hint):
         """The one gluing along the hint, a correspondence of message names,

@@ -273,10 +273,14 @@ def _load_json(path: Path) -> dict:
     return data
 
 
-def _network_ref(data, base: Path) -> arn.Arn:
-    if "network" not in data:
-        raise InputError("missing network")
-    return network_from_json(_load_json(base / data["network"]))
+def _network_ref(data, base: Path, loaded: dict) -> arn.Arn:
+    """The network that ``data`` names by a path relative to ``base``; a
+    missing ``network`` field raises ``KeyError``.  ``loaded`` holds the
+    networks built so far by path, so each file is read and built once."""
+    path = base / data["network"]
+    if path not in loaded:
+        loaded[path] = network_from_json(_load_json(path))
+    return loaded[path]
 
 
 def load_network(path: Path) -> arn.Arn:
@@ -289,13 +293,14 @@ def load_repository(path: Path) -> Repository:
         raise InputError("only arn-scheme repositories are file-loadable")
     base = path.parent
     clauses = []
+    networks = {}  # clauses that name one file share its network
     with _decoding("bad repository"):
         for cd in data.get("clauses", ()):
             try:
                 clauses.append(
                     Clause(
                         _name(cd["name"]),
-                        _network_ref(cd, base),
+                        _network_ref(cd, base, networks),
                         spec_from_json(cd["provides"]),
                         tuple(spec_from_json(r) for r in cd.get("requires", ())),
                         hints=tuple(map(_repository_hint, cd.get("hints", ()))),
@@ -322,7 +327,10 @@ def load_query(path: Path) -> Query:
     if data.get("scheme", "arn") != "arn":
         raise InputError("only arn-scheme queries are file-loadable")
     with _decoding("bad query"):
-        net = _network_ref(data, path.parent)
+        try:
+            net = _network_ref(data, path.parent, {})
+        except KeyError as e:
+            raise InputError(f"query {path} missing field: {e}") from e
         return Query(net, tuple(spec_from_json(s) for s in data.get("requires", ())))
 
 
@@ -539,10 +547,13 @@ def cmd_solve(args) -> int:
     with _decoding("query spec", InputError):
         for spec in query.requires:
             arn.check_spec(query.orc, spec)
+    validated = set()  # ids of the shared networks already validated
     for clause in repository.clauses:
-        issues = arn.validate(clause.orc)
-        if issues:
-            raise InputError(f"clause {clause.name!r} network is not well-formed: " + "; ".join(issues))
+        if id(clause.orc) not in validated:
+            validated.add(id(clause.orc))
+            issues = arn.validate(clause.orc)
+            if issues:
+                raise InputError(f"clause {clause.name!r} network is not well-formed: " + "; ".join(issues))
         with _decoding(f"clause {clause.name!r} spec", InputError):
             for spec in (clause.provides, *clause.requires):
                 arn.check_spec(clause.orc, spec)

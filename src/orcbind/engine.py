@@ -66,7 +66,11 @@ class OrchestrationScheme(ABC):
     def candidate_unifiers(self, q_orc, q_spec, c_orc, c_provides, hint):
         """Cospans (theta1, theta2) from query and clause orchestrations into a
         common one, aligning q_spec with c_provides.  Entailment is NOT yet
-        checked here; `unify` filters."""
+        checked here; `unify` filters.
+
+        The two legs of a cospan share one target, which `unify` checks, and
+        the clause is renamed apart from the query first, so that no name of
+        the clause clashes with one of the query."""
 
 
 @dataclass(frozen=True)
@@ -156,11 +160,15 @@ def unify(scheme: OrchestrationScheme, q_orc, q_spec, clause: Clause, hint=None)
 
     Every returned cospan passes the scheme's entailment check: the clause's
     translated provides-spec entails the query's translated required spec.
+    A candidate whose legs have different targets breaks the scheme's
+    contract and raises ``ValueError``.
     """
     unifiers = []
     for theta1, theta2 in scheme.candidate_unifiers(
         q_orc, q_spec, clause.orc, clause.provides, hint
     ):
+        if theta1.target is not theta2.target and theta1.target != theta2.target:
+            raise ValueError(f"candidate unifier of {clause.name!r} has legs into different targets")
         required = scheme.translate_spec(theta1, q_spec)
         provided = scheme.translate_spec(theta2, clause.provides)
         if scheme.spec_entails(theta1.target, provided, required):

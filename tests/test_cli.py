@@ -2,6 +2,7 @@ import io
 import json
 import shutil
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from orcbind.sigcat import Atom, land, lor
 from orcbind.pexpr import parse_program, render_program
 
 from oracles import edge_bitmasks
+from test_benchmark_contract import load_families
 
 
 DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
@@ -619,6 +621,135 @@ def test_solve_rejects_specs_that_do_not_fit_their_networks(command, message, tm
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# One search loads each network file once and decides each entailment once
+
+
+def _shared_repository(tmp, edit_maps=lambda d: None):
+    """Three clauses over two network files: two map services share one."""
+    maps = json.loads((DATA / "mapservices.net.json").read_text())
+    edit_maps(maps)
+    _write(tmp / "maps.net.json", maps)
+    shutil.copy(DATA / "transportsystem.net.json", tmp / "transport.net.json")
+    services = json.loads((DATA / "services.repo.json").read_text())["clauses"]
+    maps_clause, transport_clause = services[1], services[2]
+    clauses = [
+        dict(transport_clause, network="transport.net.json"),
+        dict(maps_clause, name="maps-a", network="maps.net.json"),
+        dict(maps_clause, name="maps-b", network="maps.net.json"),
+    ]
+    return Path(_write(tmp / "shared.repo.json", {"scheme": "arn", "clauses": clauses}))
+
+
+def test_clauses_naming_one_network_file_share_one_network(tmp_path, monkeypatch):
+    built = []
+    network_from_json = cli.network_from_json
+    monkeypatch.setattr(cli, "network_from_json", lambda data: built.append(data) or network_from_json(data))
+    repo = cli.load_repository(_shared_repository(tmp_path))
+    assert len(built) == 2
+    transport, maps_a, maps_b = repo.clauses
+    assert maps_a.orc is maps_b.orc
+    assert transport.orc is not maps_a.orc
+
+
+def test_an_ill_formed_shared_network_is_reported_at_its_first_clause(tmp_path, capsys):
+    def edit(maps):
+        maps["points"]["MS2"] = {"published": ["x"], "delivered": []}
+
+    repo = _shared_repository(tmp_path, edit)
+    assert run(["solve", str(DATA / "traveller.query.json"), str(repo)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: clause 'maps-a' network is not well-formed: point MS2: incident with no hyperedge\n"
+    )
+
+
+def test_a_clause_without_a_network_names_the_missing_field(tmp_path, capsys):
+    argv = _solve(lambda d: d["clauses"][1].pop("network"))(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: clause missing field: 'network'\n"
+
+
+def test_a_query_without_a_network_is_named(tmp_path, capsys):
+    argv = _query(lambda d: d.pop("network"))(tmp_path)
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: query {argv[1]} missing field: 'network'\n"
+
+
+class _UntabledArnScheme(arn.ArnScheme):
+    """The ARN scheme that decides every entailment and triviality afresh."""
+
+    def spec_entails(self, orc, provided, required):
+        if provided.point != required.point:
+            return False
+        return ltl.entails(provided.formula, required.formula, orc.port_of[provided.point].actions())
+
+    def is_trivial(self, orc, spec):
+        return ltl.valid(spec.formula, orc.port_of[spec.point].actions())
+
+
+def _solve_commands(tmp, monkeypatch):
+    """The example solve, then the benchmark's solve items: the paper's
+    repository, the alternates with distractors, and one with no answer."""
+    items = load_families(monkeypatch).build("resolve", tmp, 1)
+    return [["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json")]] + [
+        item.argv for item in items if item.argv[0] == "solve"
+    ]
+
+
+def _decision_counter(monkeypatch):
+    """Count each LTL decision by its arguments."""
+    calls = Counter()
+
+    def counted(name):
+        decide = getattr(ltl, name)
+
+        def decision(*args):
+            calls[(name, *args)] += 1
+            return decide(*args)
+
+        return decision
+
+    for name in ("entails", "valid"):
+        monkeypatch.setattr(ltl, name, counted(name))
+    return calls
+
+
+def test_a_tabled_search_prints_what_an_untabled_one_prints(tmp_path, monkeypatch, capsys):
+    commands = _solve_commands(tmp_path, monkeypatch)
+    assert len(commands) == 5
+    for argv in commands:
+        code = run(argv)
+        tabled = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(arn, "ArnScheme", _UntabledArnScheme)
+            assert run(argv) == code
+        assert capsys.readouterr() == tabled
+
+
+def test_a_tabled_search_decides_each_entailment_once(tmp_path, monkeypatch, capsys):
+    commands = _solve_commands(tmp_path, monkeypatch)
+    calls = _decision_counter(monkeypatch)
+    repeated = 0
+    for argv in commands:
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(arn, "ArnScheme", _UntabledArnScheme)
+            run(argv)
+        repeated += sum(calls.values()) - len(calls)
+        calls.clear()
+        run(argv)
+        assert any(key[0] == "entails" for key in calls)
+        assert set(calls.values()) == {1}
+    capsys.readouterr()
+    assert repeated > 0  # the untabled search does repeat some
 
 
 def _nested_paths(value, path=()):

@@ -110,6 +110,26 @@ def test_unifier_requires_the_entailment():
     assert unify(ARN, travel.traveller_net(), ArnSpec("R1", travel.RHO_T1), weak, hint) == []
 
 
+class _Leg:
+    """A morphism of the fake scheme below: just a source and a target."""
+
+    def __init__(self, source, target):
+        self.source, self.target = source, target
+
+
+class _SplitLegScheme(ArnScheme):
+    """An ARN scheme whose candidate cospans have legs into two targets."""
+
+    def candidate_unifiers(self, q_orc, q_spec, c_orc, c_provides, hint):
+        return [(_Leg(q_orc, "apex"), _Leg(c_orc, "another apex"))]
+
+
+def test_unify_refuses_a_cospan_whose_legs_have_different_targets():
+    clause = example_clause("map-services")
+    with pytest.raises(ValueError, match="legs into different targets"):
+        unify(_SplitLegScheme(), travel.traveller_net(), ArnSpec("R1", travel.RHO_T1), clause)
+
+
 # ---------------------------------------------------------------------------
 # Resolution
 

@@ -25,6 +25,7 @@ COMMANDS = [
         "JP1",
         "G(planJourney? -> X X !directions!)",
     ],
+    ["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json")],
 ]
 
 
@@ -41,7 +42,7 @@ def cli(argv, seed="0"):
     )
 
 
-@pytest.mark.parametrize("argv", COMMANDS, ids=["ltl-sat", "ltl-entails", "arn-check"])
+@pytest.mark.parametrize("argv", COMMANDS, ids=["ltl-sat", "ltl-entails", "arn-check", "solve"])
 def test_stdout_is_the_same_under_every_hash_seed(argv):
     runs = [cli(argv, seed=str(seed)) for seed in range(4)]
     assert [r.returncode for r in runs] == [runs[0].returncode] * 4
@@ -59,6 +60,16 @@ def test_failing_generated_network_check_is_the_same_under_every_hash_seed(
     runs = [cli(["arn", "check", str(path), point, "G !req?"], seed=str(seed)) for seed in range(4)]
     assert [r.returncode for r in runs] == [1] * 4
     assert "counterexample trace:" in runs[0].stdout
+    assert [r.stdout for r in runs] == [runs[0].stdout] * 4
+
+
+def test_solve_over_shared_generated_networks_is_the_same_under_every_hash_seed(tmp_path, monkeypatch):
+    # the benchmark's repository of 2 + 2 alternates and 5 distractors writes
+    # its networks with network_to_json; its 10 clauses name 4 files
+    [item] = [i for i in load_families(monkeypatch).build("resolve", tmp_path, 1) if i.name == "solve-alt-2-2-5"]
+    runs = [cli(item.argv, seed=str(seed)) for seed in range(4)]
+    assert [r.returncode for r in runs] == [0] * 4
+    assert "=== answer 4 ===" in runs[0].stdout
     assert [r.stdout for r in runs] == [runs[0].stdout] * 4
 
 
