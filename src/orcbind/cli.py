@@ -26,6 +26,7 @@ Transition guards in automaton JSON are written in the formula syntax of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -273,13 +274,17 @@ def _load_json(path: Path) -> dict:
     return data
 
 
-def _network_ref(data, base: Path, loaded: dict) -> arn.Arn:
+def _network_ref(data, base: Path, loaded: dict, what: str) -> arn.Arn:
     """The network that ``data`` names by a path relative to ``base``; a
-    missing ``network`` field raises ``KeyError``.  ``loaded`` holds the
-    networks built so far by path, so each file is read and built once."""
-    path = base / data["network"]
-    if path not in loaded:
-        loaded[path] = network_from_json(_load_json(path))
+    missing ``network`` field raises ``KeyError``, and a field that is no
+    name or a file that gives no network is reported as ``WHAT network:
+    reason``.  ``loaded`` holds the networks built so far by path, so each
+    file is read and built once."""
+    ref = data["network"]
+    with _decoding(f"{what} network", InputError):
+        path = base / _name(ref)
+        if path not in loaded:
+            loaded[path] = network_from_json(_load_json(path))
     return loaded[path]
 
 
@@ -297,10 +302,11 @@ def load_repository(path: Path) -> Repository:
     with _decoding("bad repository"):
         for cd in data.get("clauses", ()):
             try:
+                name = _name(cd["name"])
                 clauses.append(
                     Clause(
-                        _name(cd["name"]),
-                        _network_ref(cd, base, networks),
+                        name,
+                        _network_ref(cd, base, networks, f"clause {name!r}"),
                         spec_from_json(cd["provides"]),
                         tuple(spec_from_json(r) for r in cd.get("requires", ())),
                         hints=tuple(map(_repository_hint, cd.get("hints", ()))),
@@ -328,7 +334,7 @@ def load_query(path: Path) -> Query:
         raise InputError("only arn-scheme queries are file-loadable")
     with _decoding("bad query"):
         try:
-            net = _network_ref(data, path.parent, {})
+            net = _network_ref(data, path.parent, {}, f"query {path}")
         except KeyError as e:
             raise InputError(f"query {path} missing field: {e}") from e
         return Query(net, tuple(spec_from_json(s) for s in data.get("requires", ())))
@@ -625,7 +631,9 @@ def cmd_pexpr(args) -> int:
 # Entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(prog="orcbind")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -670,8 +678,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # The parser is built once per process: a CLI process calls main once and
+    # pays one build either way, while in-process callers would rebuild it on
+    # every call.  parse_args keeps no state between calls; each returns a
+    # fresh Namespace.
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "arn":
             return cmd_arn(args)

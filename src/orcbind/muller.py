@@ -170,7 +170,8 @@ def mask_to_guard(cubes, sig: ActionSignature) -> Formula:
 # A "requirement disjunct" is a pair (hits, withins): the candidate infinity
 # set must intersect every set in `hits` and stay inside every set in
 # `withins`.  A family unfolds over a state set into a disjunction of such
-# constraints, each hit-set a subset of that state set; a non-empty subset
+# constraints, each hit-set a non-empty subset of that state set (a disjunct
+# with an empty hit-set meets no set, so it is left out); a non-empty subset
 # meets some disjunct exactly when it is a member.
 
 
@@ -180,9 +181,7 @@ class FinalFamily:
         """Is the state set a member?  It is when it is non-empty and meets
         some disjunct of the family unfolded over it."""
         s = frozenset(s)
-        return bool(s) and any(
-            all(hits) and all(s <= w for w in withins) for hits, withins in self.dnf(s)
-        )
+        return bool(s) and any(all(s <= w for w in withins) for _, withins in self.dnf(s))
 
     def dnf(self, states: frozenset):
         raise NotImplementedError
@@ -231,8 +230,9 @@ class ImpliesFamily(FinalFamily):
 
     def dnf(self, states):
         avoid = frozenset(q for q in states if q != self.trigger)
-        hit = frozenset({self.required}) & states
-        return [((), (avoid,)), ((hit,), ())]
+        if self.required not in states:
+            return [((), (avoid,))]
+        return [((), (avoid,)), ((frozenset({self.required}),), ())]
 
     def check_states(self, states):
         _known(frozenset({self.trigger, self.required}), states)
@@ -248,7 +248,8 @@ class GenBuchi(FinalFamily):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
 
     def dnf(self, states):
-        return [(tuple(f & states for f in self.sets), ())]
+        hits = tuple(f & states for f in self.sets)
+        return [(hits, ())] if all(hits) else []
 
     def check_states(self, states):
         _known(frozenset().union(*self.sets), states)
@@ -493,7 +494,7 @@ def _first_live_set(roots, succ, family):
         disjuncts = family.dnf(frozenset(scc))
         if not complete:
             live = frozenset(scc)
-            hits = next(h for h, ws in disjuncts if all(h) and all(live <= w for w in ws))
+            hits = next(h for h, ws in disjuncts if all(live <= w for w in ws))
             return path, scc, scc, hits
         for hits, withins in disjuncts:
             region = [n for n in scc if all(n in w for w in withins)]

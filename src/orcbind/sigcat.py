@@ -188,35 +188,59 @@ class Formula:
     pass
 
 
-@dataclass(frozen=True)
+# The formula classes write their own reprs, which must equal the text the
+# dataclass repr would give: ``land`` and ``lor`` order operands by that text,
+# and the order shows in every rendered formula.  The generated repr runs
+# behind a recursion guard and costs several times as much.
+
+
+@dataclass(frozen=True, repr=False)
 class Atom(Formula):
     action: str
 
+    def __repr__(self):
+        return f"Atom(action={self.action!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Not(Formula):
     sub: Formula
 
+    def __repr__(self):
+        return f"Not(sub={self.sub!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class And(Formula):
     subs: tuple[Formula, ...]
 
+    def __repr__(self):
+        return f"And(subs={self.subs!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Or(Formula):
     subs: tuple[Formula, ...]
 
+    def __repr__(self):
+        return f"Or(subs={self.subs!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Next(Formula):
     sub: Formula
 
+    def __repr__(self):
+        return f"Next(sub={self.sub!r})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Until(Formula):
     lhs: Formula
     rhs: Formula
+
+    def __repr__(self):
+        return f"Until(lhs={self.lhs!r}, rhs={self.rhs!r})"
 
 
 TRUE = And(())

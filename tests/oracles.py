@@ -11,7 +11,8 @@ of them, or from the initial ones by bitmask columns.
 The bounded pexpr oracles decide one enumerated state at a time, evaluate
 expressions and conditions by walking their trees (the reference for the
 code that ``pexpr`` compiles), and run programs with a functional
-interpreter that copies the state on every assignment.
+interpreter that copies the state on every assignment.  Formula reprs are
+checked against a text formed from the dataclass fields.
 
 Letter sets have a reference semantics here: a bitmask of 2^n bits over
 the letters of a signature of n actions, one bit per letter.  ``orcbind``
@@ -28,6 +29,7 @@ and the worked example's clauses and query, read once from
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from collections import deque
 from functools import cache
@@ -675,6 +677,23 @@ def check_morphism(theta) -> tuple[str, ...]:
                     issues.append(f"connection {c} at {x}: attachment triangle does not commute on {m}")
 
     return tuple(issues)
+
+
+# ---------------------------------------------------------------------------
+# Formula text, as the generated dataclass repr writes it
+
+
+def dataclass_repr(value) -> str:
+    """The text the repr that ``dataclasses`` generates would give ``value``:
+    the class name and each field as ``name=text``, the fields' own texts
+    formed the same way, tuples with their elements formed so."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = (f"{f.name}={dataclass_repr(getattr(value, f.name))}" for f in dataclasses.fields(value) if f.repr)
+        return f"{type(value).__qualname__}({', '.join(fields)})"
+    if isinstance(value, tuple):
+        texts = [dataclass_repr(x) for x in value]
+        return f"({texts[0]},)" if len(texts) == 1 else f"({', '.join(texts)})"
+    return repr(value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import shutil
@@ -683,6 +684,27 @@ def test_a_query_without_a_network_is_named(tmp_path, capsys):
     assert captured.err == f"error: query {argv[1]} missing field: 'network'\n"
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (_solve(lambda d: d["clauses"][0].update(network=5)),
+         lambda tmp: "clause 'journey-planner' network: expected a name, got 5"),
+        (_solve(lambda d: d["clauses"][0].update(network=None)),
+         lambda tmp: "clause 'journey-planner' network: expected a name, got None"),
+        (_solve(lambda d: d["clauses"][0].update(network="nope.json")),
+         lambda tmp: f"clause 'journey-planner' network: no such file: {tmp / 'nope.json'}"),
+        (_query(lambda d: d.update(network=5)),
+         lambda tmp: f"query {tmp / 'edited.traveller.query.json'} network: expected a name, got 5"),
+    ],
+    ids=["clause-a-number", "clause-null", "clause-missing-file", "query-a-number"],
+)
+def test_an_unusable_network_field_names_its_clause(command, message, tmp_path, capsys):
+    assert run(command(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message(tmp_path)}\n"
+
+
 class _UntabledArnScheme(arn.ArnScheme):
     """The ARN scheme that decides every entailment and triviality afresh."""
 
@@ -930,6 +952,47 @@ def test_a_limit_that_makes_the_verdict_vacuous_exits_2(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.rstrip().endswith(message)
+
+
+def _outcome(argv):
+    """The exit code, stdout and stderr of one ``main`` call; argparse exits
+    through ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_the_reused_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    entails = ["ltl", "entails", "G (a -> F b)", "G F b | F G !a"]
+    calls = [
+        entails,
+        ["solve"],
+        ["solve", str(DATA / "traveller.query.json"), str(DATA / "services.repo.json"), "--max-answers", "0"],
+        ["arn", "check", str(tmp_path / "missing.net.json"), "MS1", "G true"],
+        ["pexpr", "check", str(DATA / "division.pgm"), "([1 <= y], [x = q * y + r] & [r < y])", "--bounds", "0..2"],
+        entails,
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 2, 0, 0]
+
+    built = []  # the index of the call during which each parser was constructed
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(len(reused)) or init(self, *a, **k)
+    )
+    cli.build_parser.cache_clear()
+    reused = []
+    for argv in calls:
+        reused.append(_outcome(argv))
+    assert reused == fresh
+    assert built and set(built) == {0}
 
 
 def test_only_pexpr_check_takes_fuel(capsys):

@@ -44,6 +44,7 @@ from oracles import (
     assignment_tableau,
     bitmask_to_guard,
     check_homomorphism,
+    dataclass_repr,
     dense_tableau,
     edge_bitmasks,
     signature,
@@ -320,6 +321,18 @@ ACTION_NAMES = st.one_of(
 @given(formulas(3, ACTION_NAMES))
 def test_formulas_over_accepted_action_names_read_back(f):
     assert parse_formula(render_formula(f)) == f
+
+
+@given(formulas(3, ACTION_NAMES))
+def test_formula_reprs_are_the_dataclass_text(f):
+    assert repr(f) == dataclass_repr(f)
+
+
+@given(st.lists(formulas(2), max_size=4).flatmap(lambda fs: st.tuples(st.just(fs), st.permutations(fs))))
+def test_land_and_lor_do_not_depend_on_operand_order(pair):
+    fs, shuffled = pair
+    assert land(*shuffled) == land(*fs)
+    assert lor(*shuffled) == lor(*fs)
 
 
 SIG_AB = signature("a", "b")

@@ -448,6 +448,20 @@ def test_family_membership_matches_the_oracle(name):
             assert family.contains(frozenset(combo)) == family_member(family, combo)
 
 
+_UNFOLDED = {**_FAMILIES, "implies-required-outside": (frozenset("pr"), ImpliesFamily("p", "q"))}
+
+
+@pytest.mark.parametrize("name", sorted(_UNFOLDED))
+def test_every_hit_set_of_an_unfolded_family_is_nonempty(name):
+    # a disjunct with an empty hit-set meets no set, so dnf leaves it out
+    states, family = _UNFOLDED[name]
+    for r in range(len(states) + 1):
+        for combo in itertools.combinations(sorted(states, key=repr), r):
+            s = frozenset(combo)
+            for hits, _ in family.dnf(s):
+                assert all(hits) and all(t <= s for t in hits)
+
+
 def test_product_family_matches_explicit_enumeration():
     a = channel_automaton()
     b = channel_automaton(family=ImpliesFamily("q1", "q0"))
