@@ -13,9 +13,10 @@ it (``counterexample``).
 
 Networks, their labels and their morphisms hold every map as a
 ``FrozenMap``, which iterates in key order, so equal networks render alike.
-Constructors only normalize shapes; all well-formedness conditions are
-reported by :func:`validate` so that hand-written network files can be
-checked rather than rejected mid-parse.  Whether a check's input is fit is
+Constructors only normalize shapes, ``MullerAutomaton``'s too; all
+well-formedness conditions are reported by :func:`validate` so that
+hand-written network files can be checked rather than rejected mid-parse,
+except an automaton's own, which the decoder checks (``muller``).  Whether a check's input is fit is
 decided here too: ``counterexample`` and ``observed_automaton`` raise
 ``orcbind.InputError`` for an ill-formed network, an unknown point, a network
 that is not ground, or a formula over actions outside the point's port; the
@@ -43,7 +44,6 @@ from .sigcat import (
     Cocone,
     FiniteDiagram,
     Formula,
-    PartialSignatureMorphism,
     SignatureMorphism,
     colimit,
     translate,
@@ -134,17 +134,17 @@ class Connection:
             frozenset(f"{m}!" for m in self.messages) | frozenset(f"{m}?" for m in self.messages)
         )
 
-    def action_attachment(self, x: str, port: Port) -> PartialSignatureMorphism:
-        """Partial translation of channel actions into the port's actions:
-        ``m!`` maps when the image is published there, ``m?`` when delivered."""
-        mu = self.attachment_of.get(x, {})
+    def action_attachment(self, x: str, port: Port) -> dict[str, str]:
+        """The attachment at x as a partial map of channel actions to port
+        actions (``m!`` when the image is published there, ``m?`` when
+        delivered), vetted by ``validate``; ``diagram_of`` builds its span."""
         mapping = {}
-        for m, pm in mu.items():
+        for m, pm in self.attachment_of.get(x, {}).items():
             if pm in port.published:
                 mapping[f"{m}!"] = f"{pm}!"
             elif pm in port.delivered:
                 mapping[f"{m}?"] = f"{pm}?"
-        return PartialSignatureMorphism(self.signature(), port.actions(), mapping)
+        return mapping
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +380,9 @@ def diagram_of(n: Arn) -> FiniteDiagram:
         for x in sorted(n.incidence_of.get(c, frozenset())):
             sid = f"{_SPAN}{c}:{x}"
             att = conn.action_attachment(x, ports[x])
-            dom_sig = ActionSignature(att.domain)
-            nodes[sid] = dom_sig
-            arrows[(sid, cid)] = SignatureMorphism(dom_sig, nodes[cid], {a: a for a in att.domain})
-            arrows[(sid, _PT + x)] = SignatureMorphism(dom_sig, nodes[_PT + x], att.mapping)
+            dom_sig = nodes[sid] = ActionSignature(frozenset(att))
+            arrows[(sid, cid)] = SignatureMorphism(dom_sig, nodes[cid], {a: a for a in att})
+            arrows[(sid, _PT + x)] = SignatureMorphism(dom_sig, nodes[_PT + x], att)
     return FiniteDiagram(nodes, arrows)
 
 

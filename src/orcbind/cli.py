@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 for success or a positive verdict, 1 for
 a negative verdict or no answer, 2 for unusable input.  A scripted
-derivation step that no unifier binds is a negative answer (exit 1).  Input
+derivation step that no unifier binds is a negative answer (exit 1), and so
+is a replay whose steps leave specs ``engine.unresolved``.  Input
 is unusable when the library raises ``orcbind.InputError``: the parsers
 raise it for unparsable text and for text nested deeper than
 ``orcbind.MAX_NESTING``, ``arn`` for a network, point or formula unfit
@@ -42,6 +43,7 @@ from .muller import (
     ImpliesFamily,
     MullerAutomaton,
     ProductFamily,
+    check_automaton,
 )
 from .sigcat import ActionSignature
 
@@ -163,7 +165,9 @@ def automaton_from_json(data) -> MullerAutomaton:
         )
         final = family_from_json(data["final"])
         final.check_states(states)
-        return MullerAutomaton(sig, states, transitions, initial, final)
+        automaton = MullerAutomaton(sig, states, transitions, initial, final)
+        check_automaton(automaton)
+        return automaton
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +486,24 @@ def trace_to_json(answers, partial=None, end=None):
                 "final": a.final.render(),
             }
         )
-    if partial is not None:
+    if partial:
         out["unresolved"] = [s.render() for s in partial]
     if end is not None:
         out["search"] = {"status": end.status, "cut": end.cut, "max_depth": end.max_depth}
     return out
+
+
+def print_partial(steps, unresolved) -> None:
+    """A derivation that is no answer: its steps and the specs it leaves."""
+    print("=== partial derivation (no answer) ===")
+    for i, s in enumerate(steps, start=1):
+        print(render_step(i, s))
+    for s in unresolved:
+        print(f"unresolved: {s.render()}")
+
+
+# What a replay that leaves specs unresolved prints last.
+NO_REPLAY_ANSWER = "no answer: the script leaves specs unresolved"
 
 
 def render_search_end(end) -> str:
@@ -564,11 +581,13 @@ def cmd_solve(args) -> int:
             for spec in (clause.provides, *clause.requires):
                 arn.check_spec(clause.orc, spec)
 
+    end = None
     if args.script:
         steps = _load_json(Path(args.script)).get("steps", [])
         steps = decode_steps(steps, lambda step: arn_step(step, repository))
-        answer, _ = solve_scripted(scheme, query, steps)
-        answers, end = [answer], None
+        answer, final = solve_scripted(scheme, query, steps)
+        trail, unresolved = answer.steps, list(engine.unresolved(scheme, final))
+        answers = [] if unresolved else [answer]
     else:
         answers, end = solve(
             scheme,
@@ -577,23 +596,18 @@ def cmd_solve(args) -> int:
             max_depth=args.max_depth,
             max_answers=args.max_answers,
         )
+        trail = end.steps
+        unresolved = [] if answers else list(engine.unresolved(scheme, end.query))
 
     for i, a in enumerate(answers, start=1):
         print(f"=== answer {i} ===")
         print(render_answer(a))
-    unresolved = None
-    if not answers:  # only a search can come back empty
-        stuck = end.query
-        print("=== partial derivation (no answer) ===")
-        for i, s in enumerate(end.steps, start=1):
-            print(render_step(i, s))
-        unresolved = [s for s in stuck.requires if not scheme.is_trivial(stuck.orc, s)]
-        for s in unresolved:
-            print(f"unresolved: {s.render()}")
+    if not answers:
+        print_partial(trail, unresolved)
     if write_output:
         write_output(trace_to_json(answers, partial=unresolved, end=end))
     if not answers:
-        print(f"no answer within limits ({render_search_end(end)})")
+        print(f"no answer within limits ({render_search_end(end)})" if end else NO_REPLAY_ANSWER)
         return 1
     return 0
 
@@ -603,7 +617,15 @@ def cmd_pexpr(args) -> int:
     if args.subcommand == "derive":
         write_output = _json_writer(args.output)
         term, requires, steps = load_pexpr_script(Path(args.script))
-        answer, _ = solve_scripted(pexpr.PexprScheme(bounds), Query(term, requires), steps)
+        scheme = pexpr.PexprScheme(bounds)
+        answer, final = solve_scripted(scheme, Query(term, requires), steps)
+        unresolved = list(engine.unresolved(scheme, final))
+        if unresolved:
+            print_partial(answer.steps, unresolved)
+            if write_output:
+                write_output(trace_to_json([], partial=unresolved))
+            print(NO_REPLAY_ANSWER)
+            return 1
         print(render_answer(answer))
         print(f"final program: {pexpr.render_program(answer.final)}")
         lo, hi = bounds

@@ -10,8 +10,10 @@ two concrete schemes live with their domain modules.
 
 ``solve`` uses six of the eight operations, ``solve_scripted`` the same six
 but ``is_trivial``.  ``is_ground`` and ``check_property`` serve only
-``check_solution`` and ``check_clause_correctness``, and so does the fuel
-of ``PexprScheme``'s bounded property check.
+``check_solution`` and ``check_clause_correctness``.  ``unresolved`` decides
+which specs of a query are left: a search's selection, the report of a
+search without answers and the check after a replay all read it, so a
+replay is an answer exactly when a search would take it for one.
 
 Morphism objects are scheme-specific but must expose ``source`` and
 ``target`` orchestrations.  Orchestrations, morphisms and specs render
@@ -213,6 +215,13 @@ class SearchEnd:
     query: Query
 
 
+def unresolved(scheme: OrchestrationScheme, query: Query):
+    """The query's specs that are not trivial, in requires order, decided
+    one at a time as they are drawn; a derivation is an answer when none is
+    left."""
+    return (s for s in query.requires if not scheme.is_trivial(query.orc, s))
+
+
 # The limits of a search, unless the caller gives others.
 MAX_DEPTH = 8
 MAX_ANSWERS = 10
@@ -238,19 +247,13 @@ def solve(
     best_partial = {"depth": -1, "steps": (), "query": query}
     cut = 0
 
-    def select(q: Query):
-        for s in q.requires:
-            if not scheme.is_trivial(q.orc, s):
-                return s
-        return None
-
     def search(q: Query, steps, composed, depth):
         nonlocal cut
         if len(answers) >= max_answers:
             return
         if depth > best_partial["depth"]:
             best_partial.update(depth=depth, steps=tuple(steps), query=q)
-        selected = select(q)
+        selected = next(unresolved(scheme, q), None)
         if selected is None:
             answers.append(Answer(tuple(steps), composed, q.orc))
             return
@@ -286,7 +289,8 @@ def solve_scripted(scheme: OrchestrationScheme, query: Query, steps):
     resolve the spec at that index of the current query with the clause,
     taking the first unifier the hint yields.
 
-    Returns the single Answer and the final query.  A spec index the current
+    Returns the Answer and the final query; the steps may leave specs
+    ``unresolved``, which the caller asks of that query.  A spec index the current
     query lacks raises ``InputError``; the first step no unifier binds raises
     ``DerivationFailed``.
     """

@@ -2,9 +2,12 @@
 
 A letter of the alphabet is a subset of the automaton's action signature.
 Transitions carry guards, which are the ``sigcat`` formulas without ``X`` and
-``U`` (an automaton rejects any other); a transition exists for every letter
-satisfying the guard.  All semantic work (products, reducts, acceptance,
-emptiness) happens on the guard semantics, never on guard syntax.
+``U``; a transition exists for every letter satisfying the guard.  The
+constructor only normalizes shapes: ``cli.automaton_from_json`` vets a
+decoded automaton with ``check_automaton``, and every other is well formed
+by construction, as ``translate`` and ``ltl.to_automaton`` refuse stray
+atoms.  All semantic work (products, reducts, acceptance, emptiness) happens
+on the guard semantics, never on guard syntax.
 
 A guard's semantics, its letter set, is a tuple of cubes, the literal
 conjunctions of its disjunctive normal form: the Boolean algebra of cubes of
@@ -316,17 +319,6 @@ class MullerAutomaton:
         object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "initial", frozenset(self.initial))
         object.__setattr__(self, "transitions", tuple(self.transitions))
-        if not self.initial <= self.states:
-            raise ValueError("initial states must be states")
-        checked = set()
-        for src, g, dst in self.transitions:
-            if src not in self.states or dst not in self.states:
-                raise ValueError(f"transition endpoint outside states: {src!r} -> {dst!r}")
-            if g not in checked:
-                checked.add(g)
-                stray = guard_atoms(g) - self.signature.actions
-                if stray:
-                    raise ValueError(f"guard atoms outside signature: {sorted(stray)}")
 
     @cached_property
     def moves(self) -> dict[object, list[tuple[object, int, int]]]:
@@ -351,6 +343,19 @@ class MullerAutomaton:
             for dst, p, n in out:
                 edges.setdefault((src, dst), {})[p, n] = None
         return {e: tuple(cubes) for e, cubes in edges.items()}
+
+
+def check_automaton(aut: MullerAutomaton) -> None:
+    """Raise ValueError for stray initial states, endpoints or guards, in that order."""
+    if not aut.initial <= aut.states:
+        raise ValueError("initial states must be states")
+    checked = set()
+    for src, g, dst in aut.transitions:
+        if src not in aut.states or dst not in aut.states:
+            raise ValueError(f"transition endpoint outside states: {src!r} -> {dst!r}")
+        if g not in checked and (stray := guard_atoms(g) - aut.signature.actions):
+            raise ValueError(f"guard atoms outside signature: {sorted(stray)}")
+        checked.add(g)
 
 
 @dataclass(frozen=True)

@@ -623,7 +623,7 @@ class PexprScheme(OrchestrationScheme):
     """Program expressions as orchestrations; specs are positioned Hoare pairs.
 
     Entailment and property checks are bounded semantic checks; verdicts are
-    only as strong as the configured bounds and fuel.  ``spec_entails`` and
+    only as strong as the configured bounds and ``FUEL``.  ``spec_entails`` and
     ``is_trivial`` decide by ``entails_conditions`` (syntactic consequence,
     else code compiled once per check, run over the box), ``check_property``
     by ``check_ground_property`` (one compiled run per pre-state).
@@ -635,12 +635,11 @@ class PexprScheme(OrchestrationScheme):
     translate_spec = staticmethod(translate_pspec)
     is_ground = staticmethod(is_ground_term)
 
-    def __init__(self, bounds: tuple[int, int] = BOUNDS, fuel: int = FUEL):
+    def __init__(self, bounds: tuple[int, int] = BOUNDS):
         self.bounds = bounds
-        self.fuel = fuel
 
     def check_property(self, orc, spec):
-        verdict = check_ground_property(orc, spec, self.bounds, self.fuel)
+        verdict = check_ground_property(orc, spec, self.bounds)
         if isinstance(verdict, Inconclusive):
             return None
         return isinstance(verdict, Holds)

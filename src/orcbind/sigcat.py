@@ -8,7 +8,8 @@ quotienting of the disjoint union of node actions.  Morphisms, diagrams and
 cocones hold their maps as ``FrozenMap``s, which iterate in key order.  No
 command composes morphisms, so composition, identities and the search for
 mediating morphisms are in ``tests/oracles.py``, where the tests check the
-colimit's universal property with them.
+colimit's universal property with them.  A channel's attachment to a port,
+a partial map, is the span of total morphisms ``arn.diagram_of`` builds.
 
 Sentences are formulas over a signature's actions, built from atoms, ``!``,
 ``&``, ``|``, ``X`` and ``U``, and translated along signature morphisms by
@@ -73,34 +74,6 @@ class SignatureMorphism:
     def inverse_image(self, letter: frozenset[str]) -> frozenset[str]:
         """Preimage of a subset of target actions."""
         return frozenset(a for a, b in self.mapping.items() if b in letter)
-
-
-@dataclass(frozen=True)
-class PartialSignatureMorphism:
-    """A partial function on actions, injective on its domain.
-
-    The domain is kept explicit: membership in the domain is itself
-    meaningful (an unattached channel action has no port counterpart).
-    """
-
-    source: ActionSignature
-    target: ActionSignature
-    mapping: FrozenMap[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", FrozenMap(self.mapping))
-        missing = set(self.mapping) - self.source.actions
-        if missing:
-            raise ValueError(f"domain outside source: {sorted(missing)}")
-        extra = set(self.mapping.values()) - self.target.actions
-        if extra:
-            raise ValueError(f"image outside target: {sorted(extra)}")
-        if len(set(self.mapping.values())) != len(self.mapping):
-            raise ValueError("partial morphism must be injective on its domain")
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.mapping)
 
 
 @dataclass(frozen=True)
@@ -295,12 +268,11 @@ def atoms_of(f: Formula) -> frozenset[str]:
 def translate(f: Formula, sigma: SignatureMorphism) -> Formula:
     """Rename the atoms of a formula along a signature morphism."""
     mapping = sigma.mapping
-    missing = atoms_of(f) - set(mapping)
-    if missing:
-        raise ValueError(f"formula atoms outside the morphism source: {sorted(missing)}")
 
     def go(h):
         if isinstance(h, Atom):
+            if h.action not in mapping:
+                raise ValueError(f"formula atoms outside the morphism source: {sorted(atoms_of(f) - set(mapping))}")
             return Atom(mapping[h.action])
         if isinstance(h, Not):
             return lnot(go(h.sub))

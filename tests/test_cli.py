@@ -856,6 +856,47 @@ def test_solve_script_replays_the_search_answer(tmp_path, capsys):
     assert json.loads(replayed.read_text()) == trace
 
 
+JP_STEP = {"clause": "journey-planner", "correspondence": {"getRoute": "planJourney", "route": "directions"}}
+
+
+@pytest.mark.parametrize(
+    "steps, unresolved",
+    [
+        ([JP_STEP], ["<R1 : G (!getRoutes? | F routes!)>", "<R2 : G (!routes? | F timetables!)>"]),
+        ([], ["<R1 : G (!getRoute? | F route!)>"]),
+    ],
+    ids=["journey-planner-only", "no-steps"],
+)
+def test_solve_script_that_leaves_specs_unresolved_is_no_answer(steps, unresolved, tmp_path, capsys):
+    output = tmp_path / "trace.json"
+    assert run(_traveller_script(tmp_path, steps) + ["--output", str(output)]) == 1
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert "=== answer" not in out and "final orchestration" not in out
+    assert lines[0] == "=== partial derivation (no answer) ==="
+    assert sum(line.startswith("step ") for line in lines) == len(steps)
+    assert lines[-len(unresolved) - 1 :] == [f"unresolved: {s}" for s in unresolved] + [cli.NO_REPLAY_ANSWER]
+    assert json.loads(output.read_text()) == {"answers": [], "unresolved": unresolved}
+
+
+def test_pexpr_derive_that_leaves_specs_unresolved_is_no_answer(tmp_path, capsys):
+    data = json.loads((DATA / "division.script.json").read_text())
+    del data["steps"][2:]
+    script, output = _write(tmp_path / "two.script.json", data), tmp_path / "trace.json"
+    assert run(["pexpr", "derive", script, "--output", str(output)]) == 1
+    out = capsys.readouterr().out
+    unresolved = [
+        "<@1 : [x = q * y + r], [x = q * y + r] & [r < y]>",
+        "<@0.0 : true, [x = q * y + x]>",
+        "<@0.1 : [x = q * y + x], [x = q * y + r]>",
+    ]
+    assert "final program" not in out and "refinements validated" not in out
+    assert out.startswith("=== partial derivation (no answer) ===\nstep 1:\n")
+    assert "\nstep 2:\n" in out
+    assert out.endswith("".join(f"unresolved: {s}\n" for s in unresolved) + cli.NO_REPLAY_ANSWER + "\n")
+    assert json.loads(output.read_text()) == {"answers": [], "unresolved": unresolved}
+
+
 def test_pexpr_check(capsys):
     assert run(["pexpr", "check", str(DATA / "skip.pgm"), "(true, true)"]) == 0
     code = run(
@@ -1024,6 +1065,39 @@ def test_a_negative_lower_bound_is_written_with_an_equals_sign(capsys):
     spec = "([1 <= y], [x = q * y])"
     assert run(["pexpr", "check", str(DATA / "division.pgm"), spec, "--bounds=-2..2"]) == 1
     assert capsys.readouterr().out.startswith("fails (witness state: q=-2,")
+
+
+def _ms_automaton(edit):
+    return lambda d: edit(d["processes"]["MS"]["automaton"])
+
+
+def _first_transition(i, value):
+    return _ms_automaton(lambda a: a["transitions"][0].__setitem__(i, value))
+
+
+def _both(edit, other):
+    return lambda d: (edit(d), other(d))
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_ms_automaton(lambda a: a.update(initial=["nowhere"])), "initial states must be states"),
+        (_first_transition(2, "nowhere"), "transition endpoint outside states: 'idle' -> 'nowhere'"),
+        (_first_transition(1, "MS1.nosuch!"), "guard atoms outside signature: ['MS1.nosuch!']"),
+        (_both(_first_transition(2, "nowhere"), _ms_automaton(lambda a: a.update(final={"gen-buchi": [["nosuchstate"]]}))),
+         "final family names unknown states ['nosuchstate']"),
+    ],
+    ids=["initial", "endpoint", "guard", "family-before-endpoint"],
+)
+def test_decoded_automata_are_vetted(edit, message, command, tmp_path, capsys):
+    net = _edited(tmp_path, "mapservices.net.json", edit)
+    argv = ["arn", command, net] + (["MS1", "G !getRoutes?"] if command == "check" else [])
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad automaton: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from orcbind.engine import (
     solve,
     solve_scripted,
     unify,
+    unresolved,
 )
 from orcbind.muller import AllNonempty, MullerAutomaton
 from orcbind.pexpr import (
@@ -254,6 +255,20 @@ def test_solve_is_deterministic():
     assert a1 == a2
 
 
+def test_unresolved_specs_are_decided_as_they_are_drawn():
+    asked = []
+
+    class Counting(ArnScheme):
+        def is_trivial(self, orc, spec):
+            asked.append(spec)
+            return super().is_trivial(orc, spec)
+
+    trivial, hard, also_trivial = ArnSpec("R1", ltl.TRUE), ArnSpec("R1", travel.RHO_T1), ArnSpec("T1", ltl.TRUE)
+    left = unresolved(Counting(), Query(travel.traveller_net(), (trivial, hard, also_trivial)))
+    assert next(left) == hard and asked == [trivial, hard]
+    assert list(left) == [] and len(asked) == 3
+
+
 def test_scripted_solve_reports_failing_step():
     scheme = PexprScheme()
     query = Query(PVar("t"), (PSpec((), C_TRUE, parse_condition("[x = 0]")),))
@@ -337,7 +352,7 @@ def test_broken_while_module_is_caught():
 
 def test_bounded_property_check_is_three_valued():
     # every y = 0 pre-state of division loops until the fuel runs out
-    scheme = PexprScheme(bounds=(0, 2), fuel=50)
+    scheme = PexprScheme(bounds=(0, 2))
     division = parse_program("q := 0 ; r := x ; while y <= r do q := q + 1 ; r := r - y done")
     spec = PSpec((), C_TRUE, parse_condition("[x = q * y + r] & [r < y]"))
     assert scheme.check_property(division, spec) is None

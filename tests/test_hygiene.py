@@ -87,7 +87,8 @@ def references(tree) -> Counter:
     return found
 
 
-# ROADMAP item 13 puts these two checks on the CLI; until then only tests call them.
+# ROADMAP item 9 puts these two checks on the CLI (item 2 their trivial case);
+# until then only tests call them.
 AWAITING_A_COMMAND = {"check_solution", "check_clause_correctness"}
 
 

@@ -8,11 +8,14 @@ import pytest
 from orcbind import FrozenMap
 from orcbind.sigcat import (
     ActionSignature,
+    Atom,
     Cocone,
     FiniteDiagram,
-    PartialSignatureMorphism,
     SignatureMorphism,
+    Until,
     colimit,
+    land,
+    translate,
 )
 
 from oracles import (
@@ -68,11 +71,12 @@ def test_morphism_domain_and_image_checked():
         SignatureMorphism(a, b, {"a": "zzz"})
 
 
-def test_partial_morphism_requires_injectivity():
-    a, b = signature("m!", "m?"), signature("n!")
-    PartialSignatureMorphism(a, b, {"m!": "n!"})
-    with pytest.raises(ValueError):
-        PartialSignatureMorphism(a, b, {"m!": "n!", "m?": "n!"})
+def test_translate_renames_atoms_and_names_every_stray_one():
+    sigma = morph(signature("a", "b"), signature("c"), a="c", b="c")
+    assert translate(Until(Atom("a"), land(Atom("b"), Atom("a"))), sigma) == Until(Atom("c"), Atom("c"))
+    with pytest.raises(ValueError) as e:
+        translate(land(Atom("y"), Until(Atom("a"), Atom("x"))), sigma)
+    assert str(e.value) == "formula atoms outside the morphism source: ['x', 'y']"
 
 
 def test_colimit_of_single_node_is_identity_like():
